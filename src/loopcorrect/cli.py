@@ -112,7 +112,7 @@ def cmd_lbp(args, out=None) -> int:
     out.write(f"log_Z_B = {res.log_z_b:.12g}\n")
     out.write(
         f"iterations = {res.iterations}  converged = {res.converged}  "
-        f"residual = {res.residual:.3e}\n"
+        f"residual = {res.residual:.3e}  domain = {res.domain}\n"
     )
     if not res.converged:
         return EXIT_NOT_CONVERGED
@@ -158,9 +158,9 @@ def cmd_loopseries(args, out=None) -> int:
     out.write(f"corrected log_Z = {report.log_z_b + math.log(report.total):.12g}\n")
     if args.target is not None:
         corr = (
-            loop_series_marginal(model, res, args.target)
+            loop_series_marginal(model, res, args.target, z_report=report)
             if pairwise
-            else loop_series_marginal_factor(model, res, args.target)
+            else loop_series_marginal_factor(model, res, args.target, z_report=report)
         )
         out.write(
             f"marginal[{args.target}] corrected = "
@@ -200,9 +200,9 @@ def cmd_compare(args, out=None) -> int:
     worst = 0.0
     for i in range(n):
         corr = (
-            loop_series_marginal(model, res, i)
+            loop_series_marginal(model, res, i, z_report=report)
             if pairwise
-            else loop_series_marginal_factor(model, res, i)
+            else loop_series_marginal_factor(model, res, i, z_report=report)
         )
         before = abs(res.node_beliefs[i][1] - exact.marginals[i][1])
         after = abs(corr.corrected_marginal[1] - exact.marginals[i][1])

@@ -1,10 +1,22 @@
 """Loopy belief propagation for pairwise and factor models.
 
-Synchronous (Jacobi) sweeps with damping and sum-to-one message
-normalization; a sequential schedule is available for the
-fixed-points-are-schedule-independent checks.  Messages live in the linear
-domain; if any unnormalized message leaves [1e-280, 1e280] the run restarts
-in a log-domain twin that mirrors the linear semantics exactly.
+One message-passing engine serves both kinds of model.  A pairwise model
+runs as one arity-2 factor per edge, so message slot 2e + pos belongs to the
+endpoint at position pos of edge e; a factor model's slots are its (factor,
+scope position) incidences in factor-major order.
+
+A synchronous (Jacobi) sweep recomputes every variable-to-factor message as
+the product of the variable's other incoming factor-to-variable messages,
+then every factor-to-variable message from those.  Only the
+factor-to-variable messages are stored: each is normalized to sum to one and
+damped as (1 - damping) * update + damping * old.  The sequential schedule
+runs the same sweep on one factor at a time, in factor order, for the
+fixed-points-are-schedule-independent checks.
+
+Messages live in the linear domain.  If any unnormalized message leaves
+[1e-280, 1e280], the run restarts in the log domain, where the same sweep
+adds instead of multiplying, takes log-sum-exp marginals, and normalizes and
+damps with logaddexp.  LbpResult.domain records which domain ran.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from .model import (
 
 _LINEAR_LO = 1e-280
 _LINEAR_HI = 1e280
+_UNIT = {"linear": np.ones((1, 2)), "log": np.zeros((1, 2))}  # the pad slot's message
 
 
 @dataclass
@@ -45,11 +58,14 @@ class LbpOptions:
 class LbpResult:
     """Converged (or not) messages, beliefs and the Bethe log partition value.
 
-    For pairwise runs, messages[2e + 0] is the message to endpoint a of edge
-    e (sent by b) and messages[2e + 1] the message to b (sent by a), each a
-    normalized 2-vector over the recipient's spin.  node_beliefs[i] and
-    edge_beliefs[e] (2x2, endpoint order) are normalized; model is the
-    node-potential-absorbed model the run actually iterated on.
+    messages[k] is the normalized factor-to-variable message of slot k, a
+    2-vector over the recipient's spin; for pairwise runs messages[2e + 0]
+    goes to endpoint a of edge e (sent by b) and messages[2e + 1] to b.
+    node_beliefs[i], factor_beliefs[f] (flat, first scope variable most
+    significant) and, for pairwise runs, edge_beliefs[e] (2x2, endpoint
+    order) are normalized.  domain is "linear" or "log", whichever the
+    messages were iterated in; model is the model the run iterated on, with
+    node potentials absorbed for pairwise runs.
     """
 
     node_beliefs: np.ndarray
@@ -57,216 +73,217 @@ class LbpResult:
     iterations: int
     converged: bool
     residual: float
-    messages: list = field(default_factory=list)
+    messages: np.ndarray | None = None
     edge_beliefs: np.ndarray | None = None
     factor_beliefs: list = field(default_factory=list)
     model: object = None
+    domain: str = "linear"
 
 
 class _RangeSignal(Exception):
     """Internal: a linear-domain message left the safe range."""
 
 
-# ---------------------------------------------------------------------------
-# Pairwise LBP
-# ---------------------------------------------------------------------------
+def _pairwise_factors(m: PairwiseModel) -> list:
+    """The edges of m as arity-2 factors with flat row-major tables."""
+    return [(edge, psi[0] + psi[1]) for edge, psi in zip(m.graph.edges, m.edge_potentials)]
 
-def _pairwise_structure(m: PairwiseModel):
-    """Per-node list of incoming message slots.
 
-    Message slot 2e+0 carries the message toward endpoint a of edge e,
-    slot 2e+1 toward endpoint b.
+@dataclass
+class _Group:
+    """Gathers for the factors `ids`, which share arity k, within a block.
+
+    Entries index the block's variable-to-factor messages flattened to
+    2 * (block slot) + spin.  Factor f's belief entry e is tables[f, e]
+    times v2f[index[f, e]] for each index in belief_index.  The message to
+    scope position pos of f is row f * k + pos of message_tables and
+    message_index, with the entries for spin 0 in column 0 and those for
+    spin 1 in column 1, each in ascending table order.
     """
-    incoming = [[] for _ in range(m.node_count)]
-    for e, (a, b) in enumerate(m.graph.edges):
-        incoming[a].append(2 * e + 0)
-        incoming[b].append(2 * e + 1)
-    return incoming
+
+    ids: list
+    tables: np.ndarray  # (F, 2^k)
+    belief_index: list  # k arrays (F, 2^k)
+    message_tables: np.ndarray  # (F * k, 2, 2^(k-1))
+    message_index: list  # k - 1 arrays (F * k, 2, 2^(k-1))
 
 
-def _new_message_linear(m, incoming, msgs, e, direction):
-    """Unnormalized updated message for slot 2e+direction."""
-    a, b = m.graph.edges[e]
-    psi = m.edge_potentials[e]
-    source = b if direction == 0 else a
-    reverse = 2 * e + (1 - direction)  # the message the source received over e
-    p0 = p1 = 1.0
-    for slot in incoming[source]:
-        if slot == reverse:
-            continue
-        v = msgs[slot]
-        p0 *= v[0]
-        p1 *= v[1]
-    if direction == 0:
-        u0 = psi[0][0] * p0 + psi[0][1] * p1
-        u1 = psi[1][0] * p0 + psi[1][1] * p1
-    else:
-        u0 = psi[0][0] * p0 + psi[1][0] * p1
-        u1 = psi[0][1] * p0 + psi[1][1] * p1
-    return u0, u1
+class _FactorGraph:
+    """Slot arrays of a binary factor graph and the sweep over them."""
+
+    def __init__(self, variable_count: int, factors):
+        self.scopes = [tuple(scope) for scope, _ in factors]
+        self.tables = [np.asarray(table, dtype=float) for _, table in factors]
+        self.offsets = np.cumsum([0] + [len(s) for s in self.scopes])
+        var = np.array([i for scope in self.scopes for i in scope], dtype=np.intp)
+        self.slot_count = pad = len(var)
+        slots_of = [[] for _ in range(variable_count)]
+        for k, i in enumerate(var):
+            slots_of[i].append(k)
+        width = max(map(len, slots_of), default=0)
+        # Index rows padded with slot `pad`, which sweep() and beliefs()
+        # point at a unit message: var_slots[i] lists variable i's slots,
+        # others[k] the slots of k's variable other than k.
+        self.var_slots = np.array(
+            [s + [pad] * (width - len(s)) for s in slots_of], dtype=np.intp
+        ).reshape(variable_count, width)
+        rows = self.var_slots[var]
+        self.others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
+
+    def _block(self, factor_ids, domain: str):
+        """(slots, gather, groups) for updating the factors at once: slots
+        are the block's message slots, gather[b] the slots whose product is
+        the variable-to-factor message of slots[b]."""
+        by_arity: dict[int, list[int]] = {}
+        for f in factor_ids:
+            by_arity.setdefault(len(self.scopes[f]), []).append(f)
+        groups, slots, start = [], [], 0
+        for k, ids in sorted(by_arity.items()):
+            n = len(ids)
+            slots.append((self.offsets[ids][:, None] + np.arange(k)).ravel())
+            local = 2 * (start + np.arange(n * k).reshape(n, k))
+            start += n * k
+            tables = np.array([self.tables[f] for f in ids]).reshape(n, 1 << k)
+            if domain == "log":
+                tables = np.log(tables)
+            bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+            order = np.argsort(bits, axis=0, kind="stable").T  # (k, 2^k)
+            rest = np.array(
+                [[q for q in range(k) if q != pos] for pos in range(k)], dtype=np.intp
+            ).reshape(k, max(k - 1, 0))
+            shape = (n * k, 2, (1 << k) // 2)
+            groups.append(_Group(
+                ids=ids,
+                tables=tables,
+                belief_index=[local[:, q, None] + bits[:, q] for q in range(k)],
+                message_tables=tables[:, order].reshape(shape),
+                message_index=[
+                    (local[:, rest[:, j], None] + bits[order, rest[:, j, None]]).reshape(shape)
+                    for j in range(k - 1)
+                ],
+            ))
+        slots = np.concatenate([np.zeros(0, dtype=np.intp), *slots])
+        return slots, self.others[slots], groups
+
+    def blocks(self, schedule: str, domain: str) -> list:
+        """What one sweep updates in turn: every factor at once under
+        "sync", one factor at a time under "seq"."""
+        everything = range(len(self.scopes))
+        sets = [everything] if schedule == "sync" else [[f] for f in everything]
+        return [b for b in (self._block(ids, domain) for ids in sets) if b[0].size]
+
+    def sweep(self, msgs, blocks, damping: float, domain: str) -> float:
+        """Update msgs (slot_count x 2, in the given domain) in place, block
+        by block; returns the largest change of a linear message entry."""
+        log = domain == "log"
+        combine = np.add if log else np.multiply
+        ext = np.concatenate((msgs, _UNIT[domain]))
+        residual = 0.0
+        for slots, gather, groups in blocks:
+            v2f = combine.reduce(ext[gather], axis=1).ravel()
+            parts = []
+            for group in groups:
+                terms = group.message_tables
+                for index in group.message_index:
+                    terms = combine(terms, v2f[index])
+                if log:
+                    top = terms.max(axis=2)
+                    parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
+                else:
+                    parts.append(terms.sum(axis=2))
+            u = np.concatenate(parts)
+            old = ext[slots]
+            if log:
+                s = np.logaddexp(u[:, :1], u[:, 1:])
+                if not np.isfinite(s).all():
+                    raise NumericError("log-domain message update produced a non-finite value")
+                new = u - s
+                if damping > 0:
+                    new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
+                change = np.abs(np.exp(new) - np.exp(old)).max()
+            else:
+                if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
+                    raise _RangeSignal
+                new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
+                change = np.abs(new - old).max()
+            residual = max(residual, float(change))
+            ext[slots] = new
+        msgs[:] = ext[:-1]
+        return residual
+
+    def beliefs(self, msgs):
+        """Normalized node beliefs (n x 2) and flat factor beliefs from
+        linear-domain messages."""
+        ext = np.concatenate((msgs, _UNIT["linear"]))
+        node = ext[self.var_slots].prod(axis=1)
+        total = node.sum(axis=1, keepdims=True)
+        if not ((total > 0.0).all() and np.isfinite(total).all()):
+            raise NumericError("belief normalization failed")
+        _, gather, groups = self._block(range(len(self.scopes)), "linear")
+        v2f = ext[gather].prod(axis=1).ravel()
+        factor = [None] * len(self.scopes)
+        for group in groups:
+            joint = group.tables
+            for index in group.belief_index:
+                joint = joint * v2f[index]
+            norm = joint.sum(axis=1, keepdims=True)
+            if not ((norm > 0.0).all() and np.isfinite(norm).all()):
+                raise NumericError("factor belief normalization failed")
+            for f, row in zip(group.ids, joint / norm):
+                factor[f] = row
+        return node / total, factor
 
 
-def _normalize_pair(u0: float, u1: float) -> tuple[float, float]:
-    for u in (u0, u1):
-        if not (0.0 < u < _LINEAR_HI) or u < _LINEAR_LO:
-            raise _RangeSignal
-    s = u0 + u1
-    return u0 / s, u1 / s
-
-
-def _run_pairwise_linear(m: PairwiseModel, opts: LbpOptions):
-    incoming = _pairwise_structure(m)
-    n_slots = 2 * len(m.graph.edges)
-    msgs = [[0.5, 0.5] for _ in range(n_slots)]
-    d = opts.damping
+def _iterate(graph: _FactorGraph, opts: LbpOptions, domain: str):
+    """Sweep from uniform messages until the residual drops below tol;
+    returns linear-domain messages, iterations, converged, residual."""
+    blocks = graph.blocks(opts.schedule, domain)
+    msgs = np.full((graph.slot_count, 2), math.log(0.5) if domain == "log" else 0.5)
     residual = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        residual = 0.0
-        if opts.schedule == "sync":
-            new = []
-            for e in range(len(m.graph.edges)):
-                for direction in (0, 1):
-                    u0, u1 = _new_message_linear(m, incoming, msgs, e, direction)
-                    new.append(_normalize_pair(u0, u1))
-            for slot in range(n_slots):
-                old = msgs[slot]
-                n0 = (1 - d) * new[slot][0] + d * old[0]
-                n1 = (1 - d) * new[slot][1] + d * old[1]
-                residual = max(residual, abs(n0 - old[0]), abs(n1 - old[1]))
-                msgs[slot] = [n0, n1]
-        else:
-            for e in range(len(m.graph.edges)):
-                for direction in (0, 1):
-                    slot = 2 * e + direction
-                    u0, u1 = _new_message_linear(m, incoming, msgs, e, direction)
-                    v0, v1 = _normalize_pair(u0, u1)
-                    old = msgs[slot]
-                    n0 = (1 - d) * v0 + d * old[0]
-                    n1 = (1 - d) * v1 + d * old[1]
-                    residual = max(residual, abs(n0 - old[0]), abs(n1 - old[1]))
-                    msgs[slot] = [n0, n1]
-        if residual < opts.tol:
-            return msgs, iterations, True, residual
-    return msgs, iterations, False, residual
-
-
-def _run_pairwise_log(m: PairwiseModel, opts: LbpOptions):
-    """Log-domain twin of the linear sweep, for extreme potentials."""
-    incoming = _pairwise_structure(m)
-    edges = m.graph.edges
-    log_psi = [
-        [[math.log(v) for v in row] for row in m.edge_potentials[e]]
-        for e in range(len(edges))
-    ]
-    n_slots = 2 * len(edges)
-    lmsgs = [[math.log(0.5), math.log(0.5)] for _ in range(n_slots)]
-    d = opts.damping
-    log_d = math.log(d) if d > 0 else -math.inf
-    log_1md = math.log(1 - d)
-
-    def new_log_message(e, direction):
-        a, b = edges[e]
-        source = b if direction == 0 else a
-        reverse = 2 * e + (1 - direction)
-        q0 = q1 = 0.0
-        for slot in incoming[source]:
-            if slot == reverse:
-                continue
-            q0 += lmsgs[slot][0]
-            q1 += lmsgs[slot][1]
-        lp = log_psi[e]
-        if direction == 0:
-            u0 = np.logaddexp(lp[0][0] + q0, lp[0][1] + q1)
-            u1 = np.logaddexp(lp[1][0] + q0, lp[1][1] + q1)
-        else:
-            u0 = np.logaddexp(lp[0][0] + q0, lp[1][0] + q1)
-            u1 = np.logaddexp(lp[0][1] + q0, lp[1][1] + q1)
-        s = np.logaddexp(u0, u1)
-        if not math.isfinite(s):
-            raise NumericError("log-domain message update produced a non-finite value")
-        return u0 - s, u1 - s
-
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        residual = 0.0
-        updates = []
-        sequential = opts.schedule == "seq"
-        for e in range(len(edges)):
-            for direction in (0, 1):
-                slot = 2 * e + direction
-                v0, v1 = new_log_message(e, direction)
-                old = lmsgs[slot]
-                if d > 0:
-                    n0 = np.logaddexp(log_1md + v0, log_d + old[0])
-                    n1 = np.logaddexp(log_1md + v1, log_d + old[1])
-                else:
-                    n0, n1 = v0, v1
-                if sequential:
-                    residual = max(
-                        residual,
-                        abs(math.exp(n0) - math.exp(old[0])),
-                        abs(math.exp(n1) - math.exp(old[1])),
-                    )
-                    lmsgs[slot] = [n0, n1]
-                else:
-                    updates.append((n0, n1))
-        if not sequential:
-            for slot, (n0, n1) in enumerate(updates):
-                old = lmsgs[slot]
-                residual = max(
-                    residual,
-                    abs(math.exp(n0) - math.exp(old[0])),
-                    abs(math.exp(n1) - math.exp(old[1])),
-                )
-                lmsgs[slot] = [n0, n1]
+        residual = graph.sweep(msgs, blocks, opts.damping, domain)
         if residual < opts.tol:
             break
-    else:
-        iterations = opts.max_iters
-    msgs = [[math.exp(v[0]), math.exp(v[1])] for v in lmsgs]
-    return msgs, iterations, residual < opts.tol, residual
+    return (np.exp(msgs) if domain == "log" else msgs), iterations, residual < opts.tol, residual
 
 
-def _pairwise_beliefs(m: PairwiseModel, msgs, incoming):
-    n = m.node_count
-    node_beliefs = np.empty((n, 2))
-    for i in range(n):
-        p0 = p1 = 1.0
-        for slot in incoming[i]:
-            p0 *= msgs[slot][0]
-            p1 *= msgs[slot][1]
-        s = p0 + p1
-        if not (s > 0.0 and math.isfinite(s)):
-            raise NumericError("belief normalization failed")
-        node_beliefs[i] = (p0 / s, p1 / s)
-    edge_beliefs = np.empty((len(m.graph.edges), 2, 2))
-    for e, (a, b) in enumerate(m.graph.edges):
-        psi = m.edge_potentials[e]
-        pa = [1.0, 1.0]
-        for slot in incoming[a]:
-            if slot == 2 * e + 0:
-                continue
-            pa[0] *= msgs[slot][0]
-            pa[1] *= msgs[slot][1]
-        pb = [1.0, 1.0]
-        for slot in incoming[b]:
-            if slot == 2 * e + 1:
-                continue
-            pb[0] *= msgs[slot][0]
-            pb[1] *= msgs[slot][1]
-        tab = np.array(
-            [
-                [psi[0][0] * pa[0] * pb[0], psi[0][1] * pa[0] * pb[1]],
-                [psi[1][0] * pa[1] * pb[0], psi[1][1] * pa[1] * pb[1]],
-            ]
-        )
-        total = tab.sum()
-        if not (total > 0.0 and math.isfinite(total)):
-            raise NumericError("edge belief normalization failed")
-        edge_beliefs[e] = tab / total
-    return node_beliefs, edge_beliefs
+def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
+    """LBP to a fixed point, restarting in the log domain when a linear
+    message leaves the safe range; the caller fills in log_z_b and model."""
+    opts = opts or LbpOptions()
+    graph = _FactorGraph(variable_count, factors)
+    domain = "linear"
+    try:
+        msgs, iterations, converged, residual = _iterate(graph, opts, domain)
+    except _RangeSignal:
+        domain = "log"
+        msgs, iterations, converged, residual = _iterate(graph, opts, domain)
+    node_beliefs, factor_beliefs = graph.beliefs(msgs)
+    return LbpResult(
+        node_beliefs=node_beliefs,
+        log_z_b=math.nan,
+        iterations=iterations,
+        converged=converged,
+        residual=residual,
+        messages=msgs,
+        factor_beliefs=factor_beliefs,
+        domain=domain,
+    )
+
+
+def _bethe(scopes, tables, local_beliefs, node_beliefs) -> float:
+    """sum_f <log psi_f - log b_f>_{b_f} + sum_i (d_i - 1) <log b_i>_{b_i};
+    tables and local_beliefs hold every factor's entries in the same order,
+    and d_i counts the scopes containing i."""
+    nb = np.asarray(node_beliefs, dtype=float)
+    tables = np.ravel(np.asarray(tables, dtype=float))
+    local = np.ravel(np.asarray(local_beliefs, dtype=float))
+    if (nb <= 0.0).any() or (local <= 0.0).any():
+        raise ValueError("Bethe expression needs strictly positive beliefs")
+    degrees = np.bincount([i for scope in scopes for i in scope], minlength=len(nb))
+    total = float((local * np.log(tables)).sum()) - float((local * np.log(local)).sum())
+    return total + float(((degrees - 1) * (nb * np.log(nb)).sum(axis=1)).sum())
 
 
 def bethe_log_z(m: PairwiseModel, node_beliefs, edge_beliefs) -> float:
@@ -276,21 +293,16 @@ def bethe_log_z(m: PairwiseModel, node_beliefs, edge_beliefs) -> float:
     before iterating).  Exposed separately so it can be evaluated away from
     fixed points in tests.
     """
-    node_beliefs = np.asarray(node_beliefs, dtype=float)
-    edge_beliefs = np.asarray(edge_beliefs, dtype=float)
-    if node_beliefs.min() <= 0.0 or edge_beliefs.min() <= 0.0:
-        raise ValueError("Bethe expression needs strictly positive beliefs")
-    total = 0.0
-    for e in range(len(m.graph.edges)):
-        psi = np.asarray(m.edge_potentials[e])
-        be = edge_beliefs[e]
-        total += float((be * np.log(psi)).sum())
-        total -= float((be * np.log(be)).sum())
-    degrees = [m.graph.degree(i) for i in range(m.node_count)]
-    for i in range(m.node_count):
-        bi = node_beliefs[i]
-        total += (degrees[i] - 1) * float((bi * np.log(bi)).sum())
-    return total
+    return _bethe(m.graph.edges, m.edge_potentials, edge_beliefs, node_beliefs)
+
+
+def bethe_log_z_factor(fm: FactorModel, node_beliefs, factor_beliefs) -> float:
+    """Factor-graph Bethe expression; d_i is the number of factors
+    containing variable i."""
+    scopes = [scope for scope, _ in fm.factors]
+    tables = np.concatenate([table for _, table in fm.factors])
+    local = np.concatenate([np.ravel(b) for b in factor_beliefs])
+    return _bethe(scopes, tables, local, node_beliefs)
 
 
 def run_lbp(m: PairwiseModel, opts: LbpOptions | None = None) -> LbpResult:
@@ -301,258 +313,17 @@ def run_lbp(m: PairwiseModel, opts: LbpOptions | None = None) -> LbpResult:
     which is also what the loop-series operations expect.  Non-convergence
     is reported via the converged flag, not raised.
     """
-    opts = opts or LbpOptions()
     absorbed = absorb_node_potentials(m)
-    try:
-        msgs, iterations, converged, residual = _run_pairwise_linear(absorbed, opts)
-    except _RangeSignal:
-        msgs, iterations, converged, residual = _run_pairwise_log(absorbed, opts)
-    incoming = _pairwise_structure(absorbed)
-    node_beliefs, edge_beliefs = _pairwise_beliefs(absorbed, msgs, incoming)
-    log_zb = bethe_log_z(absorbed, node_beliefs, edge_beliefs)
-    return LbpResult(
-        node_beliefs=node_beliefs,
-        log_z_b=log_zb,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        messages=msgs,
-        edge_beliefs=edge_beliefs,
-        model=absorbed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Factor-graph LBP
-# ---------------------------------------------------------------------------
-
-def _factor_structure(fm: FactorModel):
-    """incidences[i] = list of (factor index, position of i in its scope)."""
-    incidences = [[] for _ in range(fm.variable_count)]
-    for f, (scope, _) in enumerate(fm.factors):
-        for pos, i in enumerate(scope):
-            incidences[i].append((f, pos))
-    return incidences
-
-
-def _run_factor_linear(fm: FactorModel, opts: LbpOptions):
-    incidences = _factor_structure(fm)
-    # var_to_fac[(f, pos)] and fac_to_var[(f, pos)], both over the variable's spin
-    keys = [(f, pos) for f, (scope, _) in enumerate(fm.factors) for pos in range(len(scope))]
-    v2f = {k: [0.5, 0.5] for k in keys}
-    f2v = {k: [0.5, 0.5] for k in keys}
-    d = opts.damping
-
-    def new_v2f(f, pos):
-        i = fm.factors[f][0][pos]
-        p0 = p1 = 1.0
-        for f2, pos2 in incidences[i]:
-            if f2 == f:
-                continue
-            v = f2v[(f2, pos2)]
-            p0 *= v[0]
-            p1 *= v[1]
-        return p0, p1
-
-    def new_f2v(f, pos):
-        scope, table = fm.factors[f]
-        k = len(scope)
-        acc = [0.0, 0.0]
-        for idx, w in enumerate(table):
-            v = w
-            for q in range(k):
-                if q == pos:
-                    continue
-                bit_q = (idx >> (k - 1 - q)) & 1
-                v *= v2f[(f, q)][bit_q]
-            acc[(idx >> (k - 1 - pos)) & 1] += v
-        return acc[0], acc[1]
-
-    residual = math.inf
-    iterations = 0
-    sequential = opts.schedule == "seq"
-    for iterations in range(1, opts.max_iters + 1):
-        residual = 0.0
-        if sequential:
-            for k in keys:
-                for table_, updater in ((v2f, new_v2f), (f2v, new_f2v)):
-                    u0, u1 = updater(*k)
-                    n0, n1 = _normalize_pair(u0, u1)
-                    old = table_[k]
-                    m0 = (1 - d) * n0 + d * old[0]
-                    m1 = (1 - d) * n1 + d * old[1]
-                    residual = max(residual, abs(m0 - old[0]), abs(m1 - old[1]))
-                    table_[k] = [m0, m1]
-        else:
-            new_v = {k: _normalize_pair(*new_v2f(*k)) for k in keys}
-            new_f = {k: _normalize_pair(*new_f2v(*k)) for k in keys}
-            for k in keys:
-                for table_, fresh in ((v2f, new_v), (f2v, new_f)):
-                    old = table_[k]
-                    m0 = (1 - d) * fresh[k][0] + d * old[0]
-                    m1 = (1 - d) * fresh[k][1] + d * old[1]
-                    residual = max(residual, abs(m0 - old[0]), abs(m1 - old[1]))
-                    table_[k] = [m0, m1]
-        if residual < opts.tol:
-            return v2f, f2v, iterations, True, residual
-    return v2f, f2v, iterations, False, residual
-
-
-def _run_factor_log(fm: FactorModel, opts: LbpOptions):
-    """Log-domain twin of the factor sweep, for extreme tables."""
-    incidences = _factor_structure(fm)
-    keys = [(f, pos) for f, (scope, _) in enumerate(fm.factors) for pos in range(len(scope))]
-    log_half = math.log(0.5)
-    v2f = {k: [log_half, log_half] for k in keys}
-    f2v = {k: [log_half, log_half] for k in keys}
-    log_tables = [tuple(math.log(v) for v in table) for _, table in fm.factors]
-    d = opts.damping
-    log_d = math.log(d) if d > 0 else -math.inf
-    log_1md = math.log(1 - d)
-
-    def new_v2f(f, pos):
-        i = fm.factors[f][0][pos]
-        q0 = q1 = 0.0
-        for f2, pos2 in incidences[i]:
-            if f2 == f:
-                continue
-            v = f2v[(f2, pos2)]
-            q0 += v[0]
-            q1 += v[1]
-        return q0, q1
-
-    def new_f2v(f, pos):
-        scope, _ = fm.factors[f]
-        k = len(scope)
-        acc = [[], []]
-        for idx, lw in enumerate(log_tables[f]):
-            v = lw
-            for q in range(k):
-                if q == pos:
-                    continue
-                v += v2f[(f, q)][(idx >> (k - 1 - q)) & 1]
-            acc[(idx >> (k - 1 - pos)) & 1].append(v)
-        return _logsumexp(acc[0]), _logsumexp(acc[1])
-
-    def normalize(u0, u1):
-        s = np.logaddexp(u0, u1)
-        if not math.isfinite(s):
-            raise NumericError("log-domain message update produced a non-finite value")
-        return u0 - s, u1 - s
-
-    def damp(new, old):
-        if d == 0:
-            return new
-        return (
-            np.logaddexp(log_1md + new[0], log_d + old[0]),
-            np.logaddexp(log_1md + new[1], log_d + old[1]),
-        )
-
-    residual = math.inf
-    iterations = 0
-    sequential = opts.schedule == "seq"
-    for iterations in range(1, opts.max_iters + 1):
-        residual = 0.0
-        if sequential:
-            for k in keys:
-                for table_, updater in ((v2f, new_v2f), (f2v, new_f2v)):
-                    fresh = damp(normalize(*updater(*k)), table_[k])
-                    old = table_[k]
-                    residual = max(
-                        residual,
-                        abs(math.exp(fresh[0]) - math.exp(old[0])),
-                        abs(math.exp(fresh[1]) - math.exp(old[1])),
-                    )
-                    table_[k] = list(fresh)
-        else:
-            new_v = {k: normalize(*new_v2f(*k)) for k in keys}
-            new_f = {k: normalize(*new_f2v(*k)) for k in keys}
-            for k in keys:
-                for table_, fresh_tab in ((v2f, new_v), (f2v, new_f)):
-                    fresh = damp(fresh_tab[k], table_[k])
-                    old = table_[k]
-                    residual = max(
-                        residual,
-                        abs(math.exp(fresh[0]) - math.exp(old[0])),
-                        abs(math.exp(fresh[1]) - math.exp(old[1])),
-                    )
-                    table_[k] = list(fresh)
-        if residual < opts.tol:
-            break
-    converged = residual < opts.tol
-    lin_v2f = {k: [math.exp(v[0]), math.exp(v[1])] for k, v in v2f.items()}
-    lin_f2v = {k: [math.exp(v[0]), math.exp(v[1])] for k, v in f2v.items()}
-    return lin_v2f, lin_f2v, iterations, converged, residual
-
-
-def _logsumexp(values):
-    best = max(values)
-    if best == -math.inf:
-        return -math.inf
-    return best + math.log(math.fsum(math.exp(v - best) for v in values))
-
-
-def bethe_log_z_factor(fm: FactorModel, node_beliefs, factor_beliefs) -> float:
-    """Factor-graph Bethe expression; d_i is the number of factors
-    containing variable i."""
-    node_beliefs = np.asarray(node_beliefs, dtype=float)
-    total = 0.0
-    for f, (scope, table) in enumerate(fm.factors):
-        bf = np.asarray(factor_beliefs[f], dtype=float)
-        if bf.min() <= 0.0:
-            raise ValueError("Bethe expression needs strictly positive beliefs")
-        total += float((bf * np.log(np.asarray(table))).sum())
-        total -= float((bf * np.log(bf)).sum())
-    if node_beliefs.min() <= 0.0:
-        raise ValueError("Bethe expression needs strictly positive beliefs")
-    for i in range(fm.variable_count):
-        bi = node_beliefs[i]
-        total += (fm.factor_degree(i) - 1) * float((bi * np.log(bi)).sum())
-    return total
+    res = _run(absorbed.node_count, _pairwise_factors(absorbed), opts)
+    res.edge_beliefs = np.reshape(res.factor_beliefs, (-1, 2, 2))
+    res.log_z_b = bethe_log_z(absorbed, res.node_beliefs, res.edge_beliefs)
+    res.model = absorbed
+    return res
 
 
 def run_lbp_factor(fm: FactorModel, opts: LbpOptions | None = None) -> LbpResult:
     """Factor-graph LBP; beliefs per variable and per factor (flat tables)."""
-    opts = opts or LbpOptions()
-    try:
-        v2f, f2v, iterations, converged, residual = _run_factor_linear(fm, opts)
-    except _RangeSignal:
-        v2f, f2v, iterations, converged, residual = _run_factor_log(fm, opts)
-    incidences = _factor_structure(fm)
-    n = fm.variable_count
-    node_beliefs = np.empty((n, 2))
-    for i in range(n):
-        p0 = p1 = 1.0
-        for f, pos in incidences[i]:
-            v = f2v[(f, pos)]
-            p0 *= v[0]
-            p1 *= v[1]
-        s = p0 + p1
-        if not (s > 0.0 and math.isfinite(s)):
-            raise NumericError("belief normalization failed")
-        node_beliefs[i] = (p0 / s, p1 / s)
-    factor_beliefs = []
-    for f, (scope, table) in enumerate(fm.factors):
-        k = len(scope)
-        tab = np.empty(len(table))
-        for idx, w in enumerate(table):
-            v = w
-            for q in range(k):
-                bit_q = (idx >> (k - 1 - q)) & 1
-                v *= v2f[(f, q)][bit_q]
-            tab[idx] = v
-        total = tab.sum()
-        if not (total > 0.0 and math.isfinite(total)):
-            raise NumericError("factor belief normalization failed")
-        factor_beliefs.append(tab / total)
-    log_zb = bethe_log_z_factor(fm, node_beliefs, factor_beliefs)
-    return LbpResult(
-        node_beliefs=node_beliefs,
-        log_z_b=log_zb,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        messages=[v2f, f2v],
-        factor_beliefs=factor_beliefs,
-        model=fm,
-    )
+    res = _run(fm.variable_count, fm.factors, opts)
+    res.log_z_b = bethe_log_z_factor(fm, res.node_beliefs, res.factor_beliefs)
+    res.model = fm
+    return res

@@ -58,6 +58,7 @@ def test_lbp_command(model_file, capsys):
     assert main(["lbp", "--model", str(model_file)]) == 0
     out = capsys.readouterr().out
     assert "log_Z_B" in out and "converged = True" in out
+    assert "domain = linear" in out
 
 
 def test_oracle_command(model_file, capsys):

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcorrect.exact import brute_force, belief_ratio_state_sum
 from loopcorrect.generate import ising_model, random_connected_graph, random_tree
 from loopcorrect.graph import cycle_graph, path_graph, two_triangles_graph
 from loopcorrect.lbp import (
     LbpOptions,
-    _new_message_linear,
-    _normalize_pair,
-    _pairwise_structure,
+    _FactorGraph,
+    _pairwise_factors,
     bethe_log_z,
     bethe_log_z_factor,
     run_lbp,
@@ -104,14 +105,9 @@ def test_damping_does_not_move_fixed_points(rng):
     m = ising_model(two_triangles_graph(), rng, coupling=1.0, field=0.5)
     res = run_lbp(m, opts)
     assert res.converged
-    incoming = _pairwise_structure(res.model)
-    worst = 0.0
-    for e in range(len(res.model.graph.edges)):
-        for direction in (0, 1):
-            u0, u1 = _new_message_linear(res.model, incoming, res.messages, e, direction)
-            v0, v1 = _normalize_pair(u0, u1)
-            old = res.messages[2 * e + direction]
-            worst = max(worst, abs(v0 - old[0]), abs(v1 - old[1]))
+    graph = _FactorGraph(m.node_count, _pairwise_factors(res.model))
+    msgs = res.messages.copy()
+    worst = graph.sweep(msgs, graph.blocks("sync", "linear"), 0.0, "linear")
     assert worst < 10 * opts.tol
 
 
@@ -137,6 +133,7 @@ def test_log_domain_fallback_matches_rescaled_model(rng):
     )
     res_base = run_lbp(base)
     res_tiny = run_lbp(tiny)
+    assert res_base.domain == "linear" and res_tiny.domain == "log"
     assert res_tiny.converged
     assert abs(np.asarray(res_tiny.node_beliefs) - res_base.node_beliefs).max() < 1e-9
     # scaling every edge table by c shifts log Z_B by E log c
@@ -194,14 +191,28 @@ def test_factor_lbp_exact_on_hypertree():
     assert res.log_z_b == pytest.approx(exact.log_z, abs=1e-9)
 
 
-def test_factor_lbp_matches_pairwise(rng):
-    g = random_connected_graph(6, 8, rng)
-    m = ising_model(g, rng, coupling=0.6, field=0.4)
-    res_p = run_lbp(m)
-    res_f = run_lbp_factor(to_factor_model(m))
-    assert res_p.converged and res_f.converged
-    assert res_f.log_z_b == pytest.approx(res_p.log_z_b, abs=1e-9)
-    assert abs(np.asarray(res_f.node_beliefs) - res_p.node_beliefs).max() < 1e-9
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    coupling=st.floats(0.1, 1.5),
+    field=st.floats(0.0, 1.0),
+)
+def test_factor_lbp_matches_pairwise(n, extra, seed, coupling, field):
+    # the factor form of a pairwise model takes the same sweeps, converged or not
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, min(n - 1 + extra, n * (n - 1) // 2), rng)
+    m = ising_model(g, rng, coupling=coupling, field=field)
+    opts = LbpOptions(max_iters=500)
+    res_p = run_lbp(m, opts)
+    res_f = run_lbp_factor(to_factor_model(m), opts)
+    assert res_f.iterations == res_p.iterations
+    assert res_f.converged == res_p.converged
+    assert abs(res_f.messages - res_p.messages).max() < 1e-12
+    assert abs(res_f.node_beliefs - res_p.node_beliefs).max() < 1e-12
+    if res_p.converged:
+        assert res_f.log_z_b == pytest.approx(res_p.log_z_b, abs=1e-9)
 
 
 def test_factor_log_domain_fallback(rng):
@@ -212,6 +223,7 @@ def test_factor_log_domain_fallback(rng):
     tiny = FactorModel(HYPERTREE.variable_count, tuple(scopes_tables))
     res_base = run_lbp_factor(HYPERTREE)
     res_tiny = run_lbp_factor(tiny)
+    assert res_tiny.domain == "log"
     assert res_tiny.converged
     assert abs(np.asarray(res_tiny.node_beliefs) - res_base.node_beliefs).max() < 1e-9
     shift = len(HYPERTREE.factors) * math.log(scale)
