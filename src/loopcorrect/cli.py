@@ -182,8 +182,7 @@ def cmd_compare(args, out=None) -> int:
     exact = brute_force(model)
     report = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
     corrected_log_z = report.log_z_b + math.log(report.total)
-    abs_err = abs(math.exp(corrected_log_z) - math.exp(exact.log_z))
-    rel_err = abs_err / math.exp(exact.log_z)
+    rel_err = abs(math.expm1(corrected_log_z - exact.log_z))
     rows = [
         ("log_Z_exact", f"{exact.log_z:.12g}"),
         ("log_Z_B", f"{res.log_z_b:.12g}"),

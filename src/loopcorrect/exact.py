@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SizeError
-from .graph import Multigraph, enumerate_generalized_loops
+from .graph import Multigraph, SubsetWeights
 from .model import FactorModel, PairwiseModel
 from .poly import f_values, g_values
 
@@ -241,36 +241,20 @@ def loop_identity_state_sum(
     n = g.node_count
     if n > 20:
         raise SizeError("identity evaluation capped at 20 nodes")
-    xi = [float(x) for x in xi]
-    if any(x <= 0 for x in xi):
+    xi = np.array([float(x) for x in xi])
+    if (xi <= 0).any():
         raise ValueError("xi values must be positive")
-    # node factor per spin: index 0 is spin -1
-    node_fac = [
-        (x ** -1 / (x + 1 / x), x / (x + 1 / x)) for x in xi
-    ]
-    spin = (-1.0, 1.0)
-    # edge factor per (bit_i, bit_j)
-    edge_fac = []
-    for e, (a, b) in enumerate(g.edges):
-        be = float(beta[e])
-        tab = []
-        for bi in (0, 1):
-            for bj in (0, 1):
-                si, sj = spin[bi], spin[bj]
-                tab.append(1.0 + si * sj * be * xi[a] ** -si * xi[b] ** -sj)
-        edge_fac.append(tab)
-    terms = []
-    for state in range(1 << n):
-        bits = [(state >> i) & 1 for i in range(n)]
-        v = 1.0
-        for i in range(n):
-            v *= node_fac[i][bits[i]]
+    parts = []
+    for bits in _state_chunks(n):
+        spin = 2.0 * bits - 1.0
+        v = (xi**spin / (xi + 1 / xi)).prod(axis=1)
         for e, (a, b) in enumerate(g.edges):
-            v *= edge_fac[e][2 * bits[a] + bits[b]]
+            sa, sb = spin[:, a], spin[:, b]
+            v *= 1.0 + sa * sb * float(beta[e]) * xi[a] ** -sa * xi[b] ** -sb
         if weight_node is not None:
-            v *= spin[bits[weight_node]]
-        terms.append(v)
-    return math.fsum(terms)
+            v *= spin[:, weight_node]
+        parts.append(math.fsum(v))
+    return math.fsum(parts)
 
 
 def loop_identity_subset_sum(
@@ -283,30 +267,15 @@ def loop_identity_subset_sum(
 
     Unweighted: sum over edge subsets of prod beta * prod_i f_{d_i}(gamma_i);
     weighted: the weight node contributes g_{d}(gamma)/(xi + 1/xi) instead
-    of f_{d}(gamma).  Subsets whose excluded-node degrees hit 1 vanish and
-    are pruned by the loop enumerator.
+    of f_{d}(gamma).  Summed by the frontier engine, where subsets whose
+    other nodes retire at degree 1 vanish.
     """
     xi = [float(x) for x in xi]
     gamma = [x - 1 / x for x in xi]
-    max_deg = [g.degree(i) for i in range(g.node_count)]
-    f_tab = [f_values(gamma[i], max_deg[i]) for i in range(g.node_count)]
+    tables = [f_values(gamma[i], d) for i, d in enumerate(g.degrees())]
     if weight_node is not None:
-        g_tab = g_values(gamma[weight_node], max_deg[weight_node])
-    terms = []
-    for s in enumerate_generalized_loops(g, free_node=weight_node):
-        deg = [0] * g.node_count
-        v = 1.0
-        for e in s:
-            a, b = g.edges[e]
-            deg[a] += 1
-            deg[b] += 1
-            v *= float(beta[e])
-        for i in range(g.node_count):
-            if i == weight_node:
-                continue
-            v *= f_tab[i][deg[i]]
-        if weight_node is not None:
-            w = weight_node
-            v *= g_tab[deg[w]] / (xi[w] + 1 / xi[w])
-        terms.append(v)
-    return math.fsum(terms)
+        w = weight_node
+        scale = xi[w] + 1 / xi[w]
+        tables[w] = [v / scale for v in g_values(gamma[w], len(tables[w]) - 1)]
+    total, _ = SubsetWeights(g, tables, [float(b) for b in beta]).frontier_sum()
+    return total

@@ -9,6 +9,7 @@ Everything is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exceptions import SizeError
@@ -38,13 +39,17 @@ class Multigraph:
             if not (0 <= a < self.node_count and 0 <= b < self.node_count):
                 raise ValueError(f"edge ({a},{b}) out of range")
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degree(self, i: int) -> int:
         """Degree in the full graph; a self-loop counts twice."""
         return degree_in_subset(self, range(len(self.edges)), i)
+
+    def degrees(self) -> list[int]:
+        """Every node's degree, in one pass over the edges."""
+        deg = [0] * self.node_count
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return deg
 
     def incident_edges(self, i: int) -> list[int]:
         out = []
@@ -141,20 +146,26 @@ def delete(g: Multigraph, e: int) -> Multigraph:
 
 def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
     """All edge subsets (including the empty one) in which no node has
-    degree exactly one.
+    degree exactly one, in lexicographic order on the edge-id bitmask (empty
+    set first).
 
     free_node, when given, is exempt from the degree-one constraint; the
     marginal series needs that variant because the target node's weight is
     a g value and g_1 != 0.
-
-    Branch-and-prune over edges in id order; subsets come out in
-    lexicographic order on the edge-id bitmask (empty set first).
     """
+    return _branch_and_prune(g, free_node)
+
+
+def _branch_and_prune(g: Multigraph, free_node=None, max_degree=None) -> list:
+    """Edge subsets in which no node but free_node has degree one and no
+    node exceeds max_degree: branch on each edge in id order, pruning as soon
+    as a node breaks the degree bound or retires with degree one."""
     m = len(g.edges)
     last_touch = [-1] * g.node_count
     for e, (a, b) in enumerate(g.edges):
         last_touch[a] = e
         last_touch[b] = e
+    top = 2 * m if max_degree is None else max_degree
     deg = [0] * g.node_count
     chosen: list[int] = []
     out: list[EdgeSubset] = []
@@ -162,6 +173,8 @@ def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
     def ok_after(e: int) -> bool:
         a, b = g.edges[e]
         for v in (a, b) if a != b else (a,):
+            if deg[v] > top:
+                return False
             if v != free_node and last_touch[v] == e and deg[v] == 1:
                 return False
         return True
@@ -208,48 +221,147 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
     return out
 
 
+# Most frontier states held at once (with theta's polynomial values, about
+# 50 MB); past it frontier_sum raises SizeError rather than grow unbounded.
+STATE_CAP = 1 << 17
+# Most generalized loops SubsetWeights.terms lists (the 4x4 grid has 16372).
+TERMS_CAP = 1 << 17
+
+
+@dataclass(frozen=True)
+class SubsetWeights:
+    """The edge-subset sum  sum_s prod_{e in s} w_e * prod_v t_v[x_v(s)].
+
+    x_v(s), node v's entry, is its degree in s (a self-loop counts twice)
+    or, for a mask node, the bitmask of its incident edges in s, bit q for
+    its q-th incident edge in id order.  Values need only + and *: floats
+    for the series, ints for counts, exact polynomials for theta.
+    """
+
+    graph: Multigraph
+    node_tables: list  # per node: its weight indexed by its entry
+    edge_weights: list | None = None  # None: every edge weighs one
+    mask_nodes: frozenset = frozenset()
+
+    def _steps(self) -> list:
+        """Per edge, the (node, entry increment) pair of each endpoint."""
+        seen = [0] * self.graph.node_count
+        out = []
+        for a, b in self.graph.edges:
+            ends = [(a, 2)] if a == b else [(a, 1), (b, 1)]
+            out.append([(v, 1 << seen[v] if v in self.mask_nodes else d) for v, d in ends])
+            for v, _ in ends:
+                seen[v] += 1
+        return out
+
+    def frontier_sum(self, by_size: bool = False, one=1.0):
+        """(sum, peak state count), folding the edges in id order.
+
+        A state's key packs the entries of the frontier nodes (touched, last
+        edge still to come) into fixed-width bit fields of one int; its
+        value sums the weights of the partial subsets that reach it.  When a
+        node's last edge is done its table weight is applied, states it
+        weighs zero are dropped, and its field is freed for a later node.
+        With by_size the key also counts |s|, and the sum comes back as
+        {|s|: sum} in size order.
+        """
+        g = self.graph
+        tables = [[None if w == 0 else w for w in t] for t in self.node_tables]
+        last = [-1] * g.node_count
+        for e, (a, b) in enumerate(g.edges):
+            last[a] = last[b] = e
+        width = max(len(t) - 1 for t in tables).bit_length() or 1
+        fmask = (1 << width) - 1
+        slot, free, top, plan = [-1] * g.node_count, [], 0, []
+        for e, steps in enumerate(self._steps()):
+            for v, _ in steps:
+                if slot[v] < 0:
+                    slot[v], top = (free.pop(), top) if free else (top, top + 1)
+            done = [v for v, _ in steps if last[v] == e]
+            plan.append((
+                sum(d << slot[v] * width for v, d in steps),
+                [(slot[v] * width, tables[v]) for v in done],
+            ))
+            free += [slot[v] for v in done]
+        size_shift = top * width
+        inc_size = 1 << size_shift if by_size else 0
+        states = {0: one}
+        for v in range(g.node_count):
+            if last[v] < 0:  # untouched: entry 0 throughout
+                w = tables[v][0]
+                states = {k: x * w for k, x in states.items() if w is not None}
+        peak = len(states)
+        for (inc, retire), w in zip(plan, self.edge_weights or [None] * len(plan)):
+            inc += inc_size
+            new: dict = {}
+            for key, val in states.items():
+                for k, x in ((key, val), (key + inc, val if w is None else val * w)):
+                    for shift, tab in retire:
+                        d = (k >> shift) & fmask
+                        t = tab[d]
+                        if t is None:
+                            break
+                        x = x * t
+                        k -= d << shift
+                    else:
+                        old = new.get(k)
+                        new[k] = x if old is None else old + x
+            states = new
+            peak = max(peak, len(states))
+            if peak > STATE_CAP:
+                raise SizeError(f"the frontier sum needs more than {STATE_CAP} states")
+        if by_size:
+            return {k >> size_shift: x for k, x in sorted(states.items())}, peak
+        return states.get(0, one - one), peak
+
+    def terms(self, free_node: int | None = None) -> list:
+        """[(s, weight of s)] over enumerate_generalized_loops(graph,
+        free_node); each weight multiplies the edge weights, then the mask
+        nodes' and then the other nodes' table entries in id order.  The
+        loops are counted first, and past TERMS_CAP SizeError is raised
+        before any is listed."""
+        count = count_generalized_loops(self.graph, free_node)
+        if count > TERMS_CAP:
+            raise SizeError(f"{count} generalized loops exceed the listing cap {TERMS_CAP}")
+        n, steps = self.graph.node_count, self._steps()
+        order = sorted(self.mask_nodes) + [v for v in range(n) if v not in self.mask_nodes]
+        out = []
+        for s in enumerate_generalized_loops(self.graph, free_node):
+            x = [0] * n
+            for e in s:
+                for v, d in steps[e]:
+                    x[v] += d
+            r = math.prod(self.edge_weights[e] for e in s) if self.edge_weights else 1.0
+            for v in order:
+                r *= self.node_tables[v][x[v]]
+            out.append((s, r))
+        return out
+
+
+def count_generalized_loops(
+    g: Multigraph,
+    free_node: int | None = None,
+    max_degree: int | None = None,
+    by_size: bool = False,
+):
+    """Number of generalized loops (free_node exempt from the degree-one
+    rule), by a frontier sum; with max_degree, only those in which no node
+    exceeds it; with by_size, as {|s|: count} in size order."""
+    top = max(g.degrees()) if max_degree is None else max_degree
+    tables = [
+        [int((x != 1 or v == free_node) and x <= top) for x in range(d + 1)]
+        for v, d in enumerate(g.degrees())
+    ]
+    return SubsetWeights(g, tables).frontier_sum(by_size, one=1)[0]
+
+
 def enumerate_disjoint_cycles(g: Multigraph):
     """All edge subsets C in which every touched node has degree exactly 2,
     paired with k(C), the number of connected components of C.
 
     The empty set is included with k = 0.
     """
-    m = len(g.edges)
-    last_touch = [-1] * g.node_count
-    for e, (a, b) in enumerate(g.edges):
-        last_touch[a] = e
-        last_touch[b] = e
-    deg = [0] * g.node_count
-    chosen: list[int] = []
-    out: list[tuple[EdgeSubset, int]] = []
-
-    def ok_after(e: int) -> bool:
-        a, b = g.edges[e]
-        for v in (a, b) if a != b else (a,):
-            if deg[v] > 2:
-                return False
-            if last_touch[v] == e and deg[v] == 1:
-                return False
-        return True
-
-    def rec(e: int) -> None:
-        if e == m:
-            out.append((frozenset(chosen), _component_count(g, chosen)))
-            return
-        a, b = g.edges[e]
-        if ok_after(e):
-            rec(e + 1)
-        deg[a] += 1
-        deg[b] += 1
-        if ok_after(e):
-            chosen.append(e)
-            rec(e + 1)
-            chosen.pop()
-        deg[a] -= 1
-        deg[b] -= 1
-
-    rec(0)
-    return out
+    return [(c, _component_count(g, c)) for c in _branch_and_prune(g, max_degree=2)]
 
 
 def _component_count(g: Multigraph, edge_ids) -> int:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from .exceptions import DivisibilityError, IdentityError, SizeError
 from .graph import (
     Multigraph,
+    SubsetWeights,
     contract,
+    count_generalized_loops,
     cycle_rank,
     delete,
     enumerate_disjoint_cycles,
-    enumerate_generalized_loops,
     enumerate_matchings,
     is_connected,
 )
@@ -34,7 +35,6 @@ from .poly import (
     f_poly,
 )
 
-ENUMERATION_CAP = 22
 DETERMINANT_CAP = 12
 
 _TWO_I = GaussianInt(0, 2)  # xi - 1/xi at xi = sqrt(-1)
@@ -70,24 +70,17 @@ def _theta_wrap(g: Multigraph, poly: BiPoly) -> ThetaPoly:
     )
 
 
-def theta_direct(g: Multigraph, cap: int = ENUMERATION_CAP) -> ThetaPoly:
+def theta_direct(g: Multigraph) -> ThetaPoly:
     """Subset-sum construction: each generalized loop s contributes
-    b^|s| * prod_i f_{d_i(s)}(g).  Non-loops vanish through f_1 = 0."""
-    if len(g.edges) > cap:
-        raise SizeError(f"{len(g.edges)} edges exceed the enumeration cap {cap}")
-    acc = BiPoly()
-    for s in enumerate_generalized_loops(g):
-        deg = [0] * g.node_count
-        for e in s:
-            a, b = g.edges[e]
-            deg[a] += 1
-            deg[b] += 1
-        term = UniPoly({0: 1}, "g")
-        for d in deg:
-            if d:
-                term = term * f_poly(d)
-        acc = acc.add_term(len(s), term)
-    return _theta_wrap(g, acc)
+    b^|s| * prod_i f_{d_i(s)}(g), summed by the frontier engine with exact
+    polynomial values split by |s|.  Non-loops vanish through f_1 = 0."""
+    tables = [[f_poly(d) for d in range(top + 1)] for top in g.degrees()]
+    per_size, _ = SubsetWeights(g, tables).frontier_sum(
+        by_size=True, one=UniPoly({0: 1}, "g")
+    )
+    return _theta_wrap(g, BiPoly({
+        (size, ge): c for size, poly in per_size.items() for ge, c in poly.coeffs.items()
+    }))
 
 
 def _canonical_key(g: Multigraph):
@@ -175,23 +168,14 @@ def loop_count_bound(g: Multigraph) -> LoopCountBound:
     """Count generalized loops against the golden-ratio bound.
 
     attained is decided by the combinatorial condition (every node of every
-    generalized loop has degree at most three), not by float equality.
+    generalized loop has degree at most three), not by float equality: a
+    second count, of the loops with no node above degree three, must match.
     """
-    loops = enumerate_generalized_loops(g)
-    count = len(loops)
+    count = count_generalized_loops(g)
     bound = golden_ratio_value(g)
     if count > bound + 1e-9:
         raise IdentityError(f"loop count {count} exceeds bound {bound}")
-    attained = True
-    for s in loops:
-        deg = [0] * g.node_count
-        for e in s:
-            a, b = g.edges[e]
-            deg[a] += 1
-            deg[b] += 1
-        if max(deg, default=0) > 3:
-            attained = False
-            break
+    attained = count_generalized_loops(g, max_degree=3) == count
     return LoopCountBound(bound=bound, count=count, attained=attained)
 
 
@@ -321,7 +305,7 @@ def omega_determinant_form(g: Multigraph, cap: int = DETERMINANT_CAP) -> UniPoly
         raise ValueError("determinant form needs a connected graph")
     if g.node_count > cap:
         raise SizeError(f"{g.node_count} nodes exceed the determinant cap {cap}")
-    deg = [g.degree(i) for i in range(g.node_count)]
+    deg = g.degrees()
     adj = [[0] * g.node_count for _ in range(g.node_count)]
     for a, b in g.edges:
         adj[a][b] += 1
@@ -364,7 +348,7 @@ def regular_graph_matching_check(g: Multigraph) -> bool:
     """
     if not g.is_simple():
         raise ValueError("regularity check needs a simple graph")
-    degs = {g.degree(i) for i in range(g.node_count)}
+    degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError(f"graph is not regular (degrees {sorted(degs)})")
     q = degs.pop() - 1

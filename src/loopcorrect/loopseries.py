@@ -2,24 +2,27 @@
 expansions of Z and of single-node marginals around the Bethe value, for
 pairwise and factor-graph models.
 
-Only generalized loops can contribute (f_1 = 0), so sums run over the
-pruned enumeration; term accumulation uses math.fsum in the deterministic
-lexicographic subset order because strong interactions can make the series
-cancel heavily.
+A term's node weights depend only on each node's degree in the subset (or,
+for a factor node, on which of its incidences the subset holds), so every
+sum is one frontier subset sum (graph.SubsetWeights) folded edge by edge;
+f_1 = 0 drops a partial subset as soon as a node retires with degree one.
+The per-subset terms are enumerated only when read, under graph.TERMS_CAP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import IdentityError, NotConvergedError
 from .graph import (
     Multigraph,
+    SubsetWeights,
+    count_generalized_loops,
     cycle_rank,
-    enumerate_generalized_loops,
     is_connected,
 )
 from .lbp import LbpResult
@@ -43,14 +46,34 @@ class SeriesCoefficients:
 
 @dataclass
 class SeriesReport:
-    """Evaluated series: per-subset terms, their total, and the corrected
-    partition value z_estimate = Z_B * total."""
+    """Evaluated series: the total, the coefficients and weights it was
+    summed from, and the frontier's peak state count.  per_size (the total
+    split by subset size) and terms (the per-subset (frozenset, r) list) are
+    computed when first read, and z_estimate = Z_B * total whenever read."""
 
-    terms: list  # [(frozenset of edge ids, r(s))]
     total: float
-    z_estimate: float
     log_z_b: float
-    per_size: dict  # size -> sum of r(s) over that size
+    coefficients: SeriesCoefficients
+    peak_states: int
+    weights: SubsetWeights = field(repr=False)
+
+    @property
+    def z_estimate(self) -> float:
+        return math.exp(self.log_z_b) * self.total
+
+    @cached_property
+    def per_size(self) -> dict:
+        """size -> sum of r(s) over that size, for every size that has a
+        generalized loop (0.0 where all of them weigh zero, as the odd sizes
+        of a bipartite graph do at gamma = 0).  Two more frontier sums,
+        whose states also carry |s|, so it is run only when read."""
+        sums = self.weights.frontier_sum(by_size=True)[0]
+        sizes = count_generalized_loops(self.weights.graph, by_size=True)
+        return {size: sums.get(size, 0.0) for size in sizes}
+
+    @cached_property
+    def terms(self) -> list:
+        return self.weights.terms()
 
 
 def _require_converged(res: LbpResult) -> None:
@@ -85,47 +108,26 @@ def coefficients_from_beliefs(res: LbpResult) -> SeriesCoefficients:
         raise ValueError(
             f"belief entry below {BELIEF_FLOOR}; refusing to extract coefficients"
         )
-    edges = res.model.graph.edges
-    beta = np.empty(len(edges))
-    for e, (i, j) in enumerate(edges):
-        t = eb[e]
-        beta[e] = (t[1, 1] * t[0, 0] - t[1, 0] * t[0, 1]) / (
-            math.sqrt(nb[i, 1] * nb[i, 0]) * math.sqrt(nb[j, 1] * nb[j, 0])
-        )
+    ends = np.array(res.model.graph.edges, dtype=int).reshape(-1, 2)
+    root = np.sqrt(nb[:, 1] * nb[:, 0])
+    beta = (eb[:, 1, 1] * eb[:, 0, 0] - eb[:, 1, 0] * eb[:, 0, 1]) / (
+        root[ends[:, 0]] * root[ends[:, 1]]
+    )
     return SeriesCoefficients(xi=xi, gamma=gamma, beta=beta)
 
 
-def _subset_degrees(g: Multigraph, s) -> list[int]:
-    deg = [0] * g.node_count
-    for e in s:
-        a, b = g.edges[e]
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+def _degree_tables(coeff: SeriesCoefficients, degrees) -> list:
+    return [f_values(float(coeff.gamma[i]), d) for i, d in enumerate(degrees)]
 
 
-def _evaluate_series(g, loops, edge_weight, node_value, log_z_b) -> SeriesReport:
-    """Shared series accumulator.
-
-    edge_weight(s) gives prod of correlation weights (with sign) for subset
-    s; node_value(i, d) the node factor for degree d.
-    """
-    terms = []
-    per_size: dict[int, list[float]] = {}
-    for s in loops:
-        deg = _subset_degrees(g, s)
-        r = edge_weight(s)
-        for i, d in enumerate(deg):
-            r *= node_value(i, d)
-        terms.append((s, r))
-        per_size.setdefault(len(s), []).append(r)
-    total = math.fsum(r for _, r in terms)
+def _series_report(weights: SubsetWeights, coeff, log_z_b: float) -> SeriesReport:
+    total, peak = weights.frontier_sum()
     return SeriesReport(
-        terms=terms,
         total=total,
-        z_estimate=math.exp(log_z_b) * total,
         log_z_b=log_z_b,
-        per_size={k: math.fsum(v) for k, v in sorted(per_size.items())},
+        coefficients=coeff,
+        peak_states=peak,
+        weights=weights,
     )
 
 
@@ -135,28 +137,42 @@ def loop_series_z(m: PairwiseModel, res: LbpResult) -> SeriesReport:
     _require_converged(res)
     coeff = coefficients_from_beliefs(res)
     g = res.model.graph
-    f_tab = [
-        f_values(coeff.gamma[i], g.degree(i)) for i in range(g.node_count)
-    ]
-    loops = enumerate_generalized_loops(g)
-    return _evaluate_series(
-        g,
-        loops,
-        edge_weight=lambda s: math.prod(coeff.beta[e] for e in s),
-        node_value=lambda i, d: f_tab[i][d],
-        log_z_b=res.log_z_b,
-    )
+    weights = SubsetWeights(g, _degree_tables(coeff, g.degrees()), coeff.beta.tolist())
+    return _series_report(weights, coeff, res.log_z_b)
 
 
 @dataclass
 class MarginalCorrection:
-    """Series-corrected single-node marginal."""
+    """Series-corrected single-node marginal; terms, the per-subset
+    (frozenset, r) list of the bias series, is enumerated when first read."""
 
     target: int
     bias_series: float
     series_total: float
     corrected_marginal: np.ndarray  # [p(-1), p(+1)]
-    terms: list
+    weights: SubsetWeights = field(repr=False)
+
+    @cached_property
+    def terms(self) -> list:
+        return self.weights.terms(free_node=self.target)
+
+
+def _marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCorrection:
+    """The bias series: the Z series' weights with the target's f table
+    swapped for its g table (g_1 = -2, so the target escapes degree-one
+    pruning; every other node still kills subsets through f_1 = 0)."""
+    weights = z_report.weights
+    tables = list(weights.node_tables)
+    tables[target] = g_values(float(z_report.coefficients.gamma[target]), len(tables[target]) - 1)
+    weights = replace(weights, node_tables=tables)
+    bias, _ = weights.frontier_sum()
+    return MarginalCorrection(
+        target=target,
+        bias_series=bias,
+        series_total=z_report.total,
+        corrected_marginal=_corrected_marginal(res.node_beliefs[target], bias, z_report.total),
+        weights=weights,
+    )
 
 
 def _corrected_marginal(node_belief, bias, total) -> np.ndarray:
@@ -172,37 +188,14 @@ def loop_series_marginal(
 ) -> MarginalCorrection:
     """Exact marginal of the target node via the weighted series.
 
-    The target is exempt from degree-one pruning because its weight is a g
-    value and g_1 = -2 is nonzero; every other node still kills subsets at
-    degree one through f_1 = 0.  z_report, when given, must be the
-    loop_series_z output for the same fixed point; it is recomputed
+    z_report, when given, must be the loop_series_z output for the same
+    fixed point; its coefficients and weights are reused.  It is computed
     otherwise.
     """
     _require_converged(res)
-    g = res.model.graph
-    if not (0 <= target < g.node_count):
+    if not (0 <= target < res.model.graph.node_count):
         raise ValueError(f"target node {target} out of range")
-    coeff = coefficients_from_beliefs(res)
-    f_tab = [f_values(coeff.gamma[i], g.degree(i)) for i in range(g.node_count)]
-    g_tab = g_values(coeff.gamma[target], g.degree(target))
-    loops = enumerate_generalized_loops(g, free_node=target)
-    terms = []
-    for s in loops:
-        deg = _subset_degrees(g, s)
-        r = math.prod(coeff.beta[e] for e in s)
-        for i, d in enumerate(deg):
-            r *= g_tab[d] if i == target else f_tab[i][d]
-        terms.append((s, r))
-    bias = math.fsum(r for _, r in terms)
-    total = (z_report or loop_series_z(m, res)).total
-    corrected = _corrected_marginal(res.node_beliefs[target], bias, total)
-    return MarginalCorrection(
-        target=target,
-        bias_series=bias,
-        series_total=total,
-        corrected_marginal=corrected,
-        terms=terms,
-    )
+    return _marginal(res, target, z_report or loop_series_z(m, res))
 
 
 def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bool:
@@ -222,12 +215,13 @@ def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bo
     if target not in cycle_nodes:
         raise ValueError(f"target {target} does not lie on the cycle")
 
-    correction = loop_series_marginal(m, res, target)
+    z_report = loop_series_z(m, res)
+    correction = loop_series_marginal(m, res, target, z_report=z_report)
     if len(correction.terms) != 2:
         raise IdentityError(
             f"expected exactly 2 contributing subsets, got {len(correction.terms)}"
         )
-    coeff = coefficients_from_beliefs(res)
+    coeff = z_report.coefficients
     gamma_t = coeff.gamma[target]
     (s0, r0), (s1, r1) = sorted(correction.terms, key=lambda t: len(t[0]))
     prod_beta = math.prod(coeff.beta[e] for e in s1)
@@ -256,7 +250,7 @@ def _sign(x: float, tol: float = 0.0) -> int:
 
 def _two_core_nodes(g: Multigraph) -> set[int]:
     """Nodes of the 2-core: strip degree-one nodes until none remain."""
-    deg = [g.degree(i) for i in range(g.node_count)]
+    deg = g.degrees()
     alive_edges = set(range(len(g.edges)))
     changed = True
     while changed:
@@ -298,44 +292,24 @@ def factor_coefficients(res: LbpResult) -> SeriesCoefficients:
             raise ValueError(
                 f"belief entry below {BELIEF_FLOOR}; refusing to extract coefficients"
             )
-        k = len(scope)
-        spins = [
-            [(-1.0 if ((idx >> (k - 1 - q)) & 1) == 0 else 1.0) for q in range(k)]
-            for idx in range(1 << k)
-        ]
-        betas: dict[frozenset, float] = {}
-        for mask in range(1 << k):
-            members = [q for q in range(k) if (mask >> q) & 1]
-            key = frozenset(scope[q] for q in members)
-            if len(members) == 0:
-                betas[key] = 1.0
-                continue
-            if len(members) == 1:
-                betas[key] = 0.0
-                continue
-            total = 0.0
-            for idx in range(1 << k):
-                basis = 1.0
-                for q in members:
-                    s = spins[idx][q]
-                    basis *= s * xi[scope[q]] ** (-s)
-                total += bf[idx] * basis
-            betas[key] = total
+        k, at = len(scope), np.array(scope, dtype=int)
+        idx = np.arange(1 << k)
+        bits = (idx[:, None] >> np.arange(k - 1, -1, -1)) & 1  # (state, q)
+        spin = 2.0 * bits - 1.0
+        phi = spin * xi[at] ** -spin
+        members = ((idx[:, None] >> np.arange(k)) & 1).astype(bool)  # (mask, q)
+        # basis[mask, state] = prod over q in mask of x_q xi_q^{-x_q}
+        basis = np.where(members[:, None, :], phi[None, :, :], 1.0).prod(axis=2)
+        betas = basis @ bf
+        betas[members.sum(axis=1) == 1] = 0.0
+        betas[0] = 1.0
         # reconstruction check: the expansion must reproduce b_f
-        for idx in range(1 << k):
-            recon = 0.0
-            for mask in range(1 << k):
-                members = [q for q in range(k) if (mask >> q) & 1]
-                key = frozenset(scope[q] for q in members)
-                basis = 1.0
-                for q in members:
-                    s = spins[idx][q]
-                    basis *= s * xi[scope[q]] ** (-s)
-                recon += betas[key] * basis
-            for q in range(k):
-                recon *= nb[scope[q]][(idx >> (k - 1 - q)) & 1]
-            worst = max(worst, abs(recon - bf[idx]))
-        factor_beta.append(betas)
+        recon = (betas @ basis) * nb[at, bits].prod(axis=1)
+        worst = max(worst, float(np.abs(recon - bf).max()))
+        factor_beta.append({
+            frozenset(v for v, keep in zip(scope, row) if keep): float(beta)
+            for row, beta in zip(members, betas)
+        })
     if worst > 1e-10:
         raise IdentityError(
             f"factor belief reconstruction off by {worst:.3e}; "
@@ -346,31 +320,24 @@ def factor_coefficients(res: LbpResult) -> SeriesCoefficients:
 
 def loop_series_z_factor(fm: FactorModel, res: LbpResult) -> SeriesReport:
     """Factor-graph expansion over subsets of the bipartite incidence edges:
-    r(s) = (-1)^{|s|} prod_f beta^f_{I_f(s)} * prod_i f_{d_i(s)}(gamma_i)."""
+    r(s) = (-1)^{|s|} prod_f beta^f_{I_f(s)} * prod_i f_{d_i(s)}(gamma_i).
+
+    Each incidence edge weighs -1, and a factor node's entry is the mask of
+    its chosen incidences, weighted by beta^f of the variables it names."""
     _require_converged(res)
     coeff = factor_coefficients(res)
     gh = factor_incidence_graph(fm)
     n = fm.variable_count
-    f_tab = [f_values(coeff.gamma[i], gh.degree(i)) for i in range(n)]
-    loops = enumerate_generalized_loops(gh)
-
-    def edge_weight(s):
-        joined = [set() for _ in fm.factors]
-        for e in s:
-            var, fac = gh.edges[e]
-            joined[fac - n].add(var)
-        w = -1.0 if len(s) % 2 else 1.0
-        for f, vars_ in enumerate(joined):
-            w *= coeff.factor_beta[f][frozenset(vars_)]
-        return w
-
-    return _evaluate_series(
-        gh,
-        loops,
-        edge_weight=edge_weight,
-        node_value=lambda i, d: f_tab[i][d] if i < n else 1.0,
-        log_z_b=res.log_z_b,
+    tables = _degree_tables(coeff, gh.degrees()[:n])
+    for betas, (scope, _) in zip(coeff.factor_beta, fm.factors):
+        tables.append([
+            betas[frozenset(v for q, v in enumerate(scope) if mask >> q & 1)]
+            for mask in range(1 << len(scope))
+        ])
+    weights = SubsetWeights(
+        gh, tables, [-1.0] * len(gh.edges), frozenset(range(n, gh.node_count))
     )
+    return _series_report(weights, coeff, res.log_z_b)
 
 
 def loop_series_marginal_factor(
@@ -380,39 +347,12 @@ def loop_series_marginal_factor(
     z_report: SeriesReport | None = None,
 ) -> MarginalCorrection:
     """Factor analogue of the marginal series: the target variable takes g
-    weights (and is exempt from degree-one pruning); factor nodes still
-    prune at degree one because singleton betas vanish."""
+    weights; factor nodes still prune at degree one because singleton betas
+    vanish."""
     _require_converged(res)
     if not (0 <= target < fm.variable_count):
         raise ValueError(f"target variable {target} out of range")
-    coeff = factor_coefficients(res)
-    gh = factor_incidence_graph(fm)
-    n = fm.variable_count
-    f_tab = [f_values(coeff.gamma[i], gh.degree(i)) for i in range(n)]
-    g_tab = g_values(coeff.gamma[target], gh.degree(target))
-    terms = []
-    for s in enumerate_generalized_loops(gh, free_node=target):
-        deg = _subset_degrees(gh, s)
-        joined = [set() for _ in fm.factors]
-        for e in s:
-            var, fac = gh.edges[e]
-            joined[fac - n].add(var)
-        r = -1.0 if len(s) % 2 else 1.0
-        for f, vars_ in enumerate(joined):
-            r *= coeff.factor_beta[f][frozenset(vars_)]
-        for i in range(n):
-            r *= g_tab[deg[i]] if i == target else f_tab[i][deg[i]]
-        terms.append((s, r))
-    bias = math.fsum(r for _, r in terms)
-    total = (z_report or loop_series_z_factor(fm, res)).total
-    corrected = _corrected_marginal(res.node_beliefs[target], bias, total)
-    return MarginalCorrection(
-        target=target,
-        bias_series=bias,
-        series_total=total,
-        corrected_marginal=corrected,
-        terms=terms,
-    )
+    return _marginal(res, target, z_report or loop_series_z_factor(fm, res))
 
 
 def truncated_series(report: SeriesReport, max_size: int):

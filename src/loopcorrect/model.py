@@ -83,13 +83,15 @@ def absorb_node_potentials(m: PairwiseModel) -> PairwiseModel:
         [[tab[0][0], tab[0][1]], [tab[1][0], tab[1][1]]]
         for tab in m.edge_potentials
     ]
+    first = [-1] * m.node_count  # lowest-id incident edge per node
+    for e, (a, b) in reversed(list(enumerate(m.graph.edges))):
+        first[a] = first[b] = e
     for i, phi in enumerate(m.node_potentials):
         if phi == (1.0, 1.0):
             continue
-        incident = m.graph.incident_edges(i)
-        if not incident:
+        e = first[i]
+        if e < 0:
             raise ValueError(f"node {i} is isolated; cannot absorb its potential")
-        e = incident[0]
         a, b = m.graph.edges[e]
         for xa in (0, 1):
             for xb in (0, 1):
@@ -137,18 +139,6 @@ class FactorModel:
         if missing:
             raise ValueError(f"variables {sorted(missing)} appear in no factor")
         object.__setattr__(self, "factors", tuple(norm))
-
-    def factor_degree(self, i: int) -> int:
-        """Number of factors whose scope contains variable i."""
-        return sum(1 for scope, _ in self.factors if i in scope)
-
-
-def table_index(scope, state_bits) -> int:
-    """Flat index of a joint state; first scope variable most significant."""
-    idx = 0
-    for pos in range(len(scope)):
-        idx = (idx << 1) | state_bits[pos]
-    return idx
 
 
 def to_factor_model(m: PairwiseModel) -> FactorModel:

@@ -9,7 +9,6 @@ stored polynomials stay exact.
 
 from __future__ import annotations
 
-import threading as _threading
 from dataclasses import dataclass
 
 
@@ -131,10 +130,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c, var: str = "x") -> "UniPoly":
         return cls({0: c}, var)
-
-    @classmethod
-    def monomial(cls, e: int, c=1, var: str = "x") -> "UniPoly":
-        return cls({e: c}, var)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -329,9 +324,6 @@ class BiPoly:
                 out[k] = s
         return BiPoly(out, self.vars)
 
-    def first_degree(self) -> int:
-        return max((e for e, _ in self.coeffs), default=-1)
-
     def eval_second(self, value) -> UniPoly:
         """Substitute the second variable by an exact value; returns a
         UniPoly in the first variable.  Powers of value are cached since
@@ -418,17 +410,13 @@ def _render_terms(terms, var_names):
 _X = UniPoly({1: 1})
 _F_CACHE: list[UniPoly] = [UniPoly({0: 1}), UniPoly({})]
 _G_CACHE: list[UniPoly] = [UniPoly({1: 1}), UniPoly({0: -2})]
-_CACHE_LOCK = _threading.Lock()
 
 
 def _ladder(cache: list[UniPoly], n: int) -> UniPoly:
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    if len(cache) <= n:
-        # extend under a lock so concurrent callers never see a torn ladder
-        with _CACHE_LOCK:
-            while len(cache) <= n:
-                cache.append(_X * cache[-1] + cache[-2])
+    while len(cache) <= n:
+        cache.append(_X * cache[-1] + cache[-2])
     return cache[n]
 
 

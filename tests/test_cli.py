@@ -1,12 +1,22 @@
 """End-to-end command line behaviour and exit codes."""
 
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
 from loopcorrect.cli import main
-from loopcorrect.graph import render_edge_list, two_triangles_graph
-from loopcorrect.model import model_from_json
+from loopcorrect.exact import brute_force
+from loopcorrect.generate import ising_model
+from loopcorrect.graph import (
+    enumerate_generalized_loops,
+    grid_graph,
+    render_edge_list,
+    two_triangles_graph,
+)
+from loopcorrect.model import PairwiseModel, model_from_json, pairwise_to_json
 
 
 @pytest.fixture
@@ -156,3 +166,53 @@ def test_factor_model_via_cli(tmp_path, capsys):
     assert main(["compare", "--model", str(path)]) == 0
     out = capsys.readouterr().out
     assert "corrected_rel_error" in out
+
+
+def test_huge_partition_function(tmp_path, capsys):
+    # every psi entry scaled by e^70 puts log Z near 847, past exp's range
+    m = ising_model(grid_graph(3, 3), np.random.default_rng(5), coupling=0.5, field=0.3)
+    scaled = tuple(
+        tuple(tuple(v * math.exp(70) for v in row) for row in tab)
+        for tab in m.edge_potentials
+    )
+    big = PairwiseModel(m.graph, scaled, m.node_potentials)
+    path = tmp_path / "big.json"
+    path.write_text(pairwise_to_json(big))
+    exact = brute_force(big)
+    assert exact.log_z > 709
+    assert main(["compare", "--model", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"^corrected_rel_error\s+(\S+)", out, re.M).group(1)) < 1e-8
+    assert main(["loopseries", "--model", str(path), "--target", "4"]) == 0
+    out = capsys.readouterr().out
+    log_z = float(re.search(r"^corrected log_Z = (\S+)", out, re.M).group(1))
+    assert abs(log_z - exact.log_z) / exact.log_z < 1e-8
+    p = re.search(r"^marginal\[4\] corrected = \((\S+), (\S+)\)", out, re.M)
+    assert abs(float(p.group(2)) - exact.marginals[4][1]) < 1e-8
+
+
+def test_terms_listing_cap(tmp_path, capsys):
+    # the 6x6 grid's series is summed without listing its ~2.6e12 loops
+    path = tmp_path / "grid.json"
+    assert main(["gen", "grid", "6", "6", "--seed", "2", "-J", "0.5", "-H", "0.3",
+                 "-o", str(path)]) == 0
+    assert main(["loopseries", "--model", str(path)]) == 0
+    assert "series_total" in capsys.readouterr().out
+    assert main(["loopseries", "--model", str(path), "--terms"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "generalized loops exceed the listing cap" in err
+
+
+def test_max_size_lists_zero_sum_sizes(tmp_path, capsys):
+    # at zero field gamma = 0 and odd f values vanish, so every odd-size
+    # loop weighs zero; its size is still reported, with an unchanged sum
+    path = tmp_path / "grid.json"
+    assert main(["gen", "grid", "3", "3", "--seed", "1", "-J", "0.5", "-H", "0",
+                 "-o", str(path)]) == 0
+    assert main(["loopseries", "--model", str(path), "--max-size", "9"]) == 0
+    rows = re.findall(r"^partial_sum\(size<=(\d+)\) = (\S+)$", capsys.readouterr().out, re.M)
+    sizes = [int(k) for k, _ in rows]
+    loops = enumerate_generalized_loops(grid_graph(3, 3))
+    assert sizes == sorted({len(s) for s in loops if len(s) <= 9})
+    partial = dict(zip(sizes, (p for _, p in rows)))
+    assert 7 in partial and partial[7] == partial[6]

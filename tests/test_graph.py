@@ -1,11 +1,16 @@
-"""Multigraph enumeration, contraction and deletion."""
+"""Multigraph enumeration, the frontier subset-sum engine, contraction and
+deletion."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcorrect.exceptions import SizeError
 from loopcorrect.graph import (
     Multigraph,
+    SubsetWeights,
     bouquet_graph,
     contract,
     cycle_graph,
@@ -22,8 +27,11 @@ from loopcorrect.graph import (
     path_graph,
     render_edge_list,
     complete_graph,
+    count_generalized_loops,
+    grid_graph,
     two_triangles_graph,
 )
+from loopcorrect.graphpoly import theta_contraction_deletion, theta_direct
 
 TRIANGLE = cycle_graph(3)
 
@@ -105,6 +113,115 @@ def test_loops_with_free_node_match_naive(g, data):
     assert enumerate_generalized_loops(
         g, free_node=free
     ) == enumerate_generalized_loops_naive(g, free_node=free)
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """A multigraph with self-loops and parallel edges (at most 12 edges),
+    random edge weights, a set of self-loop-free mask nodes, and a random
+    weight table per node."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    g = Multigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=12))))
+    looped = {a for a, b in g.edges if a == b}
+    mask = draw(st.sets(st.sampled_from(range(n)))) - looped
+    weight = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    incident = [sum((a == v) + (b == v) for a, b in g.edges) for v in range(n)]
+    tables = [
+        draw(st.lists(weight, min_size=size, max_size=size))
+        for size in ((1 << d) if v in mask else d + 1 for v, d in enumerate(incident))
+    ]
+    edge_weights = draw(st.lists(weight, min_size=len(g.edges), max_size=len(g.edges)))
+    return SubsetWeights(g, tables, edge_weights, frozenset(mask))
+
+
+def naive_subset_sum(w: SubsetWeights, by_size: bool):
+    """The same sum over all 2^|E| subsets, one product per subset:
+    {size or 0: (fsum of the products, fsum of their absolute values)}."""
+    g = w.graph
+    sums = {}
+    for bits in range(1 << len(g.edges)):
+        s = [e for e in range(len(g.edges)) if bits >> e & 1]
+        entry = [0] * g.node_count
+        seen = [0] * g.node_count
+        for e, (a, b) in enumerate(g.edges):
+            for v in (a, b):
+                if e in s:
+                    entry[v] += 1 << seen[v] if v in w.mask_nodes else 1
+                seen[v] += a != b or v in w.mask_nodes
+        r = math.prod(w.edge_weights[e] for e in s)
+        for v in range(g.node_count):
+            r *= w.node_tables[v][entry[v]]
+        sums.setdefault(len(s) if by_size else 0, []).append(r)
+    return {k: (math.fsum(v), math.fsum(map(abs, v))) for k, v in sums.items()}
+
+
+def close(value, expect, scale):
+    """Equal up to rounding: the frontier multiplies and adds in its own
+    order, so the error is bounded by a few ulps of the sum of |terms|
+    (plus underflow, where a product of tiny weights may round to zero)."""
+    return abs(value - expect) <= 1e-12 * scale + 1e-300
+
+
+@given(weighted_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_frontier_sum_matches_all_subsets(w):
+    assert close(w.frontier_sum()[0], *naive_subset_sum(w, by_size=False)[0])
+    per_size, _ = w.frontier_sum(by_size=True)
+    naive = naive_subset_sum(w, by_size=True)
+    for size in set(per_size) | set(naive):
+        assert close(per_size.get(size, 0.0), *naive.get(size, (0.0, 0.0)))
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_frontier_sum_matches_loop_enumeration(g, data):
+    """With f_1 = 0 at every node but an optional free node, the engine's
+    totals, per-size sums and free-node sums equal the sums over the
+    enumerated generalized loops."""
+    free = data.draw(st.none() | st.integers(min_value=0, max_value=g.node_count - 1))
+    weight = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    tables = []
+    for v, d in enumerate(g.degrees()):
+        t = data.draw(st.lists(weight, min_size=d + 1, max_size=d + 1))
+        if v != free and d >= 1:
+            t[1] = 0.0
+        tables.append(t)
+    beta = data.draw(st.lists(weight, min_size=len(g.edges), max_size=len(g.edges)))
+    w = SubsetWeights(g, tables, beta)
+    terms = w.terms(free_node=free)
+    assert [s for s, _ in terms] == enumerate_generalized_loops(g, free_node=free)
+    scale = math.fsum(abs(r) for _, r in terms)
+    assert close(w.frontier_sum()[0], math.fsum(r for _, r in terms), scale)
+    per_size, _ = w.frontier_sum(by_size=True)
+    for size in range(len(g.edges) + 1):
+        expect = math.fsum(r for s, r in terms if len(s) == size)
+        assert close(per_size.get(size, 0.0), expect, scale)
+    assert count_generalized_loops(g, free) == len(terms)
+
+
+@given(weighted_multigraphs())
+@settings(max_examples=40, deadline=None)
+def test_theta_from_engine_equals_contraction_deletion(w):
+    assert theta_direct(w.graph).poly == theta_contraction_deletion(w.graph).poly
+
+
+def test_frontier_counts_and_state_cap():
+    """Unit weights count every subset; generalized loops are counted far
+    past where listing them is practical; a frontier too wide for the state
+    cap raises SizeError."""
+    tables = [[1] * (d + 1) for d in grid_graph(3, 4).degrees()]
+    assert SubsetWeights(grid_graph(3, 4), tables).frontier_sum(one=1)[0] == 1 << 17
+    assert count_generalized_loops(grid_graph(4, 5)) == 583199
+    with pytest.raises(SizeError):
+        count_generalized_loops(complete_graph(12))
+
+
+def test_loop_listing_cap():
+    """terms() counts the loops first and refuses to list past TERMS_CAP."""
+    g = grid_graph(6, 6)
+    with pytest.raises(SizeError, match="exceed the listing cap"):
+        SubsetWeights(g, [[1.0] * (d + 1) for d in g.degrees()]).terms()
 
 
 @given(multigraphs(), st.data())

@@ -43,9 +43,16 @@ def test_theta_direct_examples():
     )
 
 
+def test_theta_direct_5x5_grid():
+    # 40 edges and about 6.5e7 generalized loops: summed, never listed
+    # golden_ratio_value checks theta_at_beta1 itself and raises on a mismatch
+    assert golden_ratio_value(grid_graph(5, 5)) > 0
+
+
 def test_theta_direct_cap():
+    # K12's frontier outgrows the state cap
     with pytest.raises(SizeError):
-        theta_direct(grid_graph(5, 5))
+        theta_direct(complete_graph(12))
 
 
 def test_theta_contraction_deletion_matches_direct():

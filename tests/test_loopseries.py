@@ -13,7 +13,7 @@ from loopcorrect.generate import (
     random_tree,
     single_cycle_graph,
 )
-from loopcorrect.graph import Multigraph, cycle_graph, two_triangles_graph
+from loopcorrect.graph import Multigraph, cycle_graph, grid_graph, two_triangles_graph
 from loopcorrect.lbp import LbpOptions, LbpResult, run_lbp, run_lbp_factor
 from loopcorrect.loopseries import (
     coefficients_from_beliefs,
@@ -143,6 +143,20 @@ def test_series_exact_on_random_model(rng):
     z = math.exp(brute_force(m).log_z)
     assert rep.z_estimate == pytest.approx(z, rel=1e-8)
     assert belief_ratio_state_sum(res.model, res) == pytest.approx(rep.total, abs=1e-9)
+
+
+def test_series_exact_on_4x5_grid(rng):
+    # 583199 generalized loops: the frontier sum never lists them
+    m = ising_model(grid_graph(4, 5), rng, coupling=0.5, field=0.3)
+    res = run_lbp(m)
+    assert res.converged
+    exact = brute_force(m)
+    rep = loop_series_z(m, res)
+    assert rep.peak_states == 80
+    assert abs(rep.log_z_b + math.log(rep.total) - exact.log_z) < 1e-8
+    for i in range(20):
+        corr = loop_series_marginal(m, res, i, z_report=rep)
+        assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
 
 
 def test_pruning_matches_full_subset_sum(rng):

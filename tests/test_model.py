@@ -5,7 +5,7 @@ import math
 import pytest
 
 from loopcorrect.exact import brute_force
-from loopcorrect.generate import ising_model
+from loopcorrect.generate import ising_model, random_connected_graph
 from loopcorrect.graph import Multigraph, cycle_graph, two_triangles_graph
 from loopcorrect.model import (
     FactorModel,
@@ -145,3 +145,18 @@ def test_exact_example_values():
     res = brute_force(simple_model())
     assert math.exp(res.log_z) == pytest.approx(4.0, rel=1e-12)
     assert abs(res.marginals - 0.5).max() < 1e-12
+
+
+def test_absorb_uses_lowest_id_incident_edge(rng):
+    # reference: each unary table goes to the lowest-id incident edge
+    m = ising_model(random_connected_graph(9, 16, rng), rng, coupling=1.0, field=0.7)
+    psi = [[list(row) for row in tab] for tab in m.edge_potentials]
+    for i, phi in enumerate(m.node_potentials):
+        e = m.graph.incident_edges(i)[0]
+        a, b = m.graph.edges[e]
+        for xa in (0, 1):
+            for xb in (0, 1):
+                psi[e][xa][xb] *= phi[xa if i == a else xb]
+    out = absorb_node_potentials(m)
+    assert out.edge_potentials == tuple(tuple(tuple(row) for row in tab) for tab in psi)
+    assert out.node_potentials == uniform_phi(9)
