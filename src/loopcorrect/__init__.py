@@ -68,7 +68,6 @@ from .model import (
 )
 from .poly import (
     BiPoly,
-    GaussianInt,
     UniPoly,
     exact_divide,
     f_poly,

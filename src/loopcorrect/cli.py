@@ -2,8 +2,7 @@
 
 Commands: lbp, loopseries, oracle, compare, theta, omega, matching, gen.
 Exit codes: 0 success, 1 usage or I/O trouble, 2 LBP non-convergence,
-3 identity-check failure.  LOOPCORRECT_THREADS caps worker parallelism
-(all current computations run serially, which trivially respects any cap).
+3 identity-check failure.  Every computation runs serially in one process.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,7 +28,6 @@ from .graphpoly import (
     matching_polynomial,
     omega,
     omega_determinant_form,
-    theta_at_beta1,
     theta_contraction_deletion,
     theta_direct,
 )
@@ -48,17 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_IDENTITY = 3
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("LOOPCORRECT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LOOPCORRECT_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("LOOPCORRECT_THREADS must be at least 1")
-    return cap
 
 
 def _load_model(path: str):
@@ -229,7 +215,6 @@ def cmd_theta(args, out=None) -> int:
         other = theta_direct(g) if args.method == "cd" else theta_contraction_deletion(g)
         if theta.poly != other.poly:
             raise IdentityError("direct and contraction-deletion theta disagree")
-        theta_at_beta1(g)
         bound = loop_count_bound(g)
         out.write(
             f"loop_count = {bound.count}  bound = {bound.bound:.9g}  "
@@ -353,7 +338,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _thread_cap()
         return args.func(args)
     except NotConvergedError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,6 +19,8 @@ from .model import FactorModel, PairwiseModel
 from .poly import f_values, g_values
 
 _CHUNK_BITS = 16
+# Most variables brute_force enumerates (2^25 states).
+BRUTE_FORCE_CAP = 25
 
 
 @dataclass
@@ -69,7 +71,7 @@ def _factor_log_weights(fm: FactorModel, bits: np.ndarray) -> np.ndarray:
     return logw
 
 
-def brute_force(model, cap: int = 25) -> ExactResult:
+def brute_force(model) -> ExactResult:
     """Exact enumeration over all 2^N states.
 
     Weights are handled in the log domain; partial sums are taken per chunk
@@ -84,8 +86,8 @@ def brute_force(model, cap: int = 25) -> ExactResult:
         log_weights = lambda bits: _factor_log_weights(model, bits)
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
-    if n > cap:
-        raise SizeError(f"{n} variables exceed the enumeration cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise SizeError(f"{n} variables exceed the enumeration cap {BRUTE_FORCE_CAP}")
 
     best = -math.inf  # running maximum of log weights
     z_parts: list[float] = []

@@ -22,6 +22,9 @@ from .graph import (
 )
 from .model import FactorModel, PairwiseModel
 
+# Draws random_connected_graph makes before it gives up.
+CONNECTED_DRAWS = 200
+
 
 def random_tree(n: int, rng: np.random.Generator) -> Multigraph:
     """Uniform attachment tree: node i joins a random earlier node."""
@@ -31,14 +34,12 @@ def random_tree(n: int, rng: np.random.Generator) -> Multigraph:
     return Multigraph(n, edges)
 
 
-def random_connected_graph(
-    n: int, m: int, rng: np.random.Generator, tries: int = 200
-) -> Multigraph:
+def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Multigraph:
     """Random simple connected graph with exactly m edges."""
     if m < n - 1 or m > n * (n - 1) // 2:
         raise GenerationError(f"no simple connected graph with n={n}, m={m}")
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(tries):
+    for _ in range(CONNECTED_DRAWS):
         pick = rng.choice(len(all_pairs), size=m, replace=False)
         edges = tuple(all_pairs[k] for k in sorted(pick))
         g = Multigraph(n, edges)

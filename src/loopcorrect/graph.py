@@ -385,26 +385,14 @@ def _component_count(g: Multigraph, edge_ids) -> int:
 
 
 def enumerate_matchings(g: Multigraph) -> list[int]:
-    """k-matching counts p(k) for k = 0..floor(n/2); p(0) = 1."""
+    """k-matching counts p(k) for k = 0..floor(n/2); p(0) = 1.  A matching
+    is an edge subset in which every node has degree 0 or 1, so the counts
+    are one by-size frontier sum."""
     if g.has_self_loop():
         raise ValueError("matchings are undefined on graphs with self-loops")
-    counts = [0] * (g.node_count // 2 + 1)
-    used = [False] * g.node_count
-    m = len(g.edges)
-
-    def rec(e: int, k: int) -> None:
-        if e == m:
-            counts[k] += 1
-            return
-        rec(e + 1, k)
-        a, b = g.edges[e]
-        if not used[a] and not used[b]:
-            used[a] = used[b] = True
-            rec(e + 1, k + 1)
-            used[a] = used[b] = False
-
-    rec(0, 0)
-    return counts
+    tables = [[int(x <= 1) for x in range(d + 1)] for d in g.degrees()]
+    by_size = SubsetWeights(g, tables).frontier_sum(by_size=True, one=1)[0]
+    return [by_size.get(k, 0) for k in range(g.node_count // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------

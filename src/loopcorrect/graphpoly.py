@@ -5,9 +5,10 @@ interpretations, the matching polynomial, and the determinant-sum identity.
 
 theta is stored in (b, g) coordinates, where g stands for xi - 1/xi: every
 term is a product of f polynomials in that variable, so the coefficients
-are plain integers and identity checks are exact equalities.  Evaluations
-at xi = sqrt(-1) substitute g = 2i over Gaussian integers; floating complex
-never appears.
+are plain integers and identity checks are exact equalities.  At
+xi = sqrt(-1), g = 2i; f_d has the parity of d and the degrees of a loop
+sum to 2|s|, so theta has only even powers of g, and each g^(2k) there is
+the integer (-4)^k.  Everything stays in the integers.
 """
 
 from __future__ import annotations
@@ -27,17 +28,9 @@ from .graph import (
     enumerate_matchings,
     is_connected,
 )
-from .poly import (
-    BiPoly,
-    GaussianInt,
-    UniPoly,
-    exact_divide,
-    f_poly,
-)
+from .poly import BiPoly, UniPoly, exact_divide, f_poly
 
 DETERMINANT_CAP = 12
-
-_TWO_I = GaussianInt(0, 2)  # xi - 1/xi at xi = sqrt(-1)
 
 
 @dataclass(frozen=True)
@@ -60,10 +53,11 @@ class MatchingPoly:
     poly: UniPoly  # alpha(x) = sum_k (-1)^k p(k) x^(n-2k)
 
 
-def _theta_wrap(g: Multigraph, poly: BiPoly) -> ThetaPoly:
+def _theta_wrap(g: Multigraph, coeffs: dict) -> ThetaPoly:
+    """ThetaPoly from {(b power, g power): integer coefficient}."""
     ok, _ = is_connected(g)
     return ThetaPoly(
-        poly=poly,
+        poly=BiPoly(coeffs),
         node_count=g.node_count,
         edge_count=len(g.edges),
         cycle_rank=cycle_rank(g) if ok else None,
@@ -78,16 +72,18 @@ def theta_direct(g: Multigraph) -> ThetaPoly:
     per_size, _ = SubsetWeights(g, tables).frontier_sum(
         by_size=True, one=UniPoly({0: 1}, "g")
     )
-    return _theta_wrap(g, BiPoly({
+    return _theta_wrap(g, {
         (size, ge): c for size, poly in per_size.items() for ge, c in poly.coeffs.items()
-    }))
+    })
 
 
 def _canonical_key(g: Multigraph):
     return (g.node_count, tuple(sorted((min(a, b), max(a, b)) for a, b in g.edges)))
 
 
-def _theta_cd_rec(g: Multigraph, memo: dict) -> BiPoly:
+def _theta_cd_rec(g: Multigraph, memo: dict) -> dict:
+    """theta of g as {(b power, g power): coefficient}; memo is keyed by
+    _canonical_key and its dicts are never mutated."""
     key = _canonical_key(g)
     hit = memo.get(key)
     if hit is not None:
@@ -96,23 +92,26 @@ def _theta_cd_rec(g: Multigraph, memo: dict) -> BiPoly:
     if pivot is None:
         # Every edge is a self-loop: theta factorizes over nodes, each node
         # with L loops contributing sum_k C(L,k) b^k f_{2k}(g).
-        out = BiPoly.constant(1)
+        out = {(0, 0): 1}
         loops_at = [0] * g.node_count
         for a, _ in g.edges:
             loops_at[a] += 1
-        for L in loops_at:
-            if L == 0:
-                continue
-            node_poly = BiPoly()
-            for k in range(L + 1):
-                node_poly = node_poly.add_term(k, math.comb(L, k) * f_poly(2 * k))
-            out = out * node_poly
+        for L in filter(None, loops_at):
+            node = [(k, ge, math.comb(L, k) * c)
+                    for k in range(L + 1) for ge, c in f_poly(2 * k).coeffs.items()]
+            prod: dict = {}
+            for (b1, g1), c1 in out.items():
+                for k, ge, c in node:
+                    prod[b1 + k, g1 + ge] = prod.get((b1 + k, g1 + ge), 0) + c1 * c
+            out = prod
     else:
-        one_minus_b = BiPoly({(0, 0): 1, (1, 0): -1})
-        b_var = BiPoly({(1, 0): 1})
-        out = one_minus_b * _theta_cd_rec(delete(g, pivot), memo) + b_var * _theta_cd_rec(
-            contract(g, pivot), memo
-        )
+        # (1-b) theta(G\e) + b theta(G/e): the b factors shift b powers by one.
+        deleted = _theta_cd_rec(delete(g, pivot), memo)
+        out = dict(deleted)
+        for sign, part in ((-1, deleted), (1, _theta_cd_rec(contract(g, pivot), memo))):
+            for (be, ge), c in part.items():
+                out[be + 1, ge] = out.get((be + 1, ge), 0) + sign * c
+        out = {k: c for k, c in out.items() if c}
     memo[key] = out
     return out
 
@@ -182,37 +181,29 @@ def loop_count_bound(g: Multigraph) -> LoopCountBound:
 def omega(g: Multigraph) -> OmegaPoly:
     """theta at xi = sqrt(-1), divided exactly by (1-b)^(|E|-|V|).
 
-    The quotient must come out with real integer coefficients; a nonzero
-    remainder or a residual imaginary part falsifies the divisibility
-    statement and raises.  For trees the exponent is -1, so we multiply by
-    (1-b) instead.
+    There g = 2i, and theta has only even powers of g, so it is evaluated
+    over the integers with g^2 = -4; an odd power of g would leave an
+    imaginary part and raises.  A nonzero remainder falsifies the
+    divisibility statement and raises too.  For trees the exponent is -1,
+    so we multiply by (1-b) instead.
     """
     ok, _ = is_connected(g)
     if not ok:
         raise ValueError("omega needs a connected graph")
-    theta = theta_direct(g)
-    at_imag = theta.poly.eval_second(_TWO_I)  # UniPoly in b, Gaussian coeffs
+    theta = theta_direct(g).poly
+    if any(ge % 2 for _, ge in theta.coeffs):
+        raise IdentityError("theta has an odd power of g, so theta(b, sqrt(-1)) is not real")
+    at_imag = BiPoly({(be, ge // 2): c for (be, ge), c in theta.coeffs.items()}).eval_second(-4)
     power = len(g.edges) - g.node_count
     one_minus_b = UniPoly({0: 1, 1: -1}, "b")
-    if power >= 0:
-        quotient = at_imag
-        for _ in range(power):
-            try:
-                quotient = exact_divide(quotient, one_minus_b)
-            except DivisibilityError as exc:
-                raise IdentityError(
-                    f"theta(b, sqrt(-1)) not divisible by (1-b)^{power}: {exc}"
-                ) from exc
-    else:
-        quotient = at_imag * one_minus_b
-    coeffs = {}
-    for e, c in quotient.coeffs.items():
-        if isinstance(c, GaussianInt):
-            if c.im != 0:
-                raise IdentityError(f"omega coefficient {c} has an imaginary part")
-            c = c.re
-        coeffs[e] = c
-    return OmegaPoly(UniPoly(coeffs, "b"))
+    if power < 0:
+        return OmegaPoly(at_imag * one_minus_b)
+    try:
+        return OmegaPoly(exact_divide(at_imag, one_minus_b**power))
+    except DivisibilityError as exc:
+        raise IdentityError(
+            f"theta(b, sqrt(-1)) not divisible by (1-b)^{power}: {exc}"
+        ) from exc
 
 
 def omega_at_1_count(g: Multigraph) -> tuple[int, int]:
@@ -290,7 +281,7 @@ def _bareiss_det(matrix: list[list[UniPoly]]) -> UniPoly:
     return det if sign == 1 else -det
 
 
-def omega_determinant_form(g: Multigraph, cap: int = DETERMINANT_CAP) -> UniPoly:
+def omega_determinant_form(g: Multigraph) -> UniPoly:
     """Sum over node-disjoint cycle sets C of
     2^k(C) det[I + u^2 (D - I) - u A] restricted off C, times u^|C|.
 
@@ -303,8 +294,10 @@ def omega_determinant_form(g: Multigraph, cap: int = DETERMINANT_CAP) -> UniPoly
     ok, _ = is_connected(g)
     if not ok:
         raise ValueError("determinant form needs a connected graph")
-    if g.node_count > cap:
-        raise SizeError(f"{g.node_count} nodes exceed the determinant cap {cap}")
+    if g.node_count > DETERMINANT_CAP:
+        raise SizeError(
+            f"{g.node_count} nodes exceed the determinant cap {DETERMINANT_CAP}"
+        )
     deg = g.degrees()
     adj = [[0] * g.node_count for _ in range(g.node_count)]
     for a, b in g.edges:

@@ -189,20 +189,46 @@ def factor_to_json(fm: FactorModel) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _integer(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _field(name: str, build):
+    """build(), with a missing key or a value of the wrong shape reported as
+    a ValueError that names the model JSON field."""
+    try:
+        return build()
+    except KeyError as exc:
+        raise ValueError(f"model JSON lacks the field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model JSON field {name!r} is malformed: {exc}") from None
+
+
 def model_from_json(text: str):
-    """Parse either model flavour; returns PairwiseModel or FactorModel."""
+    """Parse either model flavour; returns PairwiseModel or FactorModel.
+    A malformed document raises ValueError naming the field."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("model JSON must be an object")
     if "nodes" in doc:
-        n = doc["nodes"]
-        edges = tuple((e["i"], e["j"]) for e in doc["edges"])
-        psi = tuple(
-            tuple(tuple(row) for row in e["psi"]) for e in doc["edges"]
-        )
-        phi = tuple(tuple(tab) for tab in doc.get("phi") or uniform_phi(n))
+        n = _field("nodes", lambda: _integer(doc["nodes"]))
+        edges = _field("edges", lambda: tuple(
+            (_integer(e["i"]), _integer(e["j"])) for e in doc["edges"]
+        ))
+        psi = _field("psi", lambda: tuple(
+            tuple(tuple(float(v) for v in row) for row in e["psi"]) for e in doc["edges"]
+        ))
+        phi = _field("phi", lambda: tuple(
+            tuple(float(v) for v in tab) for tab in doc.get("phi") or uniform_phi(n)
+        ))
         return PairwiseModel(Multigraph(n, edges), psi, phi)
     if "vars" in doc:
-        factors = tuple(
-            (tuple(f["scope"]), tuple(f["table"])) for f in doc["factors"]
-        )
-        return FactorModel(doc["vars"], factors)
+        count = _field("vars", lambda: _integer(doc["vars"]))
+        factors = _field("factors", lambda: tuple(
+            (tuple(_integer(i) for i in f["scope"]), tuple(float(v) for v in f["table"]))
+            for f in doc["factors"]
+        ))
+        return FactorModel(count, factors)
     raise ValueError("model JSON must contain 'nodes' (pairwise) or 'vars' (factor)")

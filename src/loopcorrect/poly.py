@@ -1,114 +1,13 @@
 """Exact polynomial arithmetic: the f/g recurrence families, sparse
-univariate and bivariate polynomials over the integers, Gaussian integers,
-and exact division.
+univariate polynomials over the integers with exact division, and the
+bivariate theta container with its partial evaluations.
 
-Coefficients are Python ints (arbitrary precision) or GaussianInt; nothing
-here ever rounds.  Evaluation at floats is allowed and returns floats, but
-stored polynomials stay exact.
+Coefficients are Python ints (arbitrary precision); nothing here ever
+rounds.  Evaluation at floats is allowed and returns floats, but stored
+polynomials stay exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class GaussianInt:
-    """Gaussian integer a + b*i with exact integer parts."""
-
-    re: int
-    im: int = 0
-
-    def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gauss(other)
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _as_gauss(other) - self
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not Gaussian integers")
-        out = GaussianInt(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussianInt):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        im = f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"({self.re}{sign}{im})"
-
-    __repr__ = __str__
-
-
-def _as_gauss(x) -> GaussianInt:
-    if isinstance(x, GaussianInt):
-        return x
-    if isinstance(x, int):
-        return GaussianInt(x, 0)
-    return NotImplemented
-
-
-def _coeff_exact_div(a, b):
-    """Divide coefficient a by b exactly; return None if not divisible."""
-    if isinstance(a, GaussianInt) or isinstance(b, GaussianInt):
-        a, b = _as_gauss(a), _as_gauss(b)
-        norm = b.re * b.re + b.im * b.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero coefficient")
-        num = a * b.conj()
-        if num.re % norm or num.im % norm:
-            return None
-        return GaussianInt(num.re // norm, num.im // norm)
-    if b == 0:
-        raise ZeroDivisionError("division by zero coefficient")
-    q, r = divmod(a, b)
-    return q if r == 0 else None
 
 
 class UniPoly:
@@ -145,7 +44,7 @@ class UniPoly:
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, GaussianInt)):
+        if isinstance(other, int):
             return self.coeffs == ({0: other} if other != 0 else {})
         return NotImplemented
 
@@ -153,7 +52,7 @@ class UniPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, (int, GaussianInt)):
+        if isinstance(other, int):
             other = UniPoly.constant(other, self.var)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -170,7 +69,7 @@ class UniPoly:
         return UniPoly({e: -c for e, c in self.coeffs.items()}, self.var)
 
     def __sub__(self, other):
-        if isinstance(other, (int, GaussianInt)):
+        if isinstance(other, int):
             other = UniPoly.constant(other, self.var)
         return self + (-other)
 
@@ -178,7 +77,7 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, GaussianInt)):
+        if isinstance(other, int):
             if other == 0:
                 return UniPoly({}, self.var)
             return UniPoly({e: c * other for e, c in self.coeffs.items()}, self.var)
@@ -217,7 +116,7 @@ class UniPoly:
     def eval(self, x):
         """Horner evaluation; exact inputs give exact outputs."""
         if not self.coeffs:
-            return 0 * x if not isinstance(x, (int, GaussianInt)) else 0
+            return 0 * x
         exps = sorted(self.coeffs, reverse=True)
         acc = self.coeffs[exps[0]]
         prev = exps[0]
@@ -238,7 +137,8 @@ class UniPoly:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over the integers.
+    """Sparse bivariate polynomial over the integers, as built elsewhere:
+    it only compares, renders and evaluates, with no arithmetic of its own.
 
     Keys are exponent pairs; the default variables (b, g) are the edge
     weight and the node-bias variable of the theta polynomial.
@@ -254,13 +154,6 @@ class BiPoly:
                 if c != 0:
                     self.coeffs[eg] = c
 
-    @classmethod
-    def constant(cls, c, vars: tuple[str, str] = ("b", "g")) -> "BiPoly":
-        return cls({(0, 0): c}, vars)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, BiPoly):
             return self.coeffs == other.coeffs
@@ -270,59 +163,6 @@ class BiPoly:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.constant(other, self.vars)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiPoly(out, self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.coeffs.items()}, self.vars)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.constant(other, self.vars)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return BiPoly({}, self.vars)
-            return BiPoly({k: c * other for k, c in self.coeffs.items()}, self.vars)
-        out: dict = {}
-        for (e1, g1), c1 in self.coeffs.items():
-            for (e2, g2), c2 in other.coeffs.items():
-                k = (e1 + e2, g1 + g2)
-                s = out.get(k, 0) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return BiPoly(out, self.vars)
-
-    __rmul__ = __mul__
-
-    def add_term(self, bexp: int, gpoly: UniPoly) -> "BiPoly":
-        """Add gpoly (a polynomial in the second variable) at first-variable
-        power bexp."""
-        out = dict(self.coeffs)
-        for ge, c in gpoly.coeffs.items():
-            k = (bexp, ge)
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiPoly(out, self.vars)
 
     def eval_second(self, value) -> UniPoly:
         """Substitute the second variable by an exact value; returns a
@@ -365,9 +205,6 @@ class BiPoly:
         )
         return _render_terms([(k, c) for k, c in terms], self.vars)
 
-    def __repr__(self):
-        return f"BiPoly({self})"
-
 
 def _render_terms(terms, var_names):
     """Canonical text: '1 + 3*b - 2*b^2*g^4'.  terms: [(exps tuple, coeff)]."""
@@ -381,13 +218,8 @@ def _render_terms(terms, var_names):
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        if isinstance(c, GaussianInt):
-            coeff_txt = str(c)
-            negative = False
-        else:
-            negative = c < 0
-            c_abs = -c if negative else c
-            coeff_txt = str(c_abs)
+        negative = c < 0
+        coeff_txt = str(-c if negative else c)
         if factors and coeff_txt == "1":
             body = "*".join(factors)
         elif factors:
@@ -473,8 +305,8 @@ def exact_divide(num: UniPoly, den: UniPoly) -> UniPoly:
         rd = max(rem)
         if rd < dd:
             raise DivisibilityError(f"nonzero remainder of degree {rd}")
-        q = _coeff_exact_div(rem[rd], dlead)
-        if q is None:
+        q, r = divmod(rem[rd], dlead)
+        if r:
             raise DivisibilityError("leading coefficient not divisible")
         quot[rd - dd] = q
         for e, c in den.coeffs.items():

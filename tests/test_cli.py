@@ -145,11 +145,23 @@ def test_usage_errors(tmp_path):
     assert main(["theta", "--graph", str(bad)]) == 1
 
 
-def test_thread_cap_env(model_file, monkeypatch):
-    monkeypatch.setenv("LOOPCORRECT_THREADS", "4")
-    assert main(["oracle", "--model", str(model_file)]) == 0
-    monkeypatch.setenv("LOOPCORRECT_THREADS", "zero")
-    assert main(["oracle", "--model", str(model_file)]) == 1
+_EDGE = {"i": 0, "j": 1, "psi": [[1.0, 2.0], [2.0, 1.0]]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"nodes": 2, "edges": [{"i": 0, "j": 1}]}, "psi"),
+    ({"vars": 2, "factors": [{"scope": [0, 1]}]}, "table"),
+    ({"nodes": "x", "edges": [_EDGE]}, "nodes"),
+    ({"nodes": 2.5, "edges": [_EDGE]}, "nodes"),
+    ({"nodes": 2, "edges": [_EDGE], "phi": 3}, "phi"),
+])
+def test_malformed_model_json(tmp_path, capsys, doc, field):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(field) in err
 
 
 def test_factor_model_via_cli(tmp_path, capsys):

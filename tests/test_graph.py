@@ -313,6 +313,28 @@ def test_matchings():
         enumerate_matchings(bouquet_graph(1))
 
 
+@st.composite
+def loop_free_multigraphs(draw):
+    """Multigraphs with parallel edges but no self-loops, up to 12 edges."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    pairs = st.tuples(ends, ends).filter(lambda p: p[0] != p[1])
+    return Multigraph(n, tuple(draw(st.lists(pairs, max_size=12 if n > 1 else 0))))
+
+
+@given(loop_free_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_matchings_match_all_subsets(g):
+    counts = [0] * (g.node_count // 2 + 1)
+    m = len(g.edges)
+    for mask in range(1 << m):
+        s = [g.edges[e] for e in range(m) if (mask >> e) & 1]
+        ends = [v for pair in s for v in pair]
+        if len(set(ends)) == len(ends):
+            counts[len(s)] += 1
+    assert enumerate_matchings(g) == counts
+
+
 def test_is_connected():
     assert is_connected(Multigraph(1, ())) == (True, 1)
     assert is_connected(Multigraph(2, ())) == (False, 2)

@@ -1,8 +1,11 @@
 """theta, omega, matching polynomial, bound and determinant identities."""
 
+from dataclasses import replace
+
 import pytest
 
-from loopcorrect.exceptions import SizeError
+from loopcorrect import graphpoly
+from loopcorrect.exceptions import IdentityError, SizeError
 from loopcorrect.graph import (
     Multigraph,
     bouquet_graph,
@@ -125,12 +128,25 @@ def test_omega_cycles():
 
 
 def test_omega_b2_intermediate():
-    # theta(b, sqrt(-1)) for the 2-loop bouquet is 1 + 2b - 3b^2
-    from loopcorrect.poly import GaussianInt
-
-    theta = theta_direct(bouquet_graph(2)).poly.eval_second(GaussianInt(0, 2))
-    assert theta == UniPoly({0: 1, 1: 2, 2: -3})
+    # theta(b, sqrt(-1)) for the 2-loop bouquet is 1 + 2b - 3b^2: theta is
+    # 1 + 2b + b^2 (1 + g^2), and g^2 = -4 at g = 2i
+    theta = theta_direct(bouquet_graph(2)).poly
+    in_g2 = BiPoly({(be, ge // 2): c for (be, ge), c in theta.coeffs.items()})
+    assert in_g2.eval_second(-4) == UniPoly({0: 1, 1: 2, 2: -3})
     assert omega(bouquet_graph(2)).poly == UniPoly({0: 1, 1: 3}, "b")
+
+
+def test_omega_rejects_odd_g_power(monkeypatch):
+    # an odd power of g would leave an imaginary part at g = 2i
+    real = graphpoly.theta_direct
+
+    def with_odd_term(g):
+        theta = real(g)
+        return replace(theta, poly=BiPoly({**theta.poly.coeffs, (1, 1): 1}))
+
+    monkeypatch.setattr(graphpoly, "theta_direct", with_odd_term)
+    with pytest.raises(IdentityError, match="odd power of g"):
+        omega(cycle_graph(3))
 
 
 def test_omega_tree():
@@ -224,17 +240,22 @@ def test_theta_disconnect_and_multigraph_consistency():
 
 
 def exact_omega_by_division(g):
-    # independent route: evaluate theta at g = 2i through BiPoly.eval and
-    # divide with the poly module directly
-    from loopcorrect.poly import GaussianInt, exact_divide
+    # independent route: theta at g = 2i with each coefficient split into
+    # real and imaginary parts through i^ge, the imaginary part checked to
+    # vanish, then division by (1-b) one factor at a time
+    from loopcorrect.poly import exact_divide
 
-    theta = theta_direct(g).poly.eval_second(GaussianInt(0, 2))
+    parts = ({}, {})  # real, imaginary: b power -> coefficient
+    for (be, ge), c in theta_direct(g).poly.coeffs.items():
+        # (2i)^ge = 2^ge * (-1)^(ge // 2), times i when ge is odd
+        part = parts[ge % 2]
+        part[be] = part.get(be, 0) + c * 2**ge * (-1) ** (ge // 2)
+    assert not any(parts[1].values())
+    theta = UniPoly(parts[0], "b")
     power = len(g.edges) - g.node_count
     den = UniPoly({0: 1, 1: -1})
     for _ in range(power):
         theta = exact_divide(theta, den)
     if power < 0:
         theta = theta * den
-    return UniPoly(
-        {e: (c.re if hasattr(c, "re") else c) for e, c in theta.coeffs.items()}, "b"
-    )
+    return theta

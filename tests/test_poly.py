@@ -1,4 +1,4 @@
-"""Exact arithmetic: recurrence families, Gaussian integers, division."""
+"""Exact integer arithmetic: recurrence families, division, evaluation."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from loopcorrect.exceptions import DivisibilityError
 from loopcorrect.poly import (
     BiPoly,
-    GaussianInt,
     UniPoly,
     exact_divide,
     f_poly,
@@ -41,15 +40,17 @@ def test_f_at_one():
 
 
 def test_f_even_at_two_i():
-    # f_{2k}(2i) = (2k-1) * i^(2k-2), verified against the recurrence
-    i = GaussianInt(0, 1)
+    # f_{2k} is even in g, and at g = 2i, i.e. g^2 = -4, it is
+    # (2k-1) * i^(2k-2) = (2k-1) * (-1)^(k-1)
     for k in range(1, 7):
-        expected = (2 * k - 1) * i ** (2 * k - 2)
-        assert f_poly(2 * k).eval(GaussianInt(0, 2)) == expected
+        f = f_poly(2 * k)
+        assert all(e % 2 == 0 for e in f.coeffs)
+        in_g2 = UniPoly({e // 2: c for e, c in f.coeffs.items()})
+        assert in_g2.eval(-4) == (2 * k - 1) * (-1) ** (k - 1)
 
 
 def test_g_eval_identity_seed():
-    for x in (-3, 0, 2, GaussianInt(1, 1)):
+    for x in (-3, 0, 2):
         assert g_poly(0).eval(x) == x
 
 
@@ -107,15 +108,6 @@ def test_exact_divide_failure():
         exact_divide(UniPoly({1: 3}), UniPoly({1: 2}))
 
 
-def test_gaussian_int_basics():
-    i = GaussianInt(0, 1)
-    assert i * i == -1
-    assert (GaussianInt(2, 3) + GaussianInt(-2, -3)) == 0
-    assert GaussianInt(1, 2) * GaussianInt(3, -1) == GaussianInt(5, 5)
-    assert 2 - GaussianInt(1, 1) == GaussianInt(1, -1)
-    assert str(GaussianInt(0, 2)) == "2i"
-
-
 _coeffs = st.integers(min_value=-50, max_value=50)
 _polys = st.dictionaries(st.integers(min_value=0, max_value=8), _coeffs, max_size=6).map(
     UniPoly
@@ -149,5 +141,3 @@ def test_bipoly_partial_evaluations():
     assert at_g.eval(5) == p.eval(5, 2)
     at_b = p.eval_first(5)
     assert at_b.eval(2) == p.eval(5, 2)
-    gi = p.eval_second(GaussianInt(0, 2))
-    assert gi.eval(1) == p.eval(1, GaussianInt(0, 2))
