@@ -144,6 +144,46 @@ def delete(g: Multigraph, e: int) -> Multigraph:
     return Multigraph(g.node_count, tuple(p for i, p in enumerate(g.edges) if i != e))
 
 
+def two_core(g: Multigraph) -> tuple[Multigraph | None, list[int]]:
+    """(reduced 2-core, original ids of its nodes in id order).
+
+    Non-loop edges with an endpoint of degree one are deleted until none is
+    left; a self-loop counts two, so a node whose only edge is a self-loop
+    stays.  Nodes left with no edge are dropped, the survivors renumbered in
+    id order, and the kept edges keep their relative order.  No generalized
+    loop holds a pendant edge, so the core has the same generalized loops.
+    The core is None when nothing survives (g is a forest).
+    """
+    deg = g.degrees()
+    incident: list[list[int]] = [[] for _ in range(g.node_count)]
+    for e, (a, b) in enumerate(g.edges):
+        if a != b:
+            incident[a].append(e)
+            incident[b].append(e)
+    alive = [True] * len(g.edges)
+    leaves = [v for v, d in enumerate(deg) if d == 1]
+    while leaves:
+        v = leaves.pop()
+        if deg[v] != 1:  # its edge went when its neighbour was stripped
+            continue
+        e = next(e for e in incident[v] if alive[e])
+        alive[e] = False
+        a, b = g.edges[e]
+        deg[a] -= 1
+        deg[b] -= 1
+        w = a + b - v
+        if deg[w] == 1:
+            leaves.append(w)
+    kept = [v for v, d in enumerate(deg) if d]
+    if not kept:
+        return None, kept
+    if len(kept) == g.node_count and all(alive):
+        return g, kept
+    new_id = {v: i for i, v in enumerate(kept)}
+    edges = tuple((new_id[a], new_id[b]) for (a, b), ok in zip(g.edges, alive) if ok)
+    return Multigraph(len(kept), edges), kept
+
+
 def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
     """All edge subsets (including the empty one) in which no node has
     degree exactly one, in lexicographic order on the edge-id bitmask (empty
@@ -359,8 +399,13 @@ def enumerate_disjoint_cycles(g: Multigraph):
     """All edge subsets C in which every touched node has degree exactly 2,
     paired with k(C), the number of connected components of C.
 
-    The empty set is included with k = 0.
+    The empty set is included with k = 0.  The sets are counted first (the
+    generalized loops with no node above degree two), and past TERMS_CAP
+    SizeError is raised before any is listed.
     """
+    count = count_generalized_loops(g, max_degree=2)
+    if count > TERMS_CAP:
+        raise SizeError(f"{count} disjoint cycle sets exceed the listing cap {TERMS_CAP}")
     return [(c, _component_count(g, c)) for c in _branch_and_prune(g, max_degree=2)]
 
 

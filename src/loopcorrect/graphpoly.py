@@ -9,6 +9,12 @@ are plain integers and identity checks are exact equalities.  At
 xi = sqrt(-1), g = 2i; f_d has the parity of d and the degrees of a loop
 sum to 2|s|, so theta has only even powers of g, and each g^(2k) there is
 the integer (-4)^k.  Everything stays in the integers.
+
+Contraction-deletion recurses on the reduced 2-core (graph.two_core) and
+memoizes on the core's sorted edge tuple: pendant edges and isolated nodes
+leave theta unchanged, so the copies of one core that deletion and
+contraction leave padded or shifted share one entry.  Its depth is the
+core's edge count, capped at CD_EDGE_CAP.
 """
 
 from __future__ import annotations
@@ -27,10 +33,17 @@ from .graph import (
     enumerate_disjoint_cycles,
     enumerate_matchings,
     is_connected,
+    two_core,
 )
 from .poly import BiPoly, UniPoly, exact_divide, f_poly
 
 DETERMINANT_CAP = 12
+# Contraction-deletion recurses one level per edge of the 2-core.  Capping
+# the core's edges at half the interpreter's default recursion limit of
+# 1000 leaves the other half to the callers (the CLI needs about ten
+# frames, a pytest test about 35), so a long cycle raises SizeError
+# instead of RecursionError.
+CD_EDGE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -77,26 +90,27 @@ def theta_direct(g: Multigraph) -> ThetaPoly:
     })
 
 
-def _canonical_key(g: Multigraph):
-    return (g.node_count, tuple(sorted((min(a, b), max(a, b)) for a, b in g.edges)))
-
-
 def _theta_cd_rec(g: Multigraph, memo: dict) -> dict:
-    """theta of g as {(b power, g power): coefficient}; memo is keyed by
-    _canonical_key and its dicts are never mutated."""
-    key = _canonical_key(g)
+    """theta of g as {(b power, g power): coefficient}, computed on its
+    reduced 2-core.  memo is keyed by the core's sorted edge tuple (the core
+    has no isolated node, so its edges fix it) and its dicts are never
+    mutated."""
+    core, _ = two_core(g)
+    if core is None:
+        return {(0, 0): 1}
+    key = tuple(sorted((min(a, b), max(a, b)) for a, b in core.edges))
     hit = memo.get(key)
     if hit is not None:
         return hit
-    pivot = next((e for e, (a, b) in enumerate(g.edges) if a != b), None)
+    pivot = next((e for e, (a, b) in enumerate(core.edges) if a != b), None)
     if pivot is None:
         # Every edge is a self-loop: theta factorizes over nodes, each node
         # with L loops contributing sum_k C(L,k) b^k f_{2k}(g).
         out = {(0, 0): 1}
-        loops_at = [0] * g.node_count
-        for a, _ in g.edges:
+        loops_at = [0] * core.node_count
+        for a, _ in core.edges:
             loops_at[a] += 1
-        for L in filter(None, loops_at):
+        for L in loops_at:
             node = [(k, ge, math.comb(L, k) * c)
                     for k in range(L + 1) for ge, c in f_poly(2 * k).coeffs.items()]
             prod: dict = {}
@@ -106,9 +120,9 @@ def _theta_cd_rec(g: Multigraph, memo: dict) -> dict:
             out = prod
     else:
         # (1-b) theta(G\e) + b theta(G/e): the b factors shift b powers by one.
-        deleted = _theta_cd_rec(delete(g, pivot), memo)
+        deleted = _theta_cd_rec(delete(core, pivot), memo)
         out = dict(deleted)
-        for sign, part in ((-1, deleted), (1, _theta_cd_rec(contract(g, pivot), memo))):
+        for sign, part in ((-1, deleted), (1, _theta_cd_rec(contract(core, pivot), memo))):
             for (be, ge), c in part.items():
                 out[be + 1, ge] = out.get((be + 1, ge), 0) + sign * c
         out = {k: c for k, c in out.items() if c}
@@ -118,10 +132,23 @@ def _theta_cd_rec(g: Multigraph, memo: dict) -> dict:
 
 def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     """theta by the recurrence theta = (1-b) theta_{G\\e} + b theta_{G/e} on
-    the lowest-id non-loop edge, with all-self-loop graphs as the base case.
+    the lowest-id non-loop edge of the 2-core, with all-self-loop graphs as
+    the base case.
+
+    Every step first reduces its graph to the 2-core (graph.two_core):
+    a pendant edge lies in no generalized loop and an isolated node weighs
+    f_0 = 1, so theta is unchanged, and relabelled or padded copies of one
+    core share a memo entry.  Each level of the recursion removes an edge,
+    so a core above CD_EDGE_CAP edges raises SizeError.
 
     Agrees with theta_direct exactly; that equality is an acceptance check.
     """
+    core, _ = two_core(g)
+    if core is not None and len(core.edges) > CD_EDGE_CAP:
+        raise SizeError(
+            f"{len(core.edges)} edges in the 2-core exceed the contraction-deletion "
+            f"cap {CD_EDGE_CAP}"
+        )
     return _theta_wrap(g, _theta_cd_rec(g, {}))
 
 

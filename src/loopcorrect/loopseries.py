@@ -19,11 +19,11 @@ import numpy as np
 
 from .exceptions import IdentityError, NotConvergedError
 from .graph import (
-    Multigraph,
     SubsetWeights,
     count_generalized_loops,
     cycle_rank,
     is_connected,
+    two_core,
 )
 from .lbp import LbpResult
 from .model import FactorModel, PairwiseModel, factor_incidence_graph
@@ -211,7 +211,7 @@ def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bo
     ok, _ = is_connected(g)
     if not ok or cycle_rank(g) != 1:
         raise ValueError("sign check needs a connected graph with exactly one cycle")
-    cycle_nodes = _two_core_nodes(g)
+    _, cycle_nodes = two_core(g)
     if target not in cycle_nodes:
         raise ValueError(f"target {target} does not lie on the cycle")
 
@@ -246,23 +246,6 @@ def _sign(x: float, tol: float = 0.0) -> int:
     if x < -tol:
         return -1
     return 0
-
-
-def _two_core_nodes(g: Multigraph) -> set[int]:
-    """Nodes of the 2-core: strip degree-one nodes until none remain."""
-    deg = g.degrees()
-    alive_edges = set(range(len(g.edges)))
-    changed = True
-    while changed:
-        changed = False
-        for e in list(alive_edges):
-            a, b = g.edges[e]
-            if deg[a] == 1 or deg[b] == 1:
-                alive_edges.discard(e)
-                deg[a] -= 1
-                deg[b] -= 1
-                changed = True
-    return {v for e in alive_edges for v in g.edges[e]}
 
 
 # ---------------------------------------------------------------------------

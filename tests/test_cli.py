@@ -11,6 +11,7 @@ from loopcorrect.cli import main
 from loopcorrect.exact import brute_force
 from loopcorrect.generate import ising_model
 from loopcorrect.graph import (
+    cycle_graph,
     enumerate_generalized_loops,
     grid_graph,
     render_edge_list,
@@ -135,6 +136,16 @@ def test_polynomial_commands(graph_file, capsys):
     assert main(["matching", "--graph", str(graph_file)]) == 0
     out = capsys.readouterr().out
     assert "alpha =" in out
+
+
+def test_theta_cd_on_long_cycle(tmp_path, capsys):
+    # contraction-deletion recurses once per edge: a 1500-edge cycle is
+    # refused with one line, not a RecursionError traceback
+    path = tmp_path / "cycle.txt"
+    path.write_text(render_edge_list(cycle_graph(1500)))
+    assert main(["theta", "--graph", str(path), "--method", "cd"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors(tmp_path):

@@ -29,6 +29,7 @@ from loopcorrect.graph import (
     complete_graph,
     count_generalized_loops,
     grid_graph,
+    two_core,
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import theta_contraction_deletion, theta_direct
@@ -303,6 +304,42 @@ def test_disjoint_cycles_two_triangles():
 
 def test_disjoint_cycles_tree():
     assert enumerate_disjoint_cycles(path_graph(4)) == [(frozenset(), 0)]
+
+
+def test_disjoint_cycles_listing_cap():
+    """The sets are counted first: K10 has 819134 of them, past TERMS_CAP,
+    so none is listed."""
+    assert count_generalized_loops(complete_graph(10), max_degree=2) == 819134
+    with pytest.raises(SizeError, match="disjoint cycle sets exceed the listing cap"):
+        enumerate_disjoint_cycles(complete_graph(10))
+
+
+def test_two_core_examples():
+    assert two_core(path_graph(5)) == (None, [])
+    assert two_core(TRIANGLE) == (TRIANGLE, [0, 1, 2])
+    # a triangle on 1, 3, 4 with a pendant path 4-5-6, an isolated node 0,
+    # a self-loop alone at 2, and a bridge 1-7 to a doubled edge 7-8
+    g = Multigraph(9, ((4, 5), (1, 3), (2, 2), (5, 6), (3, 4), (1, 7),
+                       (4, 1), (7, 8), (7, 8)))
+    core, kept = two_core(g)
+    assert kept == [1, 2, 3, 4, 7, 8]
+    assert core == Multigraph(6, ((0, 2), (1, 1), (2, 3), (0, 4), (3, 0), (4, 5), (4, 5)))
+    # the bridge between the two triangles stays
+    assert two_core(two_triangles_graph())[0] == two_triangles_graph()
+
+
+@given(multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_two_core_keeps_the_loops(g):
+    """No node of the core has degree one, and the core has exactly as many
+    generalized loops (of each size) as the graph."""
+    core, kept = two_core(g)
+    if core is None:
+        assert count_generalized_loops(g) == 1
+        return
+    assert 1 not in core.degrees() and 0 not in core.degrees()
+    assert len(kept) == core.node_count and kept == sorted(kept)
+    assert count_generalized_loops(core, by_size=True) == count_generalized_loops(g, by_size=True)
 
 
 def test_matchings():

@@ -17,7 +17,9 @@ from loopcorrect.graph import (
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import (
+    CD_EDGE_CAP,
     _bareiss_det,
+    _theta_cd_rec,
     golden_ratio_value,
     loop_count_bound,
     matching_polynomial,
@@ -59,8 +61,32 @@ def test_theta_direct_cap():
 
 
 def test_theta_contraction_deletion_matches_direct():
-    for g in corpus_graphs():
-        assert theta_contraction_deletion(g).poly == theta_direct(g).poly
+    # past the corpus: grids whose deletions leave long pendant paths, and a
+    # triangle with a doubled edge and a self-loop, a pendant tree on node
+    # 2, a pendant self-loop node, a separate bouquet node and two isolated
+    # nodes; the whole ThetaPoly describes the input graph, not its core
+    trees = Multigraph(11, ((0, 1), (2, 3), (1, 2), (3, 4), (0, 2), (3, 5), (1, 1),
+                            (0, 1), (5, 6), (6, 6), (7, 7), (7, 7), (2, 9)))
+    for g in corpus_graphs() + [grid_graph(3, 5), grid_graph(4, 4), trees]:
+        assert theta_contraction_deletion(g) == theta_direct(g)
+
+
+def test_contraction_deletion_memo_holds_reduced_cores():
+    # keyed on the reduced 2-core, the 3x4 grid needs 171 memo entries;
+    # keyed on the labelled graph with its pendant paths it needed 4542
+    memo = {}
+    _theta_cd_rec(grid_graph(3, 4), memo)
+    assert len(memo) <= 200
+
+
+def test_contraction_deletion_edge_cap():
+    # a path strips to nothing, however long; a cycle's core keeps every edge
+    assert theta_contraction_deletion(path_graph(1500)).poly == BiPoly({(0, 0): 1})
+    assert theta_contraction_deletion(cycle_graph(CD_EDGE_CAP)).poly == BiPoly(
+        {(0, 0): 1, (CD_EDGE_CAP, 0): 1}
+    )
+    with pytest.raises(SizeError, match="contraction-deletion cap"):
+        theta_contraction_deletion(cycle_graph(CD_EDGE_CAP + 1))
 
 
 def test_theta_at_beta1():
@@ -222,6 +248,9 @@ def test_omega_determinant_form():
         omega_determinant_form(g)  # raises on mismatch
     with pytest.raises(ValueError):
         omega_determinant_form(parallel_edges_graph(2))
+    # K10 is inside DETERMINANT_CAP but has 819134 disjoint cycle sets
+    with pytest.raises(SizeError, match="disjoint cycle sets exceed the listing cap"):
+        omega_determinant_form(complete_graph(10))
 
 
 def test_regular_graph_identity():
