@@ -53,6 +53,7 @@ from .loopseries import (
     factor_coefficients,
     loop_series_marginal,
     loop_series_marginal_factor,
+    loop_series_marginals,
     loop_series_z,
     loop_series_z_factor,
     single_cycle_sign_check,

@@ -35,6 +35,7 @@ from .lbp import LbpOptions, run_lbp, run_lbp_factor
 from .loopseries import (
     loop_series_marginal,
     loop_series_marginal_factor,
+    loop_series_marginals,
     loop_series_z,
     loop_series_z_factor,
     truncated_series,
@@ -157,6 +158,8 @@ def cmd_loopseries(args, out=None) -> int:
 
 def cmd_compare(args, out=None) -> int:
     out = out or sys.stdout
+    if not (math.isfinite(args.check_tol) and args.check_tol >= 0.0):
+        raise ValueError(f"--check-tol must be finite and non-negative, got {args.check_tol}")
     model = _load_model(args.model)
     res = _run_model_lbp(model, _lbp_opts(args))
     if not res.converged:
@@ -180,15 +183,9 @@ def cmd_compare(args, out=None) -> int:
     ]
     _emit_rows(rows, ["quantity", "value"], args.format, out)
 
-    n = model.node_count if pairwise else model.variable_count
     marg_rows = []
     worst = 0.0
-    for i in range(n):
-        corr = (
-            loop_series_marginal(model, res, i, z_report=report)
-            if pairwise
-            else loop_series_marginal_factor(model, res, i, z_report=report)
-        )
+    for i, corr in enumerate(loop_series_marginals(model, res, report)):
         before = abs(res.node_beliefs[i][1] - exact.marginals[i][1])
         after = abs(corr.corrected_marginal[1] - exact.marginals[i][1])
         worst = max(worst, after)
@@ -215,7 +212,7 @@ def cmd_theta(args, out=None) -> int:
         other = theta_direct(g) if args.method == "cd" else theta_contraction_deletion(g)
         if theta.poly != other.poly:
             raise IdentityError("direct and contraction-deletion theta disagree")
-        bound = loop_count_bound(g)
+        bound = loop_count_bound(g, theta)
         out.write(
             f"loop_count = {bound.count}  bound = {bound.bound:.9g}  "
             f"attained = {bound.attained}\n"
@@ -229,7 +226,7 @@ def cmd_omega(args, out=None) -> int:
     w = omega(g)
     out.write(f"omega = {w.poly}\n")
     if args.check:
-        omega_determinant_form(g)
+        omega_determinant_form(g, w)
         out.write("determinant-sum identity holds\n")
     return EXIT_OK
 

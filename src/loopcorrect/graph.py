@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import SizeError
 
 # An edge subset is a frozenset of edge ids of its host multigraph.
@@ -275,7 +277,8 @@ class SubsetWeights:
     x_v(s), node v's entry, is its degree in s (a self-loop counts twice)
     or, for a mask node, the bitmask of its incident edges in s, bit q for
     its q-th incident edge in id order.  Values need only + and *: floats
-    for the series, ints for counts, exact polynomials for theta.
+    for the series, ints for counts, exact polynomials for theta, and numpy
+    vectors with one value per "world" for several sums at once.
     """
 
     graph: Multigraph
@@ -303,10 +306,12 @@ class SubsetWeights:
         node's last edge is done its table weight is applied, states it
         weighs zero are dropped, and its field is freed for a later node.
         With by_size the key also counts |s|, and the sum comes back as
-        {|s|: sum} in size order.
+        {|s|: sum} in size order.  A vector table entry drops a state only
+        when it is zero in every world; a state kept for one world carries
+        zeros in the others.
         """
         g = self.graph
-        tables = [[None if w == 0 else w for w in t] for t in self.node_tables]
+        tables = [[None if _is_zero(w) else w for w in t] for t in self.node_tables]
         last = [-1] * g.node_count
         for e, (a, b) in enumerate(g.edges):
             last[a] = last[b] = e
@@ -376,6 +381,11 @@ class SubsetWeights:
                 r *= self.node_tables[v][x[v]]
             out.append((s, r))
         return out
+
+
+def _is_zero(w) -> bool:
+    """Whether a table entry weighs zero (a vector: in every world)."""
+    return not w.any() if isinstance(w, np.ndarray) else w == 0
 
 
 def count_generalized_loops(

@@ -152,11 +152,12 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     return _theta_wrap(g, _theta_cd_rec(g, {}))
 
 
-def theta_at_beta1(g: Multigraph) -> tuple[UniPoly, UniPoly]:
+def theta_at_beta1(g: Multigraph, theta: ThetaPoly | None = None) -> tuple[UniPoly, UniPoly]:
     """theta at b = 1, both as the substituted polynomial and as the
-    binomial form sum_k C(n,k) f_{2k}; raises if they disagree."""
+    binomial form sum_k C(n,k) f_{2k}; raises if they disagree.  theta, when
+    given, must be g's theta; it is computed otherwise."""
     n = cycle_rank(g)  # requires connectivity
-    substituted = theta_direct(g).poly.eval_first(1).with_var("g")
+    substituted = (theta or theta_direct(g)).poly.eval_first(1).with_var("g")
     binomial = UniPoly({}, "g")
     for k in range(n + 1):
         binomial = binomial + math.comb(n, k) * f_poly(2 * k)
@@ -168,13 +169,14 @@ def theta_at_beta1(g: Multigraph) -> tuple[UniPoly, UniPoly]:
     return substituted, binomial
 
 
-def golden_ratio_value(g: Multigraph) -> float:
+def golden_ratio_value(g: Multigraph, theta: ThetaPoly | None = None) -> float:
     """theta at b = 1 and g = 1 (i.e. xi at the golden ratio), which equals
-    ((5-sqrt5)/2)^(n-1) + ((5+sqrt5)/2)^(n-1) for cycle rank n."""
+    ((5-sqrt5)/2)^(n-1) + ((5+sqrt5)/2)^(n-1) for cycle rank n.  theta is
+    passed to theta_at_beta1."""
     n = cycle_rank(g)
     r5 = math.sqrt(5.0)
     closed = ((5.0 - r5) / 2.0) ** (n - 1) + ((5.0 + r5) / 2.0) ** (n - 1)
-    substituted, _ = theta_at_beta1(g)
+    substituted, _ = theta_at_beta1(g, theta)
     value = float(substituted.eval(1))
     if abs(value - closed) > 1e-9 * max(1.0, abs(closed)):
         raise IdentityError(
@@ -190,15 +192,16 @@ class LoopCountBound:
     attained: bool
 
 
-def loop_count_bound(g: Multigraph) -> LoopCountBound:
+def loop_count_bound(g: Multigraph, theta: ThetaPoly | None = None) -> LoopCountBound:
     """Count generalized loops against the golden-ratio bound.
 
     attained is decided by the combinatorial condition (every node of every
     generalized loop has degree at most three), not by float equality: a
     second count, of the loops with no node above degree three, must match.
+    theta is passed to golden_ratio_value.
     """
     count = count_generalized_loops(g)
-    bound = golden_ratio_value(g)
+    bound = golden_ratio_value(g, theta)
     if count > bound + 1e-9:
         raise IdentityError(f"loop count {count} exceeds bound {bound}")
     attained = count_generalized_loops(g, max_degree=3) == count
@@ -308,13 +311,14 @@ def _bareiss_det(matrix: list[list[UniPoly]]) -> UniPoly:
     return det if sign == 1 else -det
 
 
-def omega_determinant_form(g: Multigraph) -> UniPoly:
+def omega_determinant_form(g: Multigraph, w: OmegaPoly | None = None) -> UniPoly:
     """Sum over node-disjoint cycle sets C of
     2^k(C) det[I + u^2 (D - I) - u A] restricted off C, times u^|C|.
 
     D and A are the degree and adjacency matrices of the full graph; the
     determinant is taken on the principal minor indexed by the untouched
-    nodes.  The result must equal omega with b replaced by u^2.
+    nodes.  The result must equal omega with b replaced by u^2; w, when
+    given, must be g's omega; it is computed otherwise.
     """
     if not g.is_simple():
         raise ValueError("determinant form needs a simple graph")
@@ -351,7 +355,7 @@ def omega_determinant_form(g: Multigraph) -> UniPoly:
             mat.append(row)
         det = _bareiss_det(mat)
         total = total + det * UniPoly({len(cyc): 2**k}, "u")
-    expected = omega(g).poly.map_exponents(2).with_var("u")
+    expected = (w or omega(g)).poly.map_exponents(2).with_var("u")
     if total != expected:
         raise IdentityError(
             f"determinant sum {total} differs from omega(u^2) = {expected}"

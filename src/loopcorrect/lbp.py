@@ -48,8 +48,8 @@ class LbpOptions:
     def __post_init__(self):
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must be in [0, 1)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.schedule not in ("sync", "seq"):
             raise ValueError("schedule must be 'sync' or 'seq'")
 

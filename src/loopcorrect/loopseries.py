@@ -6,6 +6,9 @@ A term's node weights depend only on each node's degree in the subset (or,
 for a factor node, on which of its incidences the subset holds), so every
 sum is one frontier subset sum (graph.SubsetWeights) folded edge by edge;
 f_1 = 0 drops a partial subset as soon as a node retires with degree one.
+All the marginals of a model come from one more such sum
+(loop_series_marginals) whose values are numpy vectors over "worlds", one
+per node: world v weighs node v by its g table and the others by f.
 The per-subset terms are enumerated only when read, under graph.TERMS_CAP.
 """
 
@@ -157,15 +160,19 @@ class MarginalCorrection:
         return self.weights.terms(free_node=self.target)
 
 
-def _marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCorrection:
-    """The bias series: the Z series' weights with the target's f table
-    swapped for its g table (g_1 = -2, so the target escapes degree-one
-    pruning; every other node still kills subsets through f_1 = 0)."""
-    weights = z_report.weights
-    tables = list(weights.node_tables)
-    tables[target] = g_values(float(z_report.coefficients.gamma[target]), len(tables[target]) - 1)
-    weights = replace(weights, node_tables=tables)
-    bias, _ = weights.frontier_sum()
+def _target_weights(z_report: SeriesReport, target: int, g_table) -> SubsetWeights:
+    """The Z series' weights with the target's f table swapped for g_table."""
+    tables = list(z_report.weights.node_tables)
+    tables[target] = g_table
+    return replace(z_report.weights, node_tables=tables)
+
+
+def _g_table(z_report: SeriesReport, target: int) -> list:
+    top = len(z_report.weights.node_tables[target]) - 1
+    return g_values(float(z_report.coefficients.gamma[target]), top)
+
+
+def _correction(res, target, z_report, bias, weights) -> MarginalCorrection:
     return MarginalCorrection(
         target=target,
         bias_series=bias,
@@ -173,6 +180,20 @@ def _marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCo
         corrected_marginal=_corrected_marginal(res.node_beliefs[target], bias, z_report.total),
         weights=weights,
     )
+
+
+def _marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCorrection:
+    """The bias series: the Z series' weights with the target's f table
+    swapped for its g table (g_1 = -2, so the target escapes degree-one
+    pruning; every other node still kills subsets through f_1 = 0).
+
+    A single target stays a scalar sum rather than a one-world
+    loop_series_marginals: a float state costs a fraction of a numpy
+    vector's, so on the 3x4 grid the scalar sum takes about a third of
+    the one-world vector sum's time."""
+    weights = _target_weights(z_report, target, _g_table(z_report, target))
+    bias, _ = weights.frontier_sum()
+    return _correction(res, target, z_report, bias, weights)
 
 
 def _corrected_marginal(node_belief, bias, total) -> np.ndarray:
@@ -196,6 +217,42 @@ def loop_series_marginal(
     if not (0 <= target < res.model.graph.node_count):
         raise ValueError(f"target node {target} out of range")
     return _marginal(res, target, z_report or loop_series_z(m, res))
+
+
+def loop_series_marginals(
+    model: PairwiseModel | FactorModel,
+    res: LbpResult,
+    z_report: SeriesReport | None = None,
+) -> list[MarginalCorrection]:
+    """Every node's (every variable's) marginal correction from one
+    frontier sum whose values are vectors over "worlds": in world v node v
+    weighs its g table and every other node its f table, so node v's entry
+    d is the vector of f_v[d] with g_v[d] at position v.  Mask (factor)
+    nodes and edge weights stay scalars.
+
+    A state is dropped only when every world weighs it zero, so states the
+    per-target sums prune (a node other than the target at degree one) are
+    carried with zeros; each correction still holds its own target-swapped
+    weights for terms.  z_report is reused as in loop_series_marginal.
+    """
+    _require_converged(res)
+    pairwise = isinstance(model, PairwiseModel)
+    if z_report is None:
+        z_report = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
+    n = model.node_count if pairwise else model.variable_count
+    node_tables = z_report.weights.node_tables
+    g_tables = [_g_table(z_report, v) for v in range(n)]
+    worlds = []
+    for v in range(n):
+        entries = np.repeat(np.array(node_tables[v], dtype=float)[:, None], n, axis=1)
+        entries[:, v] = g_tables[v]
+        worlds.append(list(entries))
+    vector_weights = replace(z_report.weights, node_tables=worlds + node_tables[n:])
+    bias, _ = vector_weights.frontier_sum(one=np.ones(n))
+    return [
+        _correction(res, v, z_report, float(bias[v]), _target_weights(z_report, v, g_tables[v]))
+        for v in range(n)
+    ]
 
 
 def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bool:

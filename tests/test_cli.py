@@ -123,6 +123,43 @@ def test_non_convergence_exit_code(model_file):
     assert main(["loopseries", "--model", str(model_file), "--max-iters", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--check-tol", "nan"],
+    ["--check-tol", "inf"],
+    ["--check-tol=-1e-8"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+])
+def test_non_finite_tolerances(model_file, capsys, argv):
+    assert main(["compare", "--model", str(model_file), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["theta", "--check"], "theta_direct"),
+    (["theta", "--method", "cd", "--check"], "theta_direct"),
+    (["omega", "--check"], "omega"),
+])
+def test_check_builds_the_polynomial_once(tmp_path, monkeypatch, argv, name):
+    import loopcorrect.cli as cli
+    import loopcorrect.graphpoly as graphpoly
+
+    calls = []
+    fn = getattr(graphpoly, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in (cli, graphpoly):
+        monkeypatch.setattr(mod, name, counted)
+    path = tmp_path / "grid.txt"
+    path.write_text(render_edge_list(grid_graph(3, 4)))
+    assert main([argv[0], "--graph", str(path), *argv[1:]]) == 0
+    assert len(calls) == 1
+
+
 def test_polynomial_commands(graph_file, capsys):
     assert main(["theta", "--graph", str(graph_file), "--method", "cd", "--check"]) == 0
     out = capsys.readouterr().out

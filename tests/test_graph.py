@@ -2,7 +2,9 @@
 deletion."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,6 +201,36 @@ def test_frontier_sum_matches_loop_enumeration(g, data):
         expect = math.fsum(r for s, r in terms if len(s) == size)
         assert close(per_size.get(size, 0.0), expect, scale)
     assert count_generalized_loops(g, free) == len(terms)
+
+
+def test_frontier_sum_keeps_a_state_live_in_one_world():
+    """Vector values: an entry that is zero in world 0 but not in world 1
+    must not drop the state, and the sum is the per-world sums."""
+    g = Multigraph(2, ((0, 1),))
+    tables = [
+        [np.array([1.0, 1.0]), np.array([0.0, 2.0])],
+        [np.array([1.0, 1.0]), np.array([3.0, 3.0])],
+    ]
+    total, _ = SubsetWeights(g, tables, [0.5]).frontier_sum(one=np.ones(2))
+    assert total.tolist() == [1.0, 4.0]
+    for world, want in enumerate((1.0, 4.0)):
+        scalar = [[float(x[world]) for x in t] for t in tables]
+        assert SubsetWeights(g, scalar, [0.5]).frontier_sum()[0] == want
+
+
+@given(weighted_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_vector_frontier_sum_is_per_world_sums(w):
+    """Stack the drawn tables (world 1) with copies whose entries 1 are zero
+    (world 0): the vector sum equals the two scalar sums."""
+    zeroed = [[0.0 if d == 1 else x for d, x in enumerate(t)] for t in w.node_tables]
+    worlds = [[np.array(pair) for pair in zip(a, b)] for a, b in zip(zeroed, w.node_tables)]
+    total, peak = replace(w, node_tables=worlds).frontier_sum(one=np.ones(2))
+    for world, tables in enumerate((zeroed, w.node_tables)):
+        alone = replace(w, node_tables=tables)
+        expect, alone_peak = alone.frontier_sum()
+        assert close(total[world], expect, naive_subset_sum(alone, by_size=False)[0][1])
+        assert peak >= alone_peak
 
 
 @given(weighted_multigraphs())

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopcorrect.exact import brute_force, belief_ratio_state_sum
 from loopcorrect.exceptions import NotConvergedError
 from loopcorrect.generate import (
     ising_model,
     random_connected_graph,
+    random_factor_model,
     random_tree,
     single_cycle_graph,
 )
@@ -20,6 +23,7 @@ from loopcorrect.loopseries import (
     factor_coefficients,
     loop_series_marginal,
     loop_series_marginal_factor,
+    loop_series_marginals,
     loop_series_z,
     loop_series_z_factor,
     single_cycle_sign_check,
@@ -157,6 +161,10 @@ def test_series_exact_on_4x5_grid(rng):
     for i in range(20):
         corr = loop_series_marginal(m, res, i, z_report=rep)
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
+    corrections = loop_series_marginals(m, res, rep)
+    assert [c.target for c in corrections] == list(range(20))
+    for corr, p in zip(corrections, exact.marginals):
+        assert abs(corr.corrected_marginal - p).max() < 1e-8
 
 
 def test_pruning_matches_full_subset_sum(rng):
@@ -365,3 +373,39 @@ def test_truncated_series(rng):
     )
     full = truncated_series(rep, len(m.graph.edges))
     assert full[-1][1] == pytest.approx(rep.total, rel=1e-12)
+
+
+@st.composite
+def series_models(draw):
+    """A random connected pairwise model, a zero-field bipartite grid (gamma
+    = 0 everywhere, where the per-target sums drop the states with a
+    non-target node at odd degree) or a random factor model."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["pairwise", "grid", "factor"]))
+    if kind == "factor":
+        return random_factor_model(rng, max_vars=6, max_incidences=12)
+    if kind == "grid":
+        rows = draw(st.integers(min_value=2, max_value=3))
+        g = grid_graph(rows, draw(st.integers(min_value=rows, max_value=4)))
+        return ising_model(g, rng, coupling=draw(st.floats(0.1, 0.8)), field=0.0)
+    n = draw(st.integers(min_value=3, max_value=7))
+    m = draw(st.integers(min_value=n - 1, max_value=min(n * (n - 1) // 2, 11)))
+    return ising_model(random_connected_graph(n, m, rng), rng, coupling=0.8, field=0.5)
+
+
+@given(series_models())
+@settings(max_examples=60, deadline=None)
+def test_all_marginals_match_per_target_sums(model):
+    pairwise = isinstance(model, PairwiseModel)
+    res = run_lbp(model) if pairwise else run_lbp_factor(model)
+    assume(res.converged)
+    z = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
+    single = loop_series_marginal if pairwise else loop_series_marginal_factor
+    corrections = loop_series_marginals(model, res, z)
+    assert len(corrections) == len(res.node_beliefs)
+    for v, corr in enumerate(corrections):
+        want = single(model, res, v, z_report=z)
+        assert corr.target == v and corr.series_total == want.series_total
+        assert abs(corr.corrected_marginal - want.corrected_marginal).max() <= 1e-14
+        assert abs(corr.bias_series - want.bias_series) <= 1e-12 * max(1.0, abs(want.bias_series))
+        assert corr.weights == want.weights
