@@ -185,7 +185,7 @@ def cmd_compare(args, out=None) -> int:
 
     marg_rows = []
     worst = 0.0
-    for i, corr in enumerate(loop_series_marginals(model, res, report)):
+    for i, corr in enumerate(loop_series_marginals(res, report)):
         before = abs(res.node_beliefs[i][1] - exact.marginals[i][1])
         after = abs(corr.corrected_marginal[1] - exact.marginals[i][1])
         worst = max(worst, after)

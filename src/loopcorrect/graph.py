@@ -265,6 +265,8 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
 
 # Most frontier states held at once (with theta's polynomial values, about
 # 50 MB); past it frontier_sum raises SizeError rather than grow unbounded.
+# It bounds states, not values: with n-world vector values memory grows as
+# states times n floats.
 STATE_CAP = 1 << 17
 # Most generalized loops SubsetWeights.terms lists (the 4x4 grid has 16372).
 TERMS_CAP = 1 << 17

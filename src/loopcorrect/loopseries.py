@@ -219,11 +219,7 @@ def loop_series_marginal(
     return _marginal(res, target, z_report or loop_series_z(m, res))
 
 
-def loop_series_marginals(
-    model: PairwiseModel | FactorModel,
-    res: LbpResult,
-    z_report: SeriesReport | None = None,
-) -> list[MarginalCorrection]:
+def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[MarginalCorrection]:
     """Every node's (every variable's) marginal correction from one
     frontier sum whose values are vectors over "worlds": in world v node v
     weighs its g table and every other node its f table, so node v's entry
@@ -233,13 +229,13 @@ def loop_series_marginals(
     A state is dropped only when every world weighs it zero, so states the
     per-target sums prune (a node other than the target at degree one) are
     carried with zeros; each correction still holds its own target-swapped
-    weights for terms.  z_report is reused as in loop_series_marginal.
+    weights for terms.  Each state holds an n-float vector, so memory grows
+    as peak states times n (STATE_CAP bounds only the states).  z_report
+    must be the loop_series_z (or loop_series_z_factor) output for the same
+    fixed point.
     """
     _require_converged(res)
-    pairwise = isinstance(model, PairwiseModel)
-    if z_report is None:
-        z_report = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
-    n = model.node_count if pairwise else model.variable_count
+    n = len(res.node_beliefs)
     node_tables = z_report.weights.node_tables
     g_tables = [_g_table(z_report, v) for v in range(n)]
     worlds = []

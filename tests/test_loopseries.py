@@ -161,7 +161,7 @@ def test_series_exact_on_4x5_grid(rng):
     for i in range(20):
         corr = loop_series_marginal(m, res, i, z_report=rep)
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
-    corrections = loop_series_marginals(m, res, rep)
+    corrections = loop_series_marginals(res, rep)
     assert [c.target for c in corrections] == list(range(20))
     for corr, p in zip(corrections, exact.marginals):
         assert abs(corr.corrected_marginal - p).max() < 1e-8
@@ -401,7 +401,7 @@ def test_all_marginals_match_per_target_sums(model):
     assume(res.converged)
     z = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
     single = loop_series_marginal if pairwise else loop_series_marginal_factor
-    corrections = loop_series_marginals(model, res, z)
+    corrections = loop_series_marginals(res, z)
     assert len(corrections) == len(res.node_beliefs)
     for v, corr in enumerate(corrections):
         want = single(model, res, v, z_report=z)
