@@ -129,6 +129,8 @@ def cmd_loopseries(args, out=None) -> int:
         return EXIT_NOT_CONVERGED
     pairwise = isinstance(model, PairwiseModel)
     report = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
+    # a bad --max-size fails here, before anything is printed
+    partials = [] if args.max_size is None else truncated_series(report, args.max_size)
     if args.terms:
         rows = []
         running: list[float] = []
@@ -137,9 +139,8 @@ def cmd_loopseries(args, out=None) -> int:
             mask = sum(1 << e for e in s)
             rows.append((mask, len(s), f"{r:.12g}", f"{math.fsum(running):.12g}"))
         _emit_rows(rows, ["subset", "size", "r", "partial_sum"], args.format, out)
-    if args.max_size is not None:
-        for size, partial in truncated_series(report, args.max_size):
-            out.write(f"partial_sum(size<={size}) = {partial:.12g}\n")
+    for size, partial in partials:
+        out.write(f"partial_sum(size<={size}) = {partial:.12g}\n")
     out.write(f"series_total = {report.total:.12g}\n")
     out.write(f"log_Z_B = {report.log_z_b:.12g}\n")
     out.write(f"corrected log_Z = {report.log_z_b + math.log(report.total):.12g}\n")

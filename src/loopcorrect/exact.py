@@ -144,41 +144,6 @@ def brute_force(model) -> ExactResult:
     return ExactResult(log_z, marginals, factor_marginals=combined)
 
 
-def brute_force_reference(model) -> ExactResult:
-    """Plain per-state Python loop; the slow reference the vectorized
-    enumeration is tested against.  Practical only for small N."""
-    if isinstance(model, PairwiseModel):
-        n = model.node_count
-    else:
-        n = model.variable_count
-    if n > 16:
-        raise SizeError("reference oracle capped at 16 variables")
-    logs = []
-    for state in range(1 << n):
-        bits = [(state >> i) & 1 for i in range(n)]
-        lw = 0.0
-        if isinstance(model, PairwiseModel):
-            for i in range(n):
-                lw += math.log(model.node_potentials[i][bits[i]])
-            for e, (a, b) in enumerate(model.graph.edges):
-                lw += math.log(model.edge_potentials[e][bits[a]][bits[b]])
-        else:
-            for scope, table in model.factors:
-                idx = 0
-                for i in scope:
-                    idx = (idx << 1) | bits[i]
-                lw += math.log(table[idx])
-        logs.append(lw)
-    best = max(logs)
-    weights = [math.exp(lw - best) for lw in logs]
-    z = math.fsum(weights)
-    marg = np.zeros((n, 2))
-    for state, w in enumerate(weights):
-        for i in range(n):
-            marg[i][(state >> i) & 1] += w
-    return ExactResult(best + math.log(z), marg / z)
-
-
 def belief_ratio_state_sum(model, res) -> float:
     """State sum of prod_local [b_local / prod b_i] * prod_i b_i over beliefs.
 

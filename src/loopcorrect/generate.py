@@ -120,15 +120,23 @@ def _random_factor(scope, rng, strength):
 
 def make_topology(kind: str, args, rng: np.random.Generator) -> Multigraph:
     """Topology dispatch for the CLI: tree N | cycle N | grid R C |
-    example1 | random N M."""
-    if kind == "tree":
-        return random_tree(int(args[0]), rng)
-    if kind == "cycle":
-        return cycle_graph(int(args[0]))
-    if kind == "grid":
-        return grid_graph(int(args[0]), int(args[1]))
-    if kind == "example1":
-        return two_triangles_graph()
-    if kind == "random":
-        return random_connected_graph(int(args[0]), int(args[1]), rng)
-    raise GenerationError(f"unknown topology {kind!r}")
+    example1 | random N M.  Too few or non-integer arguments are a
+    GenerationError naming the expected form; extra ones are ignored."""
+    forms = {
+        "tree": ("N", lambda n: random_tree(n, rng)),
+        "cycle": ("N", cycle_graph),
+        "grid": ("R C", grid_graph),
+        "example1": ("", two_triangles_graph),
+        "random": ("N M", lambda n, m: random_connected_graph(n, m, rng)),
+    }
+    if kind not in forms:
+        raise GenerationError(f"unknown topology {kind!r}")
+    form, build = forms[kind]
+    need = len(form.split())
+    try:
+        nums = [int(a) for a in args[:need]]
+    except ValueError:
+        nums = []
+    if len(nums) < need:
+        raise GenerationError(f"{kind} needs {form}")
+    return build(*nums)

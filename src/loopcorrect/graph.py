@@ -2,6 +2,10 @@
 polynomials are built on: generalized loops, node-disjoint cycle sets,
 matchings, contraction and deletion.
 
+Counting and listing are one frontier sum whose node tables alone decide
+which edge subsets count; listing takes lists of edge bitmasks as values,
+and its layered states are the ZDD of Knuth, TAOCP 4A 7.1.4.
+
 Self-loops and parallel edges are first-class here because contraction
 produces them; the inference modules reject them at model validation.
 Everything is a pure function of immutable inputs.
@@ -15,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SizeError
-
-# An edge subset is a frozenset of edge ids of its host multigraph.
-EdgeSubset = frozenset
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -193,74 +193,9 @@ def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
 
     free_node, when given, is exempt from the degree-one constraint; the
     marginal series needs that variant because the target node's weight is
-    a g value and g_1 != 0.
+    a g value and g_1 != 0.  Past TERMS_CAP loops SizeError is raised.
     """
-    return _branch_and_prune(g, free_node)
-
-
-def _branch_and_prune(g: Multigraph, free_node=None, max_degree=None) -> list:
-    """Edge subsets in which no node but free_node has degree one and no
-    node exceeds max_degree: branch on each edge in id order, pruning as soon
-    as a node breaks the degree bound or retires with degree one."""
-    m = len(g.edges)
-    last_touch = [-1] * g.node_count
-    for e, (a, b) in enumerate(g.edges):
-        last_touch[a] = e
-        last_touch[b] = e
-    top = 2 * m if max_degree is None else max_degree
-    deg = [0] * g.node_count
-    chosen: list[int] = []
-    out: list[EdgeSubset] = []
-
-    def ok_after(e: int) -> bool:
-        a, b = g.edges[e]
-        for v in (a, b) if a != b else (a,):
-            if deg[v] > top:
-                return False
-            if v != free_node and last_touch[v] == e and deg[v] == 1:
-                return False
-        return True
-
-    def rec(e: int) -> None:
-        if e == m:
-            out.append(frozenset(chosen))
-            return
-        a, b = g.edges[e]
-        # exclude e
-        if ok_after(e):
-            rec(e + 1)
-        # include e
-        deg[a] += 1
-        deg[b] += 1
-        if ok_after(e):
-            chosen.append(e)
-            rec(e + 1)
-            chosen.pop()
-        deg[a] -= 1
-        deg[b] -= 1
-
-    rec(0)
-    return out
-
-
-def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = None):
-    """Test oracle: filter all 2^|E| subsets directly (|E| <= 16 enforced)."""
-    m = len(g.edges)
-    if m > 16:
-        raise SizeError("naive loop enumeration capped at 16 edges")
-    out = []
-    for mask in range(1 << m):
-        s = [e for e in range(m) if (mask >> e) & 1]
-        deg = [0] * g.node_count
-        for e in s:
-            a, b = g.edges[e]
-            deg[a] += 1
-            deg[b] += 1
-        if all(d != 1 for i, d in enumerate(deg) if i != free_node):
-            out.append(frozenset(s))
-    # bitmask-lex order: membership string with edge 0 most significant
-    out.sort(key=lambda s: tuple(e in s for e in range(m)))
-    return out
+    return _listed(g, free_node)
 
 
 # Most frontier states held at once (with theta's polynomial values, about
@@ -279,8 +214,9 @@ class SubsetWeights:
     x_v(s), node v's entry, is its degree in s (a self-loop counts twice)
     or, for a mask node, the bitmask of its incident edges in s, bit q for
     its q-th incident edge in id order.  Values need only + and *: floats
-    for the series, ints for counts, exact polynomials for theta, and numpy
-    vectors with one value per "world" for several sums at once.
+    for the series, ints for counts, exact polynomials for theta, numpy
+    vectors with one value per "world" for several sums at once, and lists
+    of edge bitmasks (_Subsets) to list the subsets themselves.
     """
 
     graph: Multigraph
@@ -363,17 +299,13 @@ class SubsetWeights:
 
     def terms(self, free_node: int | None = None) -> list:
         """[(s, weight of s)] over enumerate_generalized_loops(graph,
-        free_node); each weight multiplies the edge weights, then the mask
-        nodes' and then the other nodes' table entries in id order.  The
-        loops are counted first, and past TERMS_CAP SizeError is raised
-        before any is listed."""
-        count = count_generalized_loops(self.graph, free_node)
-        if count > TERMS_CAP:
-            raise SizeError(f"{count} generalized loops exceed the listing cap {TERMS_CAP}")
+        free_node), under the same cap; each weight multiplies the edge
+        weights, then the mask nodes' and then the other nodes' table
+        entries in id order."""
         n, steps = self.graph.node_count, self._steps()
         order = sorted(self.mask_nodes) + [v for v in range(n) if v not in self.mask_nodes]
         out = []
-        for s in enumerate_generalized_loops(self.graph, free_node):
+        for s in _listed(self.graph, free_node):
             x = [0] * n
             for e in s:
                 for v, d in steps[e]:
@@ -390,6 +322,16 @@ def _is_zero(w) -> bool:
     return not w.any() if isinstance(w, np.ndarray) else w == 0
 
 
+def _loop_tables(g: Multigraph, free_node=None, max_degree=None) -> list:
+    """0/1 node tables of the generalized loops, for counting and listing: a
+    degree weighs one unless it is 1 (free_node exempt) or above max_degree."""
+    return [
+        [int((x != 1 or v == free_node) and (max_degree is None or x <= max_degree))
+         for x in range(d + 1)]
+        for v, d in enumerate(g.degrees())
+    ]
+
+
 def count_generalized_loops(
     g: Multigraph,
     free_node: int | None = None,
@@ -399,46 +341,52 @@ def count_generalized_loops(
     """Number of generalized loops (free_node exempt from the degree-one
     rule), by a frontier sum; with max_degree, only those in which no node
     exceeds it; with by_size, as {|s|: count} in size order."""
-    top = max(g.degrees()) if max_degree is None else max_degree
-    tables = [
-        [int((x != 1 or v == free_node) and x <= top) for x in range(d + 1)]
-        for v, d in enumerate(g.degrees())
-    ]
+    tables = _loop_tables(g, free_node, max_degree)
     return SubsetWeights(g, tables).frontier_sum(by_size, one=1)[0]
 
 
-def enumerate_disjoint_cycles(g: Multigraph):
-    """All edge subsets C in which every touched node has degree exactly 2,
-    paired with k(C), the number of connected components of C.
+class _Subsets(list):
+    """A frontier-sum value listing edge subsets as int bitmasks: + joins the
+    lists, * by a _Subsets ORs every pair of masks, * by a nonzero 0/1 table
+    entry keeps the list, and one - one is empty."""
 
-    The empty set is included with k = 0.  The sets are counted first (the
-    generalized loops with no node above degree two), and past TERMS_CAP
-    SizeError is raised before any is listed.
+    def __add__(self, other):
+        return _Subsets([*self, *other])
+
+    def __mul__(self, other):
+        return _Subsets([a | b for a in self for b in other]) if type(other) is _Subsets else self
+
+    def __sub__(self, other):
+        return _Subsets([a for a in self if a not in other])
+
+
+def _listed(g: Multigraph, free_node=None, max_degree=None, what="generalized loops") -> list:
+    """The subsets _loop_tables accepts, as frozensets in lexicographic order
+    on the edge-id bitmask (empty set first).  They are counted first, and
+    past TERMS_CAP SizeError is raised before any is listed; then a frontier
+    sum in which edge e weighs its bit m-1-e lists them, and a sort orders them.
     """
-    count = count_generalized_loops(g, max_degree=2)
+    tables = _loop_tables(g, free_node, max_degree)
+    count = SubsetWeights(g, tables).frontier_sum(one=1)[0]
     if count > TERMS_CAP:
-        raise SizeError(f"{count} disjoint cycle sets exceed the listing cap {TERMS_CAP}")
-    return [(c, _component_count(g, c)) for c in _branch_and_prune(g, max_degree=2)]
+        raise SizeError(f"{count} {what} exceed the listing cap {TERMS_CAP}")
+    m = len(g.edges)
+    bits = [_Subsets([1 << (m - 1 - e)]) for e in range(m)]
+    masks = SubsetWeights(g, tables, bits).frontier_sum(one=_Subsets([0]))[0]
+    return [frozenset(e for e in range(m) if x >> (m - 1 - e) & 1) for x in sorted(masks)]
 
 
-def _component_count(g: Multigraph, edge_ids) -> int:
-    """Connected components of the subgraph induced by edge_ids."""
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edge_ids:
-        a, b = g.edges[e]
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in parent})
+def enumerate_disjoint_cycles(g: Multigraph):
+    """All edge subsets C in which every touched node has degree exactly 2
+    (the generalized loops with no degree above two), paired with k(C), the
+    number of connected components of C; the empty set has k = 0.  Past
+    TERMS_CAP sets SizeError is raised."""
+    n = g.node_count
+    # C touches |C| nodes, so the graph C spans has k(C) + n - |C| components
+    return [
+        (c, is_connected(Multigraph(n, tuple(g.edges[e] for e in c)))[1] - n + len(c))
+        for c in _listed(g, None, 2, "disjoint cycle sets")
+    ]
 
 
 def enumerate_matchings(g: Multigraph) -> list[int]:

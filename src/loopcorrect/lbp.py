@@ -46,6 +46,8 @@ class LbpOptions:
     schedule: str = "sync"  # "sync" or "seq"
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must be in [0, 1)")
         if not (math.isfinite(self.tol) and self.tol > 0.0):

@@ -395,8 +395,11 @@ def truncated_series(report: SeriesReport, max_size: int):
     """Cumulative partial sums of the series by subset size.
 
     Returns [(size, partial sum over |s| <= size)] for every size present
-    up to max_size, starting from the Bethe term alone.
+    up to max_size, starting from the Bethe term alone; max_size < 0 is a
+    ValueError.
     """
+    if max_size < 0:
+        raise ValueError(f"max size must be non-negative, got {max_size}")
     out = []
     acc: list[float] = []
     for size in sorted(report.per_size):
@@ -404,6 +407,4 @@ def truncated_series(report: SeriesReport, max_size: int):
             break
         acc.append(report.per_size[size])
         out.append((size, math.fsum(acc)))
-    if not out:
-        out.append((0, 0.0))
     return out

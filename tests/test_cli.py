@@ -136,6 +136,22 @@ def test_non_finite_tolerances(model_file, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_lbp_needs_one_sweep(model_file, capsys):
+    # with no sweep the beliefs would come from uniform messages
+    assert main(["lbp", "--model", str(model_file), "--max-iters", "0"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert main(["compare", "--model", str(model_file), "--max-iters=-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: max_iters must be at least 1")
+
+
+def test_negative_max_size(model_file, capsys):
+    # no size is <= -1: there is no partial sum to print, not a sum of 0
+    assert main(["loopseries", "--model", str(model_file), "--terms", "--max-size", "-1"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, name", [
     (["theta", "--check"], "theta_direct"),
     (["theta", "--method", "cd", "--check"], "theta_direct"),
@@ -191,6 +207,18 @@ def test_usage_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("nope")
     assert main(["theta", "--graph", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("topology, message", [
+    (["grid", "3"], "grid needs R C"),
+    (["grid", "3", "x"], "grid needs R C"),
+    (["tree"], "tree needs N"),
+    (["cycle", "2.5"], "cycle needs N"),
+    (["random", "5"], "random needs N M"),
+])
+def test_gen_argument_errors(tmp_path, capsys, topology, message):
+    assert main(["gen", *topology, "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _EDGE = {"i": 0, "j": 1, "psi": [[1.0, 2.0], [2.0, 1.0]]}

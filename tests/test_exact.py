@@ -7,7 +7,6 @@ import pytest
 
 from loopcorrect.exact import (
     brute_force,
-    brute_force_reference,
     belief_ratio_state_sum,
     belief_ratio_state_sum_from_beliefs,
     loop_identity_state_sum,
@@ -18,6 +17,7 @@ from loopcorrect.generate import ising_model, random_connected_graph, random_tre
 from loopcorrect.graph import Multigraph, cycle_graph, two_triangles_graph
 from loopcorrect.lbp import run_lbp
 from loopcorrect.model import FactorModel, PairwiseModel, uniform_phi
+from oracles import brute_force_reference
 
 
 def test_single_edge_uniform():

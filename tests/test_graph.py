@@ -21,7 +21,6 @@ from loopcorrect.graph import (
     delete,
     enumerate_disjoint_cycles,
     enumerate_generalized_loops,
-    enumerate_generalized_loops_naive,
     enumerate_matchings,
     is_connected,
     parallel_edges_graph,
@@ -35,6 +34,7 @@ from loopcorrect.graph import (
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import theta_contraction_deletion, theta_direct
+from oracles import enumerate_generalized_loops_naive
 
 TRIANGLE = cycle_graph(3)
 
@@ -336,6 +336,28 @@ def test_disjoint_cycles_two_triangles():
 
 def test_disjoint_cycles_tree():
     assert enumerate_disjoint_cycles(path_graph(4)) == [(frozenset(), 0)]
+
+
+@given(multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_disjoint_cycles_match_naive_filter(g):
+    """All subsets in which every touched node has degree exactly 2, in
+    bitmask-lex order; k(C) is counted by spreading the least node id along
+    C's edges until every node of a component holds its component's."""
+    m, n = len(g.edges), g.node_count
+    want = []
+    for mask in range(1 << m):
+        c = [e for e in range(m) if (mask >> e) & 1]
+        deg = [degree_in_subset(g, c, v) for v in range(n)]
+        if set(deg) <= {0, 2}:
+            label = list(range(n))
+            for _ in range(n):
+                for e in c:
+                    a, b = g.edges[e]
+                    label[a] = label[b] = min(label[a], label[b])
+            want.append((frozenset(c), len({label[v] for v in range(n) if deg[v]})))
+    want.sort(key=lambda p: tuple(e in p[0] for e in range(m)))
+    assert enumerate_disjoint_cycles(g) == want
 
 
 def test_disjoint_cycles_listing_cap():
