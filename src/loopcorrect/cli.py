@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or I/O trouble, 2 LBP non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -265,7 +266,11 @@ def _add_format_flag(p):
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so in-process callers of main() parse without rebuilding it.
+    parse_args leaves it unchanged, so callers must not change it either."""
     parser = argparse.ArgumentParser(
         prog="loopcorrect",
         description=(

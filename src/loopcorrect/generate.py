@@ -120,8 +120,8 @@ def _random_factor(scope, rng, strength):
 
 def make_topology(kind: str, args, rng: np.random.Generator) -> Multigraph:
     """Topology dispatch for the CLI: tree N | cycle N | grid R C |
-    example1 | random N M.  Too few or non-integer arguments are a
-    GenerationError naming the expected form; extra ones are ignored."""
+    example1 | random N M.  Too few, too many or non-integer arguments are
+    a GenerationError naming the expected form."""
     forms = {
         "tree": ("N", lambda n: random_tree(n, rng)),
         "cycle": ("N", cycle_graph),
@@ -134,9 +134,9 @@ def make_topology(kind: str, args, rng: np.random.Generator) -> Multigraph:
     form, build = forms[kind]
     need = len(form.split())
     try:
-        nums = [int(a) for a in args[:need]]
+        nums = [int(a) for a in args]
     except ValueError:
-        nums = []
-    if len(nums) < need:
-        raise GenerationError(f"{kind} needs {form}")
+        nums = None
+    if nums is None or len(nums) != need:
+        raise GenerationError(f"{kind} needs {form}" if form else f"{kind} takes no arguments")
     return build(*nums)

@@ -17,6 +17,11 @@ Messages live in the linear domain.  If any unnormalized message leaves
 [1e-280, 1e280], the run restarts in the log domain, where the same sweep
 adds instead of multiplying, takes log-sum-exp marginals, and normalizes and
 damps with logaddexp.  LbpResult.domain records which domain ran.
+
+A run keeps every message in one (slot_count + 1) x 2 buffer that the sweeps
+update in place.  Its last row is the pad slot, a unit message (ones, or
+zeros in the log domain) that the gathers of variables with fewer than the
+most slots point at.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ from .model import (
 
 _LINEAR_LO = 1e-280
 _LINEAR_HI = 1e280
-_UNIT = {"linear": np.ones((1, 2)), "log": np.zeros((1, 2))}  # the pad slot's message
+# The sweep calls the reductions as ufunc methods: the ndarray methods
+# (min, max, sum) add a Python-level call per use, which tells on the small
+# arrays of a sweep, and compute the same values.
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 
 @dataclass
@@ -131,11 +139,13 @@ class _FactorGraph:
         ).reshape(variable_count, width)
         rows = self.var_slots[var]
         self.others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
+        self._sync = {}  # domain -> the block of every factor
 
     def _block(self, factor_ids, domain: str):
         """(slots, gather, groups) for updating the factors at once: slots
-        are the block's message slots, gather[b] the slots whose product is
-        the variable-to-factor message of slots[b]."""
+        index the block's message slots (a slice when they are one ascending
+        run), gather[b] lists the slots whose product is the
+        variable-to-factor message of the block's b-th slot."""
         by_arity: dict[int, list[int]] = {}
         for f in factor_ids:
             by_arity.setdefault(len(self.scopes[f]), []).append(f)
@@ -165,35 +175,46 @@ class _FactorGraph:
                 ],
             ))
         slots = np.concatenate([np.zeros(0, dtype=np.intp), *slots])
-        return slots, self.others[slots], groups
+        gather = self.others[slots]
+        if slots.size and (np.diff(slots) == 1).all():
+            slots = slice(int(slots[0]), int(slots[-1]) + 1)
+        return slots, gather, groups
+
+    def _sync_block(self, domain: str):
+        """The block of every factor, built once per domain."""
+        if domain not in self._sync:
+            self._sync[domain] = self._block(range(len(self.scopes)), domain)
+        return self._sync[domain]
 
     def blocks(self, schedule: str, domain: str) -> list:
         """What one sweep updates in turn: every factor at once under
         "sync", one factor at a time under "seq"."""
-        everything = range(len(self.scopes))
-        sets = [everything] if schedule == "sync" else [[f] for f in everything]
-        return [b for b in (self._block(ids, domain) for ids in sets) if b[0].size]
+        if schedule == "sync":
+            blocks = [self._sync_block(domain)]
+        else:
+            blocks = [self._block([f], domain) for f in range(len(self.scopes))]
+        return [b for b in blocks if len(b[1])]
 
-    def sweep(self, msgs, blocks, damping: float, domain: str) -> float:
-        """Update msgs (slot_count x 2, in the given domain) in place, block
-        by block; returns the largest change of a linear message entry."""
+    def sweep(self, ext, blocks, damping: float, domain: str) -> float:
+        """Update the message buffer ext ((slot_count + 1) x 2 in the given
+        domain, its last row the unit pad message) in place, block by block;
+        returns the largest change of a linear message entry."""
         log = domain == "log"
         combine = np.add if log else np.multiply
-        ext = np.concatenate((msgs, _UNIT[domain]))
         residual = 0.0
         for slots, gather, groups in blocks:
-            v2f = combine.reduce(ext[gather], axis=1).ravel()
+            v2f = combine.reduce(ext.take(gather, axis=0), axis=1).ravel()
             parts = []
             for group in groups:
                 terms = group.message_tables
                 for index in group.message_index:
-                    terms = combine(terms, v2f[index])
+                    terms = combine(terms, v2f.take(index))
                 if log:
-                    top = terms.max(axis=2)
-                    parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
+                    top = _max(terms, axis=2)
+                    parts.append(top + np.log(_sum(np.exp(terms - top[:, :, None]), axis=2)))
                 else:
-                    parts.append(terms.sum(axis=2))
-            u = np.concatenate(parts)
+                    parts.append(_sum(terms, axis=2))
+            u = parts[0] if len(parts) == 1 else np.concatenate(parts)
             old = ext[slots]
             if log:
                 s = np.logaddexp(u[:, :1], u[:, 1:])
@@ -202,26 +223,24 @@ class _FactorGraph:
                 new = u - s
                 if damping > 0:
                     new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
-                change = np.abs(np.exp(new) - np.exp(old)).max()
+                change = _max(np.abs(np.exp(new) - np.exp(old)), axis=None)
             else:
-                if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
+                if not (_min(u, axis=None) >= _LINEAR_LO and _max(u, axis=None) < _LINEAR_HI):
                     raise _RangeSignal
-                new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
-                change = np.abs(new - old).max()
+                new = (1 - damping) * (u / _sum(u, axis=1, keepdims=True)) + damping * old
+                change = _max(np.abs(new - old), axis=None)
             residual = max(residual, float(change))
             ext[slots] = new
-        msgs[:] = ext[:-1]
         return residual
 
-    def beliefs(self, msgs):
-        """Normalized node beliefs (n x 2) and flat factor beliefs from
-        linear-domain messages."""
-        ext = np.concatenate((msgs, _UNIT["linear"]))
+    def beliefs(self, ext):
+        """Normalized node beliefs (n x 2) and flat factor beliefs from a
+        linear-domain message buffer laid out as sweep() takes it."""
         node = ext[self.var_slots].prod(axis=1)
         total = node.sum(axis=1, keepdims=True)
         if not ((total > 0.0).all() and np.isfinite(total).all()):
             raise NumericError("belief normalization failed")
-        _, gather, groups = self._block(range(len(self.scopes)), "linear")
+        _, gather, groups = self._sync_block("linear")
         v2f = ext[gather].prod(axis=1).ravel()
         factor = [None] * len(self.scopes)
         for group in groups:
@@ -238,16 +257,19 @@ class _FactorGraph:
 
 def _iterate(graph: _FactorGraph, opts: LbpOptions, domain: str):
     """Sweep from uniform messages until the residual drops below tol;
-    returns linear-domain messages, iterations, converged, residual."""
+    returns the linear-domain message buffer, iterations, converged,
+    residual."""
+    log = domain == "log"
     blocks = graph.blocks(opts.schedule, domain)
-    msgs = np.full((graph.slot_count, 2), math.log(0.5) if domain == "log" else 0.5)
+    ext = np.full((graph.slot_count + 1, 2), math.log(0.5) if log else 0.5)
+    ext[-1] = 0.0 if log else 1.0
     residual = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        residual = graph.sweep(msgs, blocks, opts.damping, domain)
+        residual = graph.sweep(ext, blocks, opts.damping, domain)
         if residual < opts.tol:
             break
-    return (np.exp(msgs) if domain == "log" else msgs), iterations, residual < opts.tol, residual
+    return (np.exp(ext) if log else ext), iterations, residual < opts.tol, residual
 
 
 def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
@@ -257,18 +279,18 @@ def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
     graph = _FactorGraph(variable_count, factors)
     domain = "linear"
     try:
-        msgs, iterations, converged, residual = _iterate(graph, opts, domain)
+        ext, iterations, converged, residual = _iterate(graph, opts, domain)
     except _RangeSignal:
         domain = "log"
-        msgs, iterations, converged, residual = _iterate(graph, opts, domain)
-    node_beliefs, factor_beliefs = graph.beliefs(msgs)
+        ext, iterations, converged, residual = _iterate(graph, opts, domain)
+    node_beliefs, factor_beliefs = graph.beliefs(ext)
     return LbpResult(
         node_beliefs=node_beliefs,
         log_z_b=math.nan,
         iterations=iterations,
         converged=converged,
         residual=residual,
-        messages=msgs,
+        messages=ext[:-1],
         factor_beliefs=factor_beliefs,
         domain=domain,
     )

@@ -1,14 +1,16 @@
 """Slow reference oracles that only the tests call: a per-state Python
-loop for the exact partition function and marginals, and a filter of all
-2^|E| edge subsets for the generalized loops."""
+loop for the exact partition function and marginals, a filter of all
+2^|E| edge subsets for the generalized loops, and the LBP sweep as it was
+before it updated one padded buffer in place."""
 
 import math
 
 import numpy as np
 
 from loopcorrect.exact import ExactResult
-from loopcorrect.exceptions import SizeError
+from loopcorrect.exceptions import NumericError, SizeError
 from loopcorrect.graph import Multigraph
+from loopcorrect.lbp import _LINEAR_HI, _LINEAR_LO, _FactorGraph, _RangeSignal
 from loopcorrect.model import PairwiseModel
 
 
@@ -65,3 +67,102 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
     # bitmask-lex order: membership string with edge 0 most significant
     out.sort(key=lambda s: tuple(e in s for e in range(m)))
     return out
+
+
+_UNIT = {"linear": np.ones((1, 2)), "log": np.zeros((1, 2))}  # the pad slot's message
+
+
+def sweep_reference(self, msgs, blocks, damping: float, domain: str) -> float:
+    """Update msgs (slot_count x 2, in the given domain) in place, block
+    by block; returns the largest change of a linear message entry."""
+    log = domain == "log"
+    combine = np.add if log else np.multiply
+    ext = np.concatenate((msgs, _UNIT[domain]))
+    residual = 0.0
+    for slots, gather, groups in blocks:
+        v2f = combine.reduce(ext[gather], axis=1).ravel()
+        parts = []
+        for group in groups:
+            terms = group.message_tables
+            for index in group.message_index:
+                terms = combine(terms, v2f[index])
+            if log:
+                top = terms.max(axis=2)
+                parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
+            else:
+                parts.append(terms.sum(axis=2))
+        u = np.concatenate(parts)
+        old = ext[slots]
+        if log:
+            s = np.logaddexp(u[:, :1], u[:, 1:])
+            if not np.isfinite(s).all():
+                raise NumericError("log-domain message update produced a non-finite value")
+            new = u - s
+            if damping > 0:
+                new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
+            change = np.abs(np.exp(new) - np.exp(old)).max()
+        else:
+            if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
+                raise _RangeSignal
+            new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
+            change = np.abs(new - old).max()
+        residual = max(residual, float(change))
+        ext[slots] = new
+    msgs[:] = ext[:-1]
+    return residual
+
+
+def beliefs_reference(self, msgs):
+    """Normalized node beliefs (n x 2) and flat factor beliefs from
+    linear-domain messages."""
+    ext = np.concatenate((msgs, _UNIT["linear"]))
+    node = ext[self.var_slots].prod(axis=1)
+    total = node.sum(axis=1, keepdims=True)
+    if not ((total > 0.0).all() and np.isfinite(total).all()):
+        raise NumericError("belief normalization failed")
+    _, gather, groups = self._block(range(len(self.scopes)), "linear")
+    v2f = ext[gather].prod(axis=1).ravel()
+    factor = [None] * len(self.scopes)
+    for group in groups:
+        joint = group.tables
+        for index in group.belief_index:
+            joint = joint * v2f[index]
+        norm = joint.sum(axis=1, keepdims=True)
+        if not ((norm > 0.0).all() and np.isfinite(norm).all()):
+            raise NumericError("factor belief normalization failed")
+        for f, row in zip(group.ids, joint / norm):
+            factor[f] = row
+    return node / total, factor
+
+
+def _iterate_reference(graph, opts, domain: str):
+    """Sweep from uniform messages until the residual drops below tol;
+    returns linear-domain messages, iterations, converged, residual."""
+    # the blocks with every slot index as an array, as the sweep then took them
+    blocks = [
+        (np.arange(graph.slot_count)[slots], gather, groups)
+        for slots, gather, groups in graph.blocks(opts.schedule, domain)
+    ]
+    msgs = np.full((graph.slot_count, 2), math.log(0.5) if domain == "log" else 0.5)
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, opts.max_iters + 1):
+        residual = sweep_reference(graph, msgs, blocks, opts.damping, domain)
+        if residual < opts.tol:
+            break
+    return (np.exp(msgs) if domain == "log" else msgs), iterations, residual < opts.tol, residual
+
+
+def lbp_reference(variable_count: int, factors, opts):
+    """(messages, node_beliefs, factor_beliefs, iterations, residual,
+    domain) of the reference sweep, restarting in the log domain as
+    run_lbp does."""
+    graph = _FactorGraph(variable_count, factors)
+    domain = "linear"
+    try:
+        msgs, iterations, _, residual = _iterate_reference(graph, opts, domain)
+    except _RangeSignal:
+        domain = "log"
+        msgs, iterations, _, residual = _iterate_reference(graph, opts, domain)
+    node_beliefs, factor_beliefs = beliefs_reference(graph, msgs)
+    return msgs, node_beliefs, factor_beliefs, iterations, residual, domain

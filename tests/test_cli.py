@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loopcorrect
 from loopcorrect.cli import main
 from loopcorrect.exact import brute_force
 from loopcorrect.generate import ising_model
@@ -33,6 +38,32 @@ def graph_file(tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text(render_edge_list(two_triangles_graph()))
     return path
+
+
+def test_parser_reuse_leaks_no_state(model_file, capsys):
+    # main() reuses one parser: every call prints what the same command
+    # prints in a fresh interpreter, whatever ran before it in the process
+    m = str(model_file)
+    calls = [
+        (["loopseries", "--model", m, "--target", "1"], 0),
+        (["loopseries", "--model", m], 0),
+        (["compare", "--model", m, "--check-tol", "1e-30"], 3),
+        (["compare", "--model", m, "--no-such-flag"], 2),
+        (["compare", "--model", m], 0),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(loopcorrect.__file__).parents[1])}
+    for argv, code in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == code
+        fresh = subprocess.run([sys.executable, "-m", "loopcorrect.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+        if argv[0] == "loopseries":
+            assert ("marginal[" in out) == ("--target" in argv)
 
 
 def test_gen_topologies(tmp_path):
@@ -215,6 +246,8 @@ def test_usage_errors(tmp_path):
     (["tree"], "tree needs N"),
     (["cycle", "2.5"], "cycle needs N"),
     (["random", "5"], "random needs N M"),
+    (["grid", "2", "3", "4"], "grid needs R C"),
+    (["example1", "5"], "example1 takes no arguments"),
 ])
 def test_gen_argument_errors(tmp_path, capsys, topology, message):
     assert main(["gen", *topology, "-o", str(tmp_path / "x.json")]) == 1

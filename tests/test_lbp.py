@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcorrect.exact import brute_force, belief_ratio_state_sum
-from loopcorrect.generate import ising_model, random_connected_graph, random_tree
+from loopcorrect.generate import (
+    ising_model,
+    random_connected_graph,
+    random_factor_model,
+    random_tree,
+)
 from loopcorrect.graph import cycle_graph, path_graph, two_triangles_graph
 from loopcorrect.lbp import (
     LbpOptions,
@@ -22,9 +27,11 @@ from loopcorrect.lbp import (
 from loopcorrect.model import (
     FactorModel,
     PairwiseModel,
+    absorb_node_potentials,
     to_factor_model,
     uniform_phi,
 )
+from oracles import lbp_reference
 
 
 def graph_diameter(g):
@@ -106,7 +113,7 @@ def test_damping_does_not_move_fixed_points(rng):
     res = run_lbp(m, opts)
     assert res.converged
     graph = _FactorGraph(m.node_count, _pairwise_factors(res.model))
-    msgs = res.messages.copy()
+    msgs = np.vstack((res.messages, np.ones((1, 2))))  # the sweep's padded buffer
     worst = graph.sweep(msgs, graph.blocks("sync", "linear"), 0.0, "linear")
     assert worst < 10 * opts.tol
 
@@ -241,3 +248,42 @@ def test_factor_lbp_uniform_tables():
     assert bethe_log_z_factor(fm, res.node_beliefs, res.factor_beliefs) == pytest.approx(
         res.log_z_b
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pairwise=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    schedule=st.sampled_from(["sync", "seq"]),
+    damping=st.sampled_from([0.0, 0.5]),
+    scale=st.sampled_from([1.0, 1e-290]),
+    max_iters=st.sampled_from([3, 300]),
+)
+def test_lbp_matches_reference_sweep_bit_for_bit(pairwise, seed, schedule, damping, scale,
+                                                 max_iters):
+    # the in-place padded buffer changes no bit of the unpadded reference
+    # sweep's run; scale 1e-290 forces the log-domain fallback
+    rng = np.random.default_rng(seed)
+    opts = LbpOptions(max_iters=max_iters, damping=damping, schedule=schedule)
+    if pairwise:
+        n = int(rng.integers(2, 9))
+        g = random_connected_graph(n, int(rng.integers(n - 1, min(14, n * (n - 1) // 2) + 1)), rng)
+        m = ising_model(g, rng, coupling=1.0, field=0.5)
+        m = PairwiseModel(g, tuple(
+            tuple(tuple(v * scale for v in row) for row in tab) for tab in m.edge_potentials
+        ), m.node_potentials)
+        res = run_lbp(m, opts)
+        ref = lbp_reference(m.node_count, _pairwise_factors(absorb_node_potentials(m)), opts)
+    else:
+        fm = random_factor_model(rng, max_vars=8, max_arity=3, max_incidences=14)
+        fm = FactorModel(fm.variable_count, tuple(
+            (scope, tuple(v * scale for v in table)) for scope, table in fm.factors
+        ))
+        res = run_lbp_factor(fm, opts)
+        ref = lbp_reference(fm.variable_count, fm.factors, opts)
+    messages, node_beliefs, factor_beliefs, iterations, residual, domain = ref
+    assert domain == ("log" if scale < 1.0 else "linear")
+    assert np.array_equal(res.messages, messages)
+    assert np.array_equal(res.node_beliefs, node_beliefs)
+    assert all(map(np.array_equal, res.factor_beliefs, factor_beliefs))
+    assert (res.iterations, res.residual, res.domain) == (iterations, residual, domain)
