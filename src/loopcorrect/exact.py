@@ -4,6 +4,11 @@ enumeration, plus direct two-sided evaluation of the subset-sum identities.
 Everything here is the ground truth the fast paths are tested against, so
 the code favours numerical care over speed: log-domain weights, chunked
 vectorized enumeration, and compensated cross-chunk accumulation.
+
+Both model kinds are enumerated as one list of flat tables over scopes: a
+pairwise model is its node potentials as unary tables and its edge tables
+as arity-2 factors, a factor model its factors.  _scoped_tables is the only
+place that tells the kinds apart.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .exceptions import SizeError
 from .graph import Multigraph, SubsetWeights
-from .model import FactorModel, PairwiseModel
+from .model import FactorModel, PairwiseModel, edge_tables
 from .poly import f_values, g_values
 
 _CHUNK_BITS = 16
@@ -49,26 +54,28 @@ def _state_chunks(n: int):
         yield (idx[:, None] >> shifts[None, :]) & 1
 
 
-def _pairwise_log_weights(m: PairwiseModel, bits: np.ndarray) -> np.ndarray:
-    logw = np.zeros(bits.shape[0])
-    for i, tab in enumerate(m.node_potentials):
-        lt = np.log(np.asarray(tab))
-        logw += lt[bits[:, i]]
-    for e, (a, b) in enumerate(m.graph.edges):
-        lt = np.log(np.asarray(m.edge_potentials[e]))
-        logw += lt[bits[:, a], bits[:, b]]
-    return logw
+def _scoped_tables(model):
+    """(variable count, node tables, factors) of either model kind, each
+    table a (scope, flat table) pair: a pairwise model gives its node
+    potentials as unary tables and its edge tables as factors; a factor model
+    gives no node tables and its factors."""
+    if isinstance(model, PairwiseModel):
+        nodes = [((i,), tab) for i, tab in enumerate(model.node_potentials)]
+        return model.node_count, nodes, edge_tables(model)
+    if isinstance(model, FactorModel):
+        return model.variable_count, [], list(model.factors)
+    raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def _factor_log_weights(fm: FactorModel, bits: np.ndarray) -> np.ndarray:
-    logw = np.zeros(bits.shape[0])
-    for scope, table in fm.factors:
-        lt = np.log(np.asarray(table))
-        idx = np.zeros(bits.shape[0], dtype=np.int64)
-        for i in scope:
-            idx = (idx << 1) | bits[:, i]
-        logw += lt[idx]
-    return logw
+def _state_index(bits: np.ndarray, scope) -> np.ndarray:
+    """Each state's entry in a flat table over scope, first variable most
+    significant."""
+    if not scope:
+        return np.zeros(bits.shape[0], dtype=np.intp)
+    idx = bits[:, scope[0]]
+    for i in scope[1:]:
+        idx = (idx << 1) | bits[:, i]
+    return idx
 
 
 def brute_force(model) -> ExactResult:
@@ -78,33 +85,29 @@ def brute_force(model) -> ExactResult:
     relative to a running maximum and combined with compensated summation,
     so the result is trustworthy at the 1e-12 level the tests demand.
     """
-    if isinstance(model, PairwiseModel):
-        n = model.node_count
-        log_weights = lambda bits: _pairwise_log_weights(model, bits)
-    elif isinstance(model, FactorModel):
-        n = model.variable_count
-        log_weights = lambda bits: _factor_log_weights(model, bits)
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
+    n, node_tables, factors = _scoped_tables(model)
     if n > BRUTE_FORCE_CAP:
         raise SizeError(f"{n} variables exceed the enumeration cap {BRUTE_FORCE_CAP}")
+    tables = node_tables + factors  # node terms are added first
+    logs = [np.log(np.asarray(table)) for _, table in tables]
+    k = len(node_tables)
 
     best = -math.inf  # running maximum of log weights
     z_parts: list[float] = []
     node_parts: list[np.ndarray] = []
-    pair_parts: list[np.ndarray] = []
-    factor_parts: list[list[np.ndarray]] = []
-    is_pairwise = isinstance(model, PairwiseModel)
+    local_parts: list[list[np.ndarray]] = []  # per chunk, per factor
 
     for bits in _state_chunks(n):
-        logw = log_weights(bits)
+        index = [_state_index(bits, scope) for scope, _ in tables]
+        logw = np.zeros(bits.shape[0])
+        for idx, lt in zip(index, logs):
+            logw += lt[idx]
         chunk_max = float(logw.max())
         if chunk_max > best:
             scale = math.exp(best - chunk_max) if best > -math.inf else 0.0
             z_parts = [p * scale for p in z_parts]
             node_parts = [p * scale for p in node_parts]
-            pair_parts = [p * scale for p in pair_parts]
-            factor_parts = [[t * scale for t in p] for p in factor_parts]
+            local_parts = [[t * scale for t in p] for p in local_parts]
             best = chunk_max
         w = np.exp(logw - best)
         wsum = float(w.sum())
@@ -114,61 +117,34 @@ def brute_force(model) -> ExactResult:
             on = float(w[bits[:, i] == 1].sum())
             node[i] = (wsum - on, on)
         node_parts.append(node)
-        if is_pairwise:
-            pair = np.empty((len(model.graph.edges), 4))
-            for e, (a, b) in enumerate(model.graph.edges):
-                idx = 2 * bits[:, a] + bits[:, b]
-                pair[e] = np.bincount(idx, weights=w, minlength=4)
-            pair_parts.append(pair)
-        else:
-            per_factor = []
-            for scope, table in model.factors:
-                idx = np.zeros(bits.shape[0], dtype=np.int64)
-                for i in scope:
-                    idx = (idx << 1) | bits[:, i]
-                per_factor.append(np.bincount(idx, weights=w, minlength=len(table)))
-            factor_parts.append(per_factor)
+        local_parts.append([
+            np.bincount(idx, weights=w, minlength=len(lt)) for idx, lt in zip(index[k:], logs[k:])
+        ])
 
     z = math.fsum(z_parts)
     log_z = best + math.log(z)
     marginals = sum(node_parts) / z
-    if is_pairwise:
-        pair = (sum(pair_parts) / z).reshape(-1, 2, 2)
-        return ExactResult(log_z, marginals, pair_marginals=pair)
-    combined = []
-    for f in range(len(model.factors)):
-        acc = factor_parts[0][f].copy()
-        for part in factor_parts[1:]:
-            acc += part[f]
-        combined.append(acc / z)
-    return ExactResult(log_z, marginals, factor_marginals=combined)
+    local = [sum(parts) / z for parts in zip(*local_parts)]
+    if node_tables:  # only a pairwise model has node tables; its factors are its edges
+        return ExactResult(log_z, marginals, pair_marginals=np.reshape(local, (-1, 2, 2)))
+    return ExactResult(log_z, marginals, factor_marginals=local)
 
 
 def belief_ratio_state_sum(model, res) -> float:
     """State sum of prod_local [b_local / prod b_i] * prod_i b_i over beliefs.
 
-    res is an LBP result (or anything with node_beliefs plus edge_beliefs /
-    factor_beliefs).  At a fixed point this equals Z / Z_B; away from one it
-    is just the quantity itself.
+    res is an LBP result (or anything with node_beliefs and factor_beliefs,
+    which pairwise runs fill with the flat edge beliefs).  At a fixed point
+    this equals Z / Z_B; away from one it is just the quantity itself.
     """
-    if isinstance(model, PairwiseModel):
-        local = res.edge_beliefs
-    else:
-        local = res.factor_beliefs
-    return belief_ratio_state_sum_from_beliefs(model, res.node_beliefs, local)
+    return belief_ratio_state_sum_from_beliefs(model, res.node_beliefs, res.factor_beliefs)
 
 
 def belief_ratio_state_sum_from_beliefs(model, node_beliefs, local_beliefs) -> float:
-    """belief_ratio_state_sum on raw belief tables; local_beliefs is per-edge 2x2 for
-    pairwise models and per-factor flat tables for factor models."""
-    if isinstance(model, PairwiseModel):
-        n = model.node_count
-        groups = [((a, b), np.asarray(local_beliefs[e]).reshape(4))
-                  for e, (a, b) in enumerate(model.graph.edges)]
-    else:
-        n = model.variable_count
-        groups = [(scope, np.asarray(local_beliefs[f]))
-                  for f, (scope, _) in enumerate(model.factors)]
+    """belief_ratio_state_sum on raw belief tables: local_beliefs holds one
+    table per edge of a pairwise model (2x2 or flat) or per factor (flat)."""
+    n, _, factors = _scoped_tables(model)
+    groups = [(scope, np.ravel(local_beliefs[f])) for f, (scope, _) in enumerate(factors)]
     nb = np.asarray(node_beliefs, dtype=float)
     if nb.min() <= 0.0:
         raise ValueError("beliefs must be strictly positive")
@@ -177,16 +153,13 @@ def belief_ratio_state_sum_from_beliefs(model, node_beliefs, local_beliefs) -> f
             raise ValueError("beliefs must be strictly positive")
 
     log_nb = np.log(nb)
+    log_groups = [(scope, np.log(tab)) for scope, tab in groups]
+    deg = np.bincount([i for scope, _ in groups for i in scope], minlength=n)
     parts = []
     for bits in _state_chunks(n):
         logterm = np.zeros(bits.shape[0])
-        deg = [0] * n
-        for scope, tab in groups:
-            idx = np.zeros(bits.shape[0], dtype=np.int64)
-            for i in scope:
-                idx = (idx << 1) | bits[:, i]
-                deg[i] += 1
-            logterm += np.log(tab)[idx]
+        for scope, lt in log_groups:
+            logterm += lt[_state_index(bits, scope)]
         for i in range(n):
             logterm += (1 - deg[i]) * log_nb[i][bits[:, i]]
         parts.append(float(np.exp(logterm).sum()))

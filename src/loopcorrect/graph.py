@@ -305,7 +305,7 @@ class SubsetWeights:
         n, steps = self.graph.node_count, self._steps()
         order = sorted(self.mask_nodes) + [v for v in range(n) if v not in self.mask_nodes]
         out = []
-        for s in _listed(self.graph, free_node):
+        for s in enumerate_generalized_loops(self.graph, free_node):
             x = [0] * n
             for e in s:
                 for v, d in steps[e]:

@@ -36,6 +36,7 @@ from .model import (
     FactorModel,
     PairwiseModel,
     absorb_node_potentials,
+    edge_tables,
 )
 
 _LINEAR_LO = 1e-280
@@ -92,11 +93,6 @@ class LbpResult:
 
 class _RangeSignal(Exception):
     """Internal: a linear-domain message left the safe range."""
-
-
-def _pairwise_factors(m: PairwiseModel) -> list:
-    """The edges of m as arity-2 factors with flat row-major tables."""
-    return [(edge, psi[0] + psi[1]) for edge, psi in zip(m.graph.edges, m.edge_potentials)]
 
 
 @dataclass
@@ -338,7 +334,7 @@ def run_lbp(m: PairwiseModel, opts: LbpOptions | None = None) -> LbpResult:
     is reported via the converged flag, not raised.
     """
     absorbed = absorb_node_potentials(m)
-    res = _run(absorbed.node_count, _pairwise_factors(absorbed), opts)
+    res = _run(absorbed.node_count, edge_tables(absorbed), opts)
     res.edge_beliefs = np.reshape(res.factor_beliefs, (-1, 2, 2))
     res.log_z_b = bethe_log_z(absorbed, res.node_beliefs, res.edge_beliefs)
     res.model = absorbed

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import Multigraph, is_connected
 
@@ -135,20 +136,26 @@ class FactorModel:
             _check_positive(table, "factor table")
             covered.update(scope)
             norm.append((scope, table))
-        missing = set(range(self.variable_count)) - covered
-        if missing:
-            raise ValueError(f"variables {sorted(missing)} appear in no factor")
+        if len(covered) < self.variable_count:
+            # covered holds valid ids only, so the count needs no set of all
+            # variable_count ids, and the message names the first few
+            first = islice((i for i in range(self.variable_count) if i not in covered), 3)
+            raise ValueError(
+                f"{self.variable_count - len(covered)} of {self.variable_count} variables "
+                f"appear in no factor, the first {list(first)}"
+            )
         object.__setattr__(self, "factors", tuple(norm))
+
+
+def edge_tables(m: PairwiseModel) -> list:
+    """The edges of m as arity-2 factors: (scope, flat row-major table)
+    pairs in edge order."""
+    return [(edge, psi[0] + psi[1]) for edge, psi in zip(m.graph.edges, m.edge_potentials)]
 
 
 def to_factor_model(m: PairwiseModel) -> FactorModel:
     """One binary factor per edge, node potentials absorbed first."""
-    absorbed = absorb_node_potentials(m)
-    factors = []
-    for e, (a, b) in enumerate(absorbed.graph.edges):
-        tab = absorbed.edge_potentials[e]
-        factors.append(((a, b), (tab[0][0], tab[0][1], tab[1][0], tab[1][1])))
-    return FactorModel(m.node_count, tuple(factors))
+    return FactorModel(m.node_count, tuple(edge_tables(absorb_node_potentials(m))))
 
 
 def factor_incidence_graph(fm: FactorModel) -> Multigraph:
@@ -217,6 +224,12 @@ def model_from_json(text: str):
         edges = _field("edges", lambda: tuple(
             (_integer(e["i"]), _integer(e["j"])) for e in doc["edges"]
         ))
+        if n > len(edges) + 1:
+            # checked before anything of size n is built
+            raise ValueError(
+                f"pairwise models must be connected: {n} nodes need at least "
+                f"{n - 1} edges, got {len(edges)}"
+            )
         psi = _field("psi", lambda: tuple(
             tuple(tuple(float(v) for v in row) for row in e["psi"]) for e in doc["edges"]
         ))

@@ -273,6 +273,22 @@ def test_malformed_model_json(tmp_path, capsys, doc, field):
     assert repr(field) in err
 
 
+@pytest.mark.parametrize("command", ["compare", "lbp"])
+@pytest.mark.parametrize("doc", [
+    {"nodes": 10**12, "edges": []},
+    {"vars": 10**12, "factors": [{"scope": [0, 1], "table": [1, 1, 1, 1]}]},
+])
+def test_declared_count_is_checked_before_allocation(tmp_path, capsys, command, doc):
+    # a node or variable count that the edges or scopes cannot cover exits
+    # at once with one short line, before anything of that size is built
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert str(10**12) in err
+
+
 def test_factor_model_via_cli(tmp_path, capsys):
     doc = {
         "vars": 3,

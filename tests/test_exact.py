@@ -15,8 +15,8 @@ from loopcorrect.exact import (
 from loopcorrect.exceptions import SizeError
 from loopcorrect.generate import ising_model, random_connected_graph, random_tree
 from loopcorrect.graph import Multigraph, cycle_graph, two_triangles_graph
-from loopcorrect.lbp import run_lbp
-from loopcorrect.model import FactorModel, PairwiseModel, uniform_phi
+from loopcorrect.lbp import run_lbp, run_lbp_factor
+from loopcorrect.model import FactorModel, PairwiseModel, to_factor_model, uniform_phi
 from oracles import brute_force_reference
 
 
@@ -81,6 +81,26 @@ def test_size_cap():
     with pytest.raises(SizeError):
         brute_force(chain(26))
     assert brute_force(chain(18)).log_z == pytest.approx(18 * math.log(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [17, 19, 20])
+def test_chunked_oracle_matches_lbp_on_trees(n):
+    # past 16 variables the states come in several chunks, so the running
+    # maximum rescales earlier chunks' sums; LBP is exact on a tree
+    rng = np.random.default_rng(n)
+    m = ising_model(random_tree(n, rng), rng, coupling=1.5, field=1.0)
+    for model, run, local in (
+        (m, run_lbp, lambda ex, res: (ex.pair_marginals, res.edge_beliefs)),
+        (to_factor_model(m), run_lbp_factor,
+         lambda ex, res: (ex.factor_marginals, res.factor_beliefs)),
+    ):
+        exact, res = brute_force(model), run(model)
+        assert res.converged
+        assert abs(exact.log_z - res.log_z_b) < 1e-10
+        assert abs(exact.marginals - res.node_beliefs).max() < 1e-10
+        ex_local, lbp_local = local(exact, res)
+        assert len(ex_local) == n - 1
+        assert max(abs(np.asarray(a) - b).max() for a, b in zip(ex_local, lbp_local)) < 1e-10
 
 
 def test_belief_ratio_tree_fixed_point(rng):

@@ -18,7 +18,6 @@ from loopcorrect.graph import cycle_graph, path_graph, two_triangles_graph
 from loopcorrect.lbp import (
     LbpOptions,
     _FactorGraph,
-    _pairwise_factors,
     bethe_log_z,
     bethe_log_z_factor,
     run_lbp,
@@ -28,6 +27,7 @@ from loopcorrect.model import (
     FactorModel,
     PairwiseModel,
     absorb_node_potentials,
+    edge_tables,
     to_factor_model,
     uniform_phi,
 )
@@ -112,7 +112,7 @@ def test_damping_does_not_move_fixed_points(rng):
     m = ising_model(two_triangles_graph(), rng, coupling=1.0, field=0.5)
     res = run_lbp(m, opts)
     assert res.converged
-    graph = _FactorGraph(m.node_count, _pairwise_factors(res.model))
+    graph = _FactorGraph(m.node_count, edge_tables(res.model))
     msgs = np.vstack((res.messages, np.ones((1, 2))))  # the sweep's padded buffer
     worst = graph.sweep(msgs, graph.blocks("sync", "linear"), 0.0, "linear")
     assert worst < 10 * opts.tol
@@ -273,7 +273,7 @@ def test_lbp_matches_reference_sweep_bit_for_bit(pairwise, seed, schedule, dampi
             tuple(tuple(v * scale for v in row) for row in tab) for tab in m.edge_potentials
         ), m.node_potentials)
         res = run_lbp(m, opts)
-        ref = lbp_reference(m.node_count, _pairwise_factors(absorb_node_potentials(m)), opts)
+        ref = lbp_reference(m.node_count, edge_tables(absorb_node_potentials(m)), opts)
     else:
         fm = random_factor_model(rng, max_vars=8, max_arity=3, max_incidences=14)
         fm = FactorModel(fm.variable_count, tuple(

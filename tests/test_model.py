@@ -11,6 +11,7 @@ from loopcorrect.model import (
     FactorModel,
     PairwiseModel,
     absorb_node_potentials,
+    edge_tables,
     factor_incidence_graph,
     factor_to_json,
     model_from_json,
@@ -83,6 +84,15 @@ def test_to_factor_model_preserves_z(rng):
     assert brute_force(fm).log_z == pytest.approx(brute_force(m).log_z, rel=1e-12)
 
 
+def test_edge_tables_are_the_factor_form(rng):
+    m = ising_model(two_triangles_graph(), rng, coupling=0.9, field=0.6)
+    tables = edge_tables(m)
+    assert [scope for scope, _ in tables] == list(m.graph.edges)
+    for (_, flat), psi in zip(tables, m.edge_potentials):
+        assert flat == (psi[0][0], psi[0][1], psi[1][0], psi[1][1])
+    assert tuple(edge_tables(absorb_node_potentials(m))) == to_factor_model(m).factors
+
+
 def test_factor_incidence_graph_shapes():
     # scopes {0,1}, {0,1,2}, {1}: 6 nodes and 6 incidences
     fm = FactorModel(
@@ -118,6 +128,10 @@ def test_factor_model_validation():
         FactorModel(2, (((0, 1), (1.0,) * 3),))
     with pytest.raises(ValueError):  # nonpositive entry
         FactorModel(1, (((0,), (1.0, 0.0)),))
+    # uncovered variables are counted and the first few named, never all
+    message = r"^8 of 10 variables appear in no factor, the first \[2, 3, 4\]$"
+    with pytest.raises(ValueError, match=message):
+        FactorModel(10, (((0, 1), (1.0,) * 4),))
 
 
 def test_pairwise_json_round_trip(rng):
