@@ -22,7 +22,8 @@ from .graph import (
 )
 from .model import FactorModel, PairwiseModel
 
-# Draws random_connected_graph makes before it gives up.
+# Uniform draws random_connected_graph makes before it builds a connected
+# graph directly.
 CONNECTED_DRAWS = 200
 
 
@@ -34,18 +35,53 @@ def random_tree(n: int, rng: np.random.Generator) -> Multigraph:
     return Multigraph(n, edges)
 
 
+def _pairs(n: int, positions) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) arrays of the pairs i < j < n at the given positions of the
+    lexicographic list of all such pairs, without building that list."""
+    positions = np.asarray(positions, dtype=np.int64)
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2  # the position of (i, i + 1)
+    i = np.searchsorted(starts, positions, side="right") - 1
+    return i, i + 1 + positions - starts[i]
+
+
+def _edges(n: int, positions: list) -> tuple:
+    """The pairs at the given positions, in ascending position order.  The
+    sort is Python's: the first np.sort call in a process maps about 0.3 MB
+    of sorting code."""
+    i, j = _pairs(n, sorted(positions))
+    return tuple(zip(i.tolist(), j.tolist()))
+
+
 def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Multigraph:
-    """Random simple connected graph with exactly m edges."""
-    if m < n - 1 or m > n * (n - 1) // 2:
+    """Random simple connected graph with exactly m edges, in lexicographic
+    edge order.
+
+    Up to CONNECTED_DRAWS times it draws m of the n(n-1)/2 pairs uniformly
+    and keeps the first connected draw.  If none is connected (likely when
+    m is near n - 1), it builds one directly: a random spanning tree plus
+    m - n + 1 distinct pairs drawn from the rest.  No list of all pairs is
+    built."""
+    pair_count = n * (n - 1) // 2
+    if m < n - 1 or m > pair_count:
         raise GenerationError(f"no simple connected graph with n={n}, m={m}")
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(CONNECTED_DRAWS):
-        pick = rng.choice(len(all_pairs), size=m, replace=False)
-        edges = tuple(all_pairs[k] for k in sorted(pick))
-        g = Multigraph(n, edges)
+        pick = rng.choice(pair_count, size=m, replace=False)
+        # most failed sparse draws leave a node isolated: skip those cheaply
+        if n > 1 and not np.bincount(np.concatenate(_pairs(n, pick)), minlength=n).all():
+            continue
+        g = Multigraph(n, _edges(n, pick.tolist()))
         if is_connected(g)[0]:
             return g
-    raise GenerationError(f"could not sample a connected graph (n={n}, m={m})")
+    order = rng.permutation(n)
+    a, b = order[1:], order[rng.integers(0, np.arange(1, n))]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    tree = sorted((lo * (2 * n - lo - 1) // 2 + hi - lo - 1).tolist())
+    # the r-th smallest position off the tree is r plus the number of tree
+    # positions t_k with t_k - k <= r
+    ranks = sorted(rng.choice(pair_count - (n - 1), size=m - n + 1, replace=False).tolist())
+    extra = ranks + np.searchsorted(np.array(tree) - np.arange(n - 1), ranks, side="right")
+    return Multigraph(n, _edges(n, tree + extra.tolist()))
 
 
 def single_cycle_graph(

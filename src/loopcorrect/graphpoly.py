@@ -10,6 +10,14 @@ xi = sqrt(-1), g = 2i; f_d has the parity of d and the degrees of a loop
 sum to 2|s|, so theta has only even powers of g, and each g^(2k) there is
 the integer (-4)^k.  Everything stays in the integers.
 
+theta_direct and the determinant-sum identity run on packed ints: a
+polynomial is its value at 2^B (poly.unpack), with B above the bit length
+of a coefficient bound each function proves for its own values, so every
+sum, product and exact division is one big-int operation and equal packed
+values are equal polynomials.  Contraction-deletion stays on coefficient
+dicts, so the check that compares it with theta_direct does not share the
+packing.
+
 Contraction-deletion recurses on the reduced 2-core (graph.two_core) and
 memoizes on the core's sorted edge tuple: pendant edges and isolated nodes
 leave theta unchanged, so the copies of one core that deletion and
@@ -35,7 +43,7 @@ from .graph import (
     is_connected,
     two_core,
 )
-from .poly import BiPoly, UniPoly, exact_divide, f_poly
+from .poly import BiPoly, UniPoly, exact_divide, f_poly, unpack
 
 DETERMINANT_CAP = 12
 # Contraction-deletion recurses one level per edge of the 2-core.  Capping
@@ -79,14 +87,29 @@ def _theta_wrap(g: Multigraph, coeffs: dict) -> ThetaPoly:
 
 def theta_direct(g: Multigraph) -> ThetaPoly:
     """Subset-sum construction: each generalized loop s contributes
-    b^|s| * prod_i f_{d_i(s)}(g), summed by the frontier engine with exact
-    polynomial values split by |s|.  Non-loops vanish through f_1 = 0."""
-    tables = [[f_poly(d) for d in range(top + 1)] for top in g.degrees()]
-    per_size, _ = SubsetWeights(g, tables).frontier_sum(
-        by_size=True, one=UniPoly({0: 1}, "g")
+    b^|s| * prod_i f_{d_i(s)}(g), summed by the frontier engine split by
+    |s|.  Non-loops vanish through f_1 = 0.
+
+    The g polynomials are packed at g = 2^B (poly.unpack), so the sum runs
+    on ints.  The f ladder has nonnegative coefficients, so each
+    coefficient of a loop's product is at most the product at g = 1, and
+    every coefficient of theta is below 2^|E| * prod_v max_{d <= deg v}
+    f_d(1); B exceeds that bound's bit length, which makes the unpacking
+    exact."""
+    deg = g.degrees()
+    at_one = [f_poly(d).eval(1) for d in range(max(deg) + 1)]
+    bound = 1 << len(g.edges)
+    for top in deg:
+        bound *= max(at_one[: top + 1])
+    bits = bound.bit_length() + 1
+    packed = [f_poly(d).eval(1 << bits) for d in range(len(at_one))]
+    per_size, _ = SubsetWeights(g, [packed[: top + 1] for top in deg]).frontier_sum(
+        by_size=True, one=1
     )
     return _theta_wrap(g, {
-        (size, ge): c for size, poly in per_size.items() for ge, c in poly.coeffs.items()
+        (size, ge): c
+        for size, value in per_size.items()
+        for ge, c in unpack(value, bits).items()
     })
 
 
@@ -280,35 +303,38 @@ def matching_polynomial(g: Multigraph) -> MatchingPoly:
 # Determinant-sum identity
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(matrix: list[list[UniPoly]]) -> UniPoly:
-    """Fraction-free determinant of a square matrix of integer polynomials.
+def _bareiss_det(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix.
 
-    Bareiss elimination: every division is exact over Z[x], so no rational
-    arithmetic is needed.  Row swaps flip the sign.
+    Bareiss elimination: every division is exact over Z, so no rational
+    arithmetic is needed; a nonzero remainder raises DivisibilityError.
+    Row swaps flip the sign.
     """
     n = len(matrix)
     if n == 0:
-        return UniPoly({0: 1}, "u")
+        return 1
     m = [row[:] for row in matrix]
     sign = 1
-    prev = UniPoly({0: 1}, "u")
+    prev = 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, n) if not m[r][k].is_zero()), None
-            )
+        if not m[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot_row is None:
-                return UniPoly({}, "u")
+                return 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = UniPoly({}, "u")
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+                q, r = divmod(row_i[j] * pivot - lead * row_k[j], prev)
+                if r:
+                    raise DivisibilityError(f"Bareiss step {k} leaves a remainder")
+                row_i[j] = q
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def omega_determinant_form(g: Multigraph, w: OmegaPoly | None = None) -> UniPoly:
@@ -319,6 +345,16 @@ def omega_determinant_form(g: Multigraph, w: OmegaPoly | None = None) -> UniPoly
     determinant is taken on the principal minor indexed by the untouched
     nodes.  The result must equal omega with b replaced by u^2; w, when
     given, must be g's omega; it is computed otherwise.
+
+    Everything runs packed at u = 2^B (poly.unpack).  The L1 norm (sum of
+    |coefficients|) of a determinant is at most the product of its rows'
+    L1 norms, and row r's is at most 1 + |d_r - 1| + d_r, at least 1.
+    Every Bareiss intermediate is a minor, so its coefficients stay below
+    the product over the kept rows, and a packed pivot is zero exactly when
+    the polynomial is.  The sum's coefficients stay below the sum over C of
+    2^k(C) times that product, and omega's below its largest |coefficient|;
+    B exceeds the bit length of the two added, so the packed sum equals
+    omega(u^2) packed exactly when the polynomials are equal.
     """
     if not g.is_simple():
         raise ValueError("determinant form needs a simple graph")
@@ -329,38 +365,35 @@ def omega_determinant_form(g: Multigraph, w: OmegaPoly | None = None) -> UniPoly
         raise SizeError(
             f"{g.node_count} nodes exceed the determinant cap {DETERMINANT_CAP}"
         )
+    n = g.node_count
     deg = g.degrees()
-    adj = [[0] * g.node_count for _ in range(g.node_count)]
-    for a, b in g.edges:
-        adj[a][b] += 1
-        adj[b][a] += 1
-    total = UniPoly({}, "u")
+    cycle_sets = []
     for cyc, k in enumerate_disjoint_cycles(g):
-        touched = set()
-        for e in cyc:
-            a, b = g.edges[e]
-            touched.add(a)
-            touched.add(b)
-        keep = [v for v in range(g.node_count) if v not in touched]
-        mat = []
-        for r in keep:
-            row = []
-            for c in keep:
-                entry = UniPoly({}, "u")
-                if r == c:
-                    entry = UniPoly({0: 1, 2: deg[r] - 1}, "u")
-                if adj[r][c]:
-                    entry = entry - UniPoly({1: adj[r][c]}, "u")
-                row.append(entry)
-            mat.append(row)
-        det = _bareiss_det(mat)
-        total = total + det * UniPoly({len(cyc): 2**k}, "u")
+        touched = {v for e in cyc for v in g.edges[e]}
+        cycle_sets.append((len(cyc), k, [v for v in range(n) if v not in touched]))
     expected = (w or omega(g)).poly.map_exponents(2).with_var("u")
-    if total != expected:
+    row_l1 = [1 + abs(d - 1) + d for d in deg]
+    bound = max(map(abs, expected.coeffs.values()), default=0) + sum(
+        (1 << k) * math.prod(row_l1[r] for r in keep) for _, k, keep in cycle_sets
+    )
+    bits = bound.bit_length() + 1
+    u = 1 << bits
+    full = [[0] * n for _ in range(n)]
+    for a, b in g.edges:
+        full[a][b] -= u
+        full[b][a] -= u
+    for r in range(n):
+        full[r][r] += 1 + (deg[r] - 1) * u * u
+    total = 0
+    for size, k, keep in cycle_sets:
+        det = _bareiss_det([[full[r][c] for c in keep] for r in keep])
+        total += det << (k + size * bits)
+    found = UniPoly(unpack(total, bits), "u")
+    if total != expected.eval(u):
         raise IdentityError(
-            f"determinant sum {total} differs from omega(u^2) = {expected}"
+            f"determinant sum {found} differs from omega(u^2) = {expected}"
         )
-    return total
+    return found
 
 
 def regular_graph_matching_check(g: Multigraph) -> bool:

@@ -5,6 +5,12 @@ bivariate theta container with its partial evaluations.
 Coefficients are Python ints (arbitrary precision); nothing here ever
 rounds.  Evaluation at floats is allowed and returns floats, but stored
 polynomials stay exact.
+
+A polynomial p packs into the single int p(2^B) (``p.eval(1 << B)``).
+Evaluation keeps sums, products and exact quotients, so each of them is
+one big-int operation on packed values, and ``unpack`` reads a result back
+as balanced base-2^B digits as long as its coefficients are below 2^(B-1)
+in absolute value.
 """
 
 from __future__ import annotations
@@ -285,6 +291,30 @@ def f_product_identity_check(n: int, m: int) -> bool:
     lhs = f_poly(n + m - 2)
     rhs = f_poly(n) * f_poly(m) + f_poly(n - 1) * f_poly(m - 1)
     return lhs == rhs
+
+
+def unpack(value: int, bits: int) -> dict:
+    """{exponent: coefficient} of the polynomial p with p(2^bits) = value
+    and every |coefficient| below 2^(bits-1).
+
+    Such a p is unique: its lowest nonzero coefficient c is value's
+    balanced remainder modulo 2^bits, since 0 < |c| < 2^bits / 2.  So
+    p(2^bits) = 0 only for p = 0, and packed values that compare equal are
+    equal polynomials.  bits must be at least 2: with one bit the digits
+    are -1 and 0, which cannot spell a positive value.
+    """
+    if bits < 2:
+        raise ValueError(f"unpack needs at least 2 bits per coefficient, got {bits}")
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = {}
+    e = 0
+    while value:
+        c = ((value + half) & mask) - half
+        if c:
+            out[e] = c
+        value = (value - c) >> bits
+        e += 1
+    return out
 
 
 def exact_divide(num: UniPoly, den: UniPoly) -> UniPoly:

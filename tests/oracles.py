@@ -1,15 +1,17 @@
 """Slow reference oracles that only the tests call: a per-state Python
 loop for the exact partition function and marginals, a filter of all
-2^|E| edge subsets for the generalized loops, and the LBP sweep as it was
-before it updated one padded buffer in place."""
+2^|E| edge subsets for the generalized loops, the LBP sweep as it was
+before it updated one padded buffer in place, and the random connected
+graph sampler as it was when it listed all n(n-1)/2 pairs."""
 
 import math
 
 import numpy as np
 
 from loopcorrect.exact import ExactResult
-from loopcorrect.exceptions import NumericError, SizeError
-from loopcorrect.graph import Multigraph
+from loopcorrect.exceptions import GenerationError, NumericError, SizeError
+from loopcorrect.generate import CONNECTED_DRAWS
+from loopcorrect.graph import Multigraph, is_connected
 from loopcorrect.lbp import _LINEAR_HI, _LINEAR_LO, _FactorGraph, _RangeSignal
 from loopcorrect.model import PairwiseModel
 
@@ -67,6 +69,21 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
     # bitmask-lex order: membership string with edge 0 most significant
     out.sort(key=lambda s: tuple(e in s for e in range(m)))
     return out
+
+
+def random_connected_graph_reference(n: int, m: int, rng) -> Multigraph:
+    """The first connected one of CONNECTED_DRAWS uniform draws of m pairs,
+    picked by position in the list of all pairs; raises when none is."""
+    if m < n - 1 or m > n * (n - 1) // 2:
+        raise GenerationError(f"no simple connected graph with n={n}, m={m}")
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(CONNECTED_DRAWS):
+        pick = rng.choice(len(all_pairs), size=m, replace=False)
+        edges = tuple(all_pairs[k] for k in sorted(pick))
+        g = Multigraph(n, edges)
+        if is_connected(g)[0]:
+            return g
+    raise GenerationError(f"could not sample a connected graph (n={n}, m={m})")
 
 
 _UNIT = {"linear": np.ones((1, 2)), "log": np.zeros((1, 2))}  # the pad slot's message

@@ -89,6 +89,16 @@ def test_gen_topologies(tmp_path):
     assert m.node_count == 6 and len(m.graph.edges) == 9
 
 
+def test_gen_sparse_random_writes_a_tree(tmp_path):
+    # 29 of the 435 pairs on 30 nodes are almost never a spanning tree, so
+    # this takes the sampler's direct construction
+    out = tmp_path / "t.json"
+    assert main(["gen", "random", "30", "29", "--seed", "0", "-o", str(out)]) == 0
+    g = model_from_json(out.read_text()).graph
+    assert g.node_count == 30 and len(g.edges) == 29
+    assert len(enumerate_generalized_loops(g)) == 1  # a tree: only the empty loop
+
+
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -18,6 +18,7 @@ from loopcorrect.graph import (
 )
 from loopcorrect.graphpoly import (
     CD_EDGE_CAP,
+    OmegaPoly,
     _bareiss_det,
     _theta_cd_rec,
     golden_ratio_value,
@@ -31,7 +32,7 @@ from loopcorrect.graphpoly import (
     theta_contraction_deletion,
     theta_direct,
 )
-from loopcorrect.poly import BiPoly, UniPoly
+from loopcorrect.poly import BiPoly, UniPoly, unpack
 from tests.conftest import (
     corpus_graphs,
     corpus_loop_free,
@@ -224,19 +225,21 @@ def test_matching_polynomials():
 
 
 def test_bareiss_determinant_triangle_block():
-    # the cycle-free term of the triangle: det[(1+u^2)I - uA] = (1-u^3)^2
-    one_plus = UniPoly({0: 1, 2: 1}, "u")
-    mu = UniPoly({1: -1}, "u")
-    zero = UniPoly({}, "u")
+    # the cycle-free term of the triangle, det[(1+u^2)I - uA] = (1-u^3)^2,
+    # packed at u = 2^8: every coefficient of every minor is below
+    # 4^3 = 64 (the rows' L1 norms), so the determinant unpacks exactly
+    bits = 8
+    u = 1 << bits
+    diag, off = 1 + u * u, -u
     mat = [
-        [one_plus, mu, mu],
-        [mu, one_plus, mu],
-        [mu, mu, one_plus],
+        [diag, off, off],
+        [off, diag, off],
+        [off, off, diag],
     ]
     expected = (UniPoly({0: 1}, "u") - UniPoly({3: 1}, "u")) ** 2
-    assert _bareiss_det(mat) == expected
-    assert _bareiss_det([[zero]]) == UniPoly({}, "u")
-    assert _bareiss_det([]) == UniPoly({0: 1}, "u")
+    assert unpack(_bareiss_det(mat), bits) == expected.coeffs
+    assert _bareiss_det([[0]]) == 0
+    assert _bareiss_det([]) == 1
 
 
 def test_omega_determinant_form():
@@ -251,6 +254,28 @@ def test_omega_determinant_form():
     # K10 is inside DETERMINANT_CAP but has 819134 disjoint cycle sets
     with pytest.raises(SizeError, match="disjoint cycle sets exceed the listing cap"):
         omega_determinant_form(complete_graph(10))
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(4), grid_graph(3, 4), two_triangles_graph(), grid_graph(2, 3),
+], ids=["K4", "grid3x4", "two_triangles", "grid2x3"])
+def test_determinant_form_rejects_every_off_by_one_omega(g):
+    # a wrong omega must fail the packed comparison whichever coefficient
+    # is off: the lowest, a middle one or the highest
+    coeffs = omega(g).poly.coeffs
+    exps = sorted(coeffs)
+    for e in (exps[0], exps[len(exps) // 2], exps[-1]):
+        for delta in (-1, 1):
+            wrong = OmegaPoly(UniPoly({**coeffs, e: coeffs[e] + delta}, "b"))
+            with pytest.raises(IdentityError, match="determinant sum"):
+                omega_determinant_form(g, wrong)
+
+
+def test_large_coefficients():
+    # K7's theta has coefficients past 2^21 and K8's past 2^32; the packed
+    # sum must still unpack to the contraction-deletion coefficients
+    assert theta_direct(complete_graph(7)) == theta_contraction_deletion(complete_graph(7))
+    theta_at_beta1(complete_graph(8))  # raises on a mismatch
 
 
 def test_regular_graph_identity():

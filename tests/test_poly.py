@@ -14,6 +14,7 @@ from loopcorrect.poly import (
     f_values,
     g_poly,
     g_values,
+    unpack,
 )
 
 
@@ -126,6 +127,36 @@ def test_divide_undoes_multiply(p, q):
     if q.is_zero():
         return
     assert exact_divide(p * q, q) == p
+
+
+@st.composite
+def _packable(draw):
+    """(bits, coefficient dict) with every |coefficient| below 2^(bits-1)."""
+    bits = draw(st.integers(min_value=2, max_value=90))
+    top = (1 << (bits - 1)) - 1
+    coeffs = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-top, max_value=top),
+        max_size=12,
+    ))
+    return bits, coeffs
+
+
+@given(_packable())
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_round_trip(case):
+    bits, coeffs = case
+    p = UniPoly(coeffs)
+    assert unpack(p.eval(1 << bits), bits) == p.coeffs
+
+
+def test_unpack_bound_is_tight():
+    # a coefficient of 2^(bits-1) reads back as a carry into the next digit
+    assert unpack(UniPoly({0: 1 << 7}).eval(1 << 8), 8) == {0: -(1 << 7), 1: 1}
+    assert unpack(UniPoly({0: -1, 3: 2}).eval(1 << 8), 8) == {0: -1, 3: 2}
+    assert unpack(0, 8) == {}
+    with pytest.raises(ValueError, match="at least 2 bits"):
+        unpack(1, 1)
 
 
 def test_rendering_canonical():
