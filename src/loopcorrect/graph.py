@@ -201,8 +201,10 @@ def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
 # Most frontier states held at once; past it frontier_sum raises SizeError
 # rather than grow unbounded.  It bounds states, not values: theta's packed
 # ints grow with the graph (tracemalloc peaks of theta_direct: K9, 80491
-# states, 14 MB; the 8x8 grid, 57529 states of about 4 KB ints, 73 MB), and
-# with n-world vector values memory grows as states times n floats.
+# states, 14 MB; the 8x8 grid, 57529 states of about 4 KB ints, 73 MB).
+# Their width grows with the edge count, so on long, thin graphs they take
+# more memory than coefficient dicts would (the 80x2 ladder: 6.2 MB against
+# 5.4 MB).  With n-world vector values memory grows as states times n floats.
 STATE_CAP = 1 << 17
 # Most generalized loops SubsetWeights.terms lists (the 4x4 grid has 16372).
 TERMS_CAP = 1 << 17

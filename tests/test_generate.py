@@ -72,14 +72,18 @@ def test_direct_construction_at_every_density(monkeypatch):
 
 
 def test_large_sparse_request_is_fast_and_small():
+    # timed untraced: tracemalloc's per-allocation hook would dominate the
+    # time of the 200 failed draws
+    start = time.perf_counter()
+    g = random_connected_graph(2000, 2100, np.random.default_rng(0))
+    seconds = time.perf_counter() - start
     tracemalloc.start()
     try:
-        start = time.perf_counter()
-        g = random_connected_graph(2000, 2100, np.random.default_rng(0))
-        seconds = time.perf_counter() - start
+        traced = random_connected_graph(2000, 2100, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert traced == g
     assert len(g.edges) == 2100 and is_connected(g)[0]
     assert seconds < 2.0
     assert peak < 20 * 2**20
