@@ -315,7 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="theta at xi=sqrt(-1) over (1-b)^(|E|-|V|)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--check", action="store_true")
+    p.add_argument(
+        "--check", action="store_true",
+        help="check the matching form against the theta route (determinant-sum identity)",
+    )
     p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("matching", help="matching polynomial")

@@ -3,6 +3,10 @@ polynomial with its contraction-deletion recurrence, the omega polynomial
 obtained at the imaginary unit with its divisibility and counting
 interpretations, the matching polynomial, and the determinant-sum identity.
 
+omega is computed by its matching form, the determinant sum with every
+permutation cycle of length three or more cancelled against a cycle set,
+and checked against its definition through theta.
+
 theta is stored in (b, g) coordinates, where g stands for xi - 1/xi: every
 term is a product of f polynomials in that variable, so the coefficients
 are plain integers and identity checks are exact equalities.  At
@@ -10,13 +14,12 @@ xi = sqrt(-1), g = 2i; f_d has the parity of d and the degrees of a loop
 sum to 2|s|, so theta has only even powers of g, and each g^(2k) there is
 the integer (-4)^k.  Everything stays in the integers.
 
-theta_direct and the determinant-sum identity run on packed ints: a
-polynomial is its value at 2^B (poly.unpack), with B above the bit length
-of a coefficient bound each function proves for its own values, so every
-sum, product and exact division is one big-int operation and equal packed
-values are equal polynomials.  Contraction-deletion stays on coefficient
-dicts, so the check that compares it with theta_direct does not share the
-packing.
+theta_direct and omega run on packed ints: a polynomial is its value at
+2^B (poly.unpack), with B above the bit length of a coefficient bound each
+function proves for its own values, so every sum and product is one
+big-int operation and equal packed values are equal polynomials.
+Contraction-deletion stays on coefficient dicts, so the check that
+compares it with theta_direct does not share the packing.
 
 Contraction-deletion recurses on the reduced 2-core (graph.two_core) and
 memoizes on the core's sorted edge tuple: pendant edges and isolated nodes
@@ -38,14 +41,12 @@ from .graph import (
     count_generalized_loops,
     cycle_rank,
     delete,
-    enumerate_disjoint_cycles,
     enumerate_matchings,
     is_connected,
     two_core,
 )
 from .poly import BiPoly, UniPoly, exact_divide, f_poly, unpack
 
-DETERMINANT_CAP = 12
 # Contraction-deletion recurses one level per edge of the 2-core.  Capping
 # the core's edges at half the interpreter's default recursion limit of
 # 1000 leaves the other half to the callers (the CLI needs about ten
@@ -232,7 +233,43 @@ def loop_count_bound(g: Multigraph, theta: ThetaPoly | None = None) -> LoopCount
 
 
 def omega(g: Multigraph) -> OmegaPoly:
-    """theta at xi = sqrt(-1), divided exactly by (1-b)^(|E|-|V|).
+    """omega by its matching form,
+
+        omega(b) = sum over matchings N of (-b)^|N| prod_{v not in N} (1 + (d_v - 1) b),
+
+    one frontier sum packed at b = 2^B (poly.unpack): each edge weighs
+    -2^B, and node v's table weighs 1 + (d_v - 1) 2^B at entry 0
+    (unmatched), 1 at entry 1 and 0 above, so a self-loop (entry 2) is
+    never taken.
+
+    A matching maps one-to-one to a choice, at each node, of "unmatched"
+    or one incident edge, so the coefficients' absolute values sum to at
+    most sum_N prod_{v not in N} (1 + |d_v - 1|) <= prod_v (1 + |d_v - 1| + d_v);
+    B exceeds that bound's bit length, which makes the unpacking exact.
+
+    omega_determinant_form proves the form on simple graphs.  It holds on
+    multigraphs too, where the Ihara-Bass matrix has A_vv = 2 per self-loop
+    and A_vw the edge multiplicity m: a self-loop as a member of the cycle
+    set weighs +2u, cancelling the -2u it puts on the diagonal, and the
+    C(m, 2) parallel pairs as 2-cycles weigh m(m-1) u^2, cancelling that
+    part of the transposition's -m^2 u^2 and leaving -u^2 for each of the
+    m edges.  The tests check it against _omega_by_theta on random
+    multigraphs.
+    """
+    ok, _ = is_connected(g)
+    if not ok:
+        raise ValueError("omega needs a connected graph")
+    deg = g.degrees()
+    bits = math.prod(1 + abs(d - 1) + d for d in deg).bit_length() + 1
+    b = 1 << bits
+    tables = [([1 + (d - 1) * b, 1] + [0] * d)[: d + 1] for d in deg]
+    value, _ = SubsetWeights(g, tables, [-b] * len(g.edges)).frontier_sum(one=1)
+    return OmegaPoly(UniPoly(unpack(value, bits), "b"))
+
+
+def _omega_by_theta(g: Multigraph) -> OmegaPoly:
+    """omega by its definition: theta at xi = sqrt(-1), divided exactly by
+    (1-b)^(|E|-|V|); the independent route omega is checked against.
 
     There g = 2i, and theta has only even powers of g, so it is evaluated
     over the integers with g^2 = -4; an odd power of g would leave an
@@ -303,93 +340,42 @@ def matching_polynomial(g: Multigraph) -> MatchingPoly:
 # Determinant-sum identity
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix.
-
-    Bareiss elimination: every division is exact over Z, so no rational
-    arithmetic is needed; a nonzero remainder raises DivisibilityError.
-    Row swaps flip the sign.
-    """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        pivot, row_k = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                q, r = divmod(row_i[j] * pivot - lead * row_k[j], prev)
-                if r:
-                    raise DivisibilityError(f"Bareiss step {k} leaves a remainder")
-                row_i[j] = q
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def omega_determinant_form(g: Multigraph, w: OmegaPoly | None = None) -> UniPoly:
-    """Sum over node-disjoint cycle sets C of
-    2^k(C) det[I + u^2 (D - I) - u A] restricted off C, times u^|C|.
+    """omega(u^2) in u, checked as the determinant sum over node-disjoint
+    cycle sets C,
 
-    D and A are the degree and adjacency matrices of the full graph; the
-    determinant is taken on the principal minor indexed by the untouched
-    nodes.  The result must equal omega with b replaced by u^2; w, when
-    given, must be g's omega; it is computed otherwise.
+        sum_C 2^k(C) u^|C| det M[V minus the nodes of C],  M = I + u^2 (D - I) - u A,
 
-    Everything runs packed at u = 2^B (poly.unpack).  The L1 norm (sum of
-    |coefficients|) of a determinant is at most the product of its rows'
-    L1 norms, and row r's is at most 1 + |d_r - 1| + d_r, at least 1.
-    Every Bareiss intermediate is a minor, so its coefficients stay below
-    the product over the kept rows, and a packed pivot is zero exactly when
-    the polynomial is.  The sum's coefficients stay below the sum over C of
-    2^k(C) times that product, and omega's below its largest |coefficient|;
-    B exceeds the bit length of the two added, so the packed sum equals
-    omega(u^2) packed exactly when the polynomials are equal.
+    with D and A the degree and adjacency matrices of the full graph and
+    k(C) the number of cycles in C.  w, when given, must be g's omega; it
+    is computed otherwise.
+
+    The sum is the matching form omega computes.  Expand each determinant
+    over permutations of the kept nodes.  A permutation cycle of length
+    L >= 3 runs along a graph cycle and weighs sign (-1)^(L-1) times
+    (-u)^L, that is -u^L per orientation and -2u^L for both.  The same
+    graph cycle as a member of C weighs 2u^L.  Group the terms by the
+    cycles C and the long permutation cycles cover together and by the
+    rest of the permutation: each of those cycles sits either in C or in
+    the permutation, so the group sums to the product of 2u^L - 2u^L over
+    them, zero unless there are none.  What survives is C empty with
+    permutations of fixed points, weighing 1 + (d_v - 1) u^2, and
+    transpositions along edges, weighing -(-u)^2 = -u^2: the matching sum
+    at b = u^2.
+
+    So the identity holds exactly when the matching form equals omega's
+    definition, and the check compares w with _omega_by_theta, which
+    also checks divisibility by (1-b)^(|E|-|V|).  Both are exact integer
+    polynomials, so equal means equal coefficients.
     """
     if not g.is_simple():
         raise ValueError("determinant form needs a simple graph")
     ok, _ = is_connected(g)
     if not ok:
         raise ValueError("determinant form needs a connected graph")
-    if g.node_count > DETERMINANT_CAP:
-        raise SizeError(
-            f"{g.node_count} nodes exceed the determinant cap {DETERMINANT_CAP}"
-        )
-    n = g.node_count
-    deg = g.degrees()
-    cycle_sets = []
-    for cyc, k in enumerate_disjoint_cycles(g):
-        touched = {v for e in cyc for v in g.edges[e]}
-        cycle_sets.append((len(cyc), k, [v for v in range(n) if v not in touched]))
-    expected = (w or omega(g)).poly.map_exponents(2).with_var("u")
-    row_l1 = [1 + abs(d - 1) + d for d in deg]
-    bound = max(map(abs, expected.coeffs.values()), default=0) + sum(
-        (1 << k) * math.prod(row_l1[r] for r in keep) for _, k, keep in cycle_sets
-    )
-    bits = bound.bit_length() + 1
-    u = 1 << bits
-    full = [[0] * n for _ in range(n)]
-    for a, b in g.edges:
-        full[a][b] -= u
-        full[b][a] -= u
-    for r in range(n):
-        full[r][r] += 1 + (deg[r] - 1) * u * u
-    total = 0
-    for size, k, keep in cycle_sets:
-        det = _bareiss_det([[full[r][c] for c in keep] for r in keep])
-        total += det << (k + size * bits)
-    found = UniPoly(unpack(total, bits), "u")
-    if total != expected.eval(u):
+    found = (w or omega(g)).poly.map_exponents(2).with_var("u")
+    expected = _omega_by_theta(g).poly.map_exponents(2).with_var("u")
+    if found != expected:
         raise IdentityError(
             f"determinant sum {found} differs from omega(u^2) = {expected}"
         )
@@ -416,5 +402,7 @@ def regular_graph_matching_check(g: Multigraph) -> bool:
     for e, c in alpha.coeffs.items():
         # c * x^e at x = 1/u + qu, times u^n: c * (1+qu^2)^e * u^(n-e)
         rhs = rhs + base**e * UniPoly({n - e: c}, "u")
-    lhs = omega(g).poly.map_exponents(2).with_var("u")
+    # omega's matching form is this right side expanded, so the left side
+    # comes from the definition
+    lhs = _omega_by_theta(g).poly.map_exponents(2).with_var("u")
     return lhs == rhs

@@ -1,19 +1,22 @@
 """Slow reference oracles that only the tests call: a per-state Python
 loop for the exact partition function and marginals, a filter of all
 2^|E| edge subsets for the generalized loops, the LBP sweep as it was
-before it updated one padded buffer in place, and the random connected
-graph sampler as it was when it listed all n(n-1)/2 pairs."""
+before it updated one padded buffer in place, the random connected
+graph sampler as it was when it listed all n(n-1)/2 pairs, and the
+determinant sum over disjoint cycle sets as omega --check once
+computed it."""
 
 import math
 
 import numpy as np
 
 from loopcorrect.exact import ExactResult
-from loopcorrect.exceptions import GenerationError, NumericError, SizeError
+from loopcorrect.exceptions import DivisibilityError, GenerationError, NumericError, SizeError
 from loopcorrect.generate import CONNECTED_DRAWS
-from loopcorrect.graph import Multigraph, is_connected
+from loopcorrect.graph import Multigraph, enumerate_disjoint_cycles, is_connected
 from loopcorrect.lbp import _LINEAR_HI, _LINEAR_LO, _FactorGraph, _RangeSignal
 from loopcorrect.model import PairwiseModel
+from loopcorrect.poly import UniPoly, unpack
 
 
 def brute_force_reference(model) -> ExactResult:
@@ -183,3 +186,72 @@ def lbp_reference(variable_count: int, factors, opts):
         msgs, iterations, _, residual = _iterate_reference(graph, opts, domain)
     node_beliefs, factor_beliefs = beliefs_reference(graph, msgs)
     return msgs, node_beliefs, factor_beliefs, iterations, residual, domain
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix.
+
+    Bareiss elimination: every division is exact over Z, so no rational
+    arithmetic is needed; a nonzero remainder raises DivisibilityError.
+    Row swaps flip the sign.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                q, r = divmod(row_i[j] * pivot - lead * row_k[j], prev)
+                if r:
+                    raise DivisibilityError(f"Bareiss step {k} leaves a remainder")
+                row_i[j] = q
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def determinant_sum_reference(g: Multigraph) -> UniPoly:
+    """The literal sum over node-disjoint cycle sets C of
+    2^k(C) u^|C| det[I + u^2 (D - I) - u A] on the nodes C leaves
+    untouched, as a polynomial in u (g simple).
+
+    It runs packed at u = 2^B (poly.unpack).  The L1 norm (sum of
+    |coefficients|) of a determinant is at most the product of its rows'
+    L1 norms, and row r's is at most 1 + |d_r - 1| + d_r, at least 1.
+    Every Bareiss intermediate is a minor, so its coefficients stay below
+    the product over the kept rows, and a packed pivot is zero exactly
+    when the polynomial is.  The sum's coefficients stay below the sum
+    over C of 2^k(C) times that product; B exceeds its bit length.
+    """
+    n = g.node_count
+    deg = g.degrees()
+    cycle_sets = []
+    for cyc, k in enumerate_disjoint_cycles(g):
+        touched = {v for e in cyc for v in g.edges[e]}
+        cycle_sets.append((len(cyc), k, [v for v in range(n) if v not in touched]))
+    row_l1 = [1 + abs(d - 1) + d for d in deg]
+    bound = sum((1 << k) * math.prod(row_l1[r] for r in keep) for _, k, keep in cycle_sets)
+    bits = bound.bit_length() + 1
+    u = 1 << bits
+    full = [[0] * n for _ in range(n)]
+    for a, b in g.edges:
+        full[a][b] -= u
+        full[b][a] -= u
+    for r in range(n):
+        full[r][r] += 1 + (deg[r] - 1) * u * u
+    total = 0
+    for size, k, keep in cycle_sets:
+        total += bareiss_det([[full[r][c] for c in keep] for r in keep]) << (k + size * bits)
+    return UniPoly(unpack(total, bits), "u")

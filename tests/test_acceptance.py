@@ -27,6 +27,7 @@ from loopcorrect.graph import (
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import (
+    _omega_by_theta,
     loop_count_bound,
     omega,
     omega_at_1_count,
@@ -252,6 +253,8 @@ def test_criterion_8_polynomial_identities():
         w = omega(g).poly
         if not all(isinstance(c, int) for c in w.coeffs.values()):
             failures.append(f"omega not integer on {g}")
+        if w != _omega_by_theta(g).poly:
+            failures.append(f"omega's matching form differs from the theta route on {g}")
         one_b = UniPoly({1: 1}, "b")
         for e, (a, b) in enumerate(g.edges):
             if a == b:

@@ -16,6 +16,7 @@ from loopcorrect.cli import main
 from loopcorrect.exact import brute_force
 from loopcorrect.generate import ising_model
 from loopcorrect.graph import (
+    complete_graph,
     cycle_graph,
     enumerate_generalized_loops,
     grid_graph,
@@ -240,6 +241,23 @@ def test_theta_cd_on_long_cycle(tmp_path, capsys):
     assert main(["theta", "--graph", str(path), "--method", "cd"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_omega_past_the_old_determinant_cap(tmp_path, capsys):
+    # 16 nodes: the determinant sum was refused past 12 nodes
+    grid = tmp_path / "grid.txt"
+    grid.write_text(render_edge_list(grid_graph(4, 4)))
+    assert main(["omega", "--graph", str(grid), "--check"]) == 0
+    assert capsys.readouterr().out.endswith("\ndeterminant-sum identity holds\n")
+    # K10: the matching form needs no theta, whose frontier outgrows STATE_CAP
+    clique = tmp_path / "k10.txt"
+    clique.write_text(render_edge_list(complete_graph(10)))
+    assert main(["omega", "--graph", str(clique)]) == 0
+    assert capsys.readouterr().out.startswith("omega = 1 + 35*b + ")
+    # --check still needs the theta route, so it exits 1 with one line
+    assert main(["omega", "--graph", str(clique), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the frontier sum needs more than") and err.count("\n") == 1
 
 
 def test_usage_errors(tmp_path):

@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcorrect import graphpoly
 from loopcorrect.exceptions import IdentityError, SizeError
@@ -19,7 +21,7 @@ from loopcorrect.graph import (
 from loopcorrect.graphpoly import (
     CD_EDGE_CAP,
     OmegaPoly,
-    _bareiss_det,
+    _omega_by_theta,
     _theta_cd_rec,
     golden_ratio_value,
     loop_count_bound,
@@ -39,6 +41,7 @@ from tests.conftest import (
     corpus_simple_connected,
     corpus_trees,
 )
+from tests.oracles import bareiss_det, determinant_sum_reference
 
 
 def test_theta_direct_examples():
@@ -173,7 +176,7 @@ def test_omega_rejects_odd_g_power(monkeypatch):
 
     monkeypatch.setattr(graphpoly, "theta_direct", with_odd_term)
     with pytest.raises(IdentityError, match="odd power of g"):
-        omega(cycle_graph(3))
+        _omega_by_theta(cycle_graph(3))
 
 
 def test_omega_tree():
@@ -237,9 +240,9 @@ def test_bareiss_determinant_triangle_block():
         [off, off, diag],
     ]
     expected = (UniPoly({0: 1}, "u") - UniPoly({3: 1}, "u")) ** 2
-    assert unpack(_bareiss_det(mat), bits) == expected.coeffs
-    assert _bareiss_det([[0]]) == 0
-    assert _bareiss_det([]) == 1
+    assert unpack(bareiss_det(mat), bits) == expected.coeffs
+    assert bareiss_det([[0]]) == 0
+    assert bareiss_det([]) == 1
 
 
 def test_omega_determinant_form():
@@ -251,17 +254,56 @@ def test_omega_determinant_form():
         omega_determinant_form(g)  # raises on mismatch
     with pytest.raises(ValueError):
         omega_determinant_form(parallel_edges_graph(2))
-    # K10 is inside DETERMINANT_CAP but has 819134 disjoint cycle sets
-    with pytest.raises(SizeError, match="disjoint cycle sets exceed the listing cap"):
+    # omega solves K10 by the matching form, but the theta route it is
+    # checked against outgrows the frontier's STATE_CAP
+    with pytest.raises(SizeError, match="frontier sum needs more than"):
         omega_determinant_form(complete_graph(10))
+    # the 4x4 grid has 16 nodes, past the cap the determinants once had
+    assert omega_determinant_form(grid_graph(4, 4)) == omega(
+        grid_graph(4, 4)).poly.map_exponents(2).with_var("u")
+
+
+@st.composite
+def connected_graphs(draw, max_nodes, max_edges, simple):
+    """A connected graph: a random spanning tree plus extra edges, in a
+    random edge order; simple draws extra edges among the absent pairs,
+    otherwise they may be self-loops and parallel edges."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    room = max_edges - len(edges)
+    if simple:
+        absent = sorted({(a, b) for a in range(n) for b in range(a + 1, n)} - set(edges))
+        if absent:
+            edges += draw(st.lists(st.sampled_from(absent), max_size=room, unique=True))
+    else:
+        ends = st.integers(min_value=0, max_value=n - 1)
+        edges += draw(st.lists(st.tuples(ends, ends), max_size=room))
+    return Multigraph(n, tuple(draw(st.permutations(edges))))
+
+
+@given(connected_graphs(max_nodes=8, max_edges=14, simple=True))
+@settings(max_examples=60, deadline=None)
+def test_determinant_sum_is_the_matching_form(g):
+    # the lemma in omega_determinant_form's docstring: the literal
+    # determinant sum equals omega(u^2) computed as a matching sum, and that
+    # equals omega by its definition through theta
+    w = omega(g).poly
+    assert determinant_sum_reference(g) == w.map_exponents(2).with_var("u")
+    assert w == _omega_by_theta(g).poly
+
+
+@given(connected_graphs(max_nodes=7, max_edges=11, simple=False))
+@settings(max_examples=80, deadline=None)
+def test_matching_form_equals_theta_route_on_multigraphs(g):
+    assert omega(g).poly == _omega_by_theta(g).poly
 
 
 @pytest.mark.parametrize("g", [
     complete_graph(4), grid_graph(3, 4), two_triangles_graph(), grid_graph(2, 3),
 ], ids=["K4", "grid3x4", "two_triangles", "grid2x3"])
 def test_determinant_form_rejects_every_off_by_one_omega(g):
-    # a wrong omega must fail the packed comparison whichever coefficient
-    # is off: the lowest, a middle one or the highest
+    # a wrong omega must fail the comparison with the theta route whichever
+    # coefficient is off: the lowest, a middle one or the highest
     coeffs = omega(g).poly.coeffs
     exps = sorted(coeffs)
     for e in (exps[0], exps[len(exps) // 2], exps[-1]):
@@ -283,6 +325,18 @@ def test_regular_graph_identity():
         assert regular_graph_matching_check(g)
     with pytest.raises(ValueError):
         regular_graph_matching_check(path_graph(3))
+
+
+def test_regular_graph_check_reads_the_theta_route(monkeypatch):
+    # omega's matching form is alpha(1/u + qu) u^n expanded, so the left side
+    # must come from the theta route or the check could never fail
+    real = graphpoly._omega_by_theta
+
+    def off_by_one(g):
+        return OmegaPoly(real(g).poly + UniPoly({1: 1}, "b"))
+
+    monkeypatch.setattr(graphpoly, "_omega_by_theta", off_by_one)
+    assert not regular_graph_matching_check(complete_graph(4))
 
 
 def test_theta_disconnect_and_multigraph_consistency():
