@@ -16,12 +16,7 @@ import sys
 import numpy as np
 
 from .exact import brute_force
-from .exceptions import (
-    GenerationError,
-    IdentityError,
-    LoopcorrectError,
-    NotConvergedError,
-)
+from .exceptions import IdentityError, LoopcorrectError, NotConvergedError
 from .generate import ising_model, make_topology
 from .graph import parse_edge_list
 from .graphpoly import (
@@ -69,36 +64,33 @@ def _run_model_lbp(model, opts):
     return run_lbp_factor(model, opts)
 
 
-def _emit_rows(rows, header, fmt, out):
+def _emit_rows(rows, header, fmt):
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
+        sys.stdout.write(",".join(header) + "\n")
         for row in rows:
-            out.write(",".join(str(c) for c in row) + "\n")
+            sys.stdout.write(",".join(str(c) for c in row) + "\n")
     elif fmt == "json":
-        out.write(json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n")
+        sys.stdout.write(json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n")
     else:
         widths = [
             max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
             for i, h in enumerate(header)
         ]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
+        sys.stdout.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
         for row in rows:
-            out.write(
-                "  ".join(str(c).ljust(w) for c, w in zip(row, widths)) + "\n"
-            )
+            sys.stdout.write("  ".join(str(c).ljust(w) for c, w in zip(row, widths)) + "\n")
 
 
-def cmd_lbp(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_lbp(args) -> int:
     model = _load_model(args.model)
     res = _run_model_lbp(model, _lbp_opts(args))
     rows = [
         (i, f"{b[0]:.12g}", f"{b[1]:.12g}")
         for i, b in enumerate(res.node_beliefs)
     ]
-    _emit_rows(rows, ["node", "belief_minus", "belief_plus"], args.format, out)
-    out.write(f"log_Z_B = {res.log_z_b:.12g}\n")
-    out.write(
+    _emit_rows(rows, ["node", "belief_minus", "belief_plus"], args.format)
+    sys.stdout.write(f"log_Z_B = {res.log_z_b:.12g}\n")
+    sys.stdout.write(
         f"iterations = {res.iterations}  converged = {res.converged}  "
         f"residual = {res.residual:.3e}  domain = {res.domain}\n"
     )
@@ -107,20 +99,18 @@ def cmd_lbp(args, out=None) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_oracle(args) -> int:
     model = _load_model(args.model)
     res = brute_force(model)
     rows = [
         (i, f"{m[0]:.12g}", f"{m[1]:.12g}") for i, m in enumerate(res.marginals)
     ]
-    _emit_rows(rows, ["node", "p_minus", "p_plus"], args.format, out)
-    out.write(f"log_Z = {res.log_z:.12g}\n")
+    _emit_rows(rows, ["node", "p_minus", "p_plus"], args.format)
+    sys.stdout.write(f"log_Z = {res.log_z:.12g}\n")
     return EXIT_OK
 
 
-def cmd_loopseries(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_loopseries(args) -> int:
     model = _load_model(args.model)
     res = _run_model_lbp(model, _lbp_opts(args))
     if not res.converged:
@@ -139,27 +129,26 @@ def cmd_loopseries(args, out=None) -> int:
             running.append(r)
             mask = sum(1 << e for e in s)
             rows.append((mask, len(s), f"{r:.12g}", f"{math.fsum(running):.12g}"))
-        _emit_rows(rows, ["subset", "size", "r", "partial_sum"], args.format, out)
+        _emit_rows(rows, ["subset", "size", "r", "partial_sum"], args.format)
     for size, partial in partials:
-        out.write(f"partial_sum(size<={size}) = {partial:.12g}\n")
-    out.write(f"series_total = {report.total:.12g}\n")
-    out.write(f"log_Z_B = {report.log_z_b:.12g}\n")
-    out.write(f"corrected log_Z = {report.log_z_b + math.log(report.total):.12g}\n")
+        sys.stdout.write(f"partial_sum(size<={size}) = {partial:.12g}\n")
+    sys.stdout.write(f"series_total = {report.total:.12g}\n")
+    sys.stdout.write(f"log_Z_B = {report.log_z_b:.12g}\n")
+    sys.stdout.write(f"corrected log_Z = {report.log_z_b + math.log(report.total):.12g}\n")
     if args.target is not None:
         corr = (
             loop_series_marginal(model, res, args.target, z_report=report)
             if pairwise
             else loop_series_marginal_factor(model, res, args.target, z_report=report)
         )
-        out.write(
+        sys.stdout.write(
             f"marginal[{args.target}] corrected = "
             f"({corr.corrected_marginal[0]:.12g}, {corr.corrected_marginal[1]:.12g})\n"
         )
     return EXIT_OK
 
 
-def cmd_compare(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_compare(args) -> int:
     if not (math.isfinite(args.check_tol) and args.check_tol >= 0.0):
         raise ValueError(f"--check-tol must be finite and non-negative, got {args.check_tol}")
     model = _load_model(args.model)
@@ -183,7 +172,7 @@ def cmd_compare(args, out=None) -> int:
         ("corrected_abs_error", f"{abs(corrected_log_z - exact.log_z):.6g}"),
         ("corrected_rel_error", f"{rel_err:.6g}"),
     ]
-    _emit_rows(rows, ["quantity", "value"], args.format, out)
+    _emit_rows(rows, ["quantity", "value"], args.format)
 
     marg_rows = []
     worst = 0.0
@@ -192,9 +181,7 @@ def cmd_compare(args, out=None) -> int:
         after = abs(corr.corrected_marginal[1] - exact.marginals[i][1])
         worst = max(worst, after)
         marg_rows.append((i, f"{before:.6g}", f"{after:.6g}"))
-    _emit_rows(
-        marg_rows, ["node", "belief_error", "corrected_error"], args.format, out
-    )
+    _emit_rows(marg_rows, ["node", "belief_error", "corrected_error"], args.format)
     if rel_err > args.check_tol or worst > args.check_tol:
         sys.stderr.write(
             f"exactness check failed: rel_err={rel_err:.3e} worst_marginal={worst:.3e}\n"
@@ -203,53 +190,49 @@ def cmd_compare(args, out=None) -> int:
     return EXIT_OK
 
 
-def cmd_theta(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_theta(args) -> int:
     g = _load_graph(args.graph)
     theta = (
         theta_contraction_deletion(g) if args.method == "cd" else theta_direct(g)
     )
-    out.write(f"theta = {theta.poly}\n")
+    sys.stdout.write(f"theta = {theta.poly}\n")
     if args.check:
         other = theta_direct(g) if args.method == "cd" else theta_contraction_deletion(g)
         if theta.poly != other.poly:
             raise IdentityError("direct and contraction-deletion theta disagree")
         bound = loop_count_bound(g, theta)
-        out.write(
+        sys.stdout.write(
             f"loop_count = {bound.count}  bound = {bound.bound:.9g}  "
             f"attained = {bound.attained}\n"
         )
     return EXIT_OK
 
 
-def cmd_omega(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_omega(args) -> int:
     g = _load_graph(args.graph)
     w = omega(g)
-    out.write(f"omega = {w.poly}\n")
+    sys.stdout.write(f"omega = {w.poly}\n")
     if args.check:
         omega_determinant_form(g, w)
-        out.write("determinant-sum identity holds\n")
+        sys.stdout.write("determinant-sum identity holds\n")
     return EXIT_OK
 
 
-def cmd_matching(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_matching(args) -> int:
     g = _load_graph(args.graph)
     alpha = matching_polynomial(g)
-    out.write(f"alpha = {alpha.poly}\n")
+    sys.stdout.write(f"alpha = {alpha.poly}\n")
     return EXIT_OK
 
 
-def cmd_gen(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     topo_args = args.topology[1:]
     g = make_topology(args.topology[0], topo_args, rng)
     model = ising_model(g, rng, coupling=args.coupling, field=args.field)
     text = pairwise_to_json(model)
     if args.output == "-":
-        out.write(text + "\n")
+        sys.stdout.write(text + "\n")
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -351,7 +334,7 @@ def main(argv=None) -> int:
     except IdentityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IDENTITY
-    except (OSError, ValueError, IndexError, GenerationError, LoopcorrectError) as exc:
+    except (OSError, ValueError, IndexError, LoopcorrectError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -3,23 +3,23 @@ polynomial with its contraction-deletion recurrence, the omega polynomial
 obtained at the imaginary unit with its divisibility and counting
 interpretations, the matching polynomial, and the determinant-sum identity.
 
-omega is computed by its matching form, the determinant sum with every
-permutation cycle of length three or more cancelled against a cycle set,
-and checked against its definition through theta.
+omega is computed by its matching form and checked against its
+definition, theta at xi = sqrt(-1) divided by (1-b)^(|E|-|V|).  Both are
+one integer edge-subset sum of the same shape, sum_s (-b)^|s| prod_v
+t_v[d_v(s)], with two table families: matchings, and generalized loops at
+g = 2i, where f_d(2i) = i^d (1 - d) (see _omega_by_theta).  The
+determinant-sum identity is the equality of the two.
 
 theta is stored in (b, g) coordinates, where g stands for xi - 1/xi: every
 term is a product of f polynomials in that variable, so the coefficients
-are plain integers and identity checks are exact equalities.  At
-xi = sqrt(-1), g = 2i; f_d has the parity of d and the degrees of a loop
-sum to 2|s|, so theta has only even powers of g, and each g^(2k) there is
-the integer (-4)^k.  Everything stays in the integers.
+are plain integers and identity checks are exact equalities.
 
-theta_direct and omega run on packed ints: a polynomial is its value at
-2^B (poly.unpack), with B above the bit length of a coefficient bound each
-function proves for its own values, so every sum and product is one
-big-int operation and equal packed values are equal polynomials.
-Contraction-deletion stays on coefficient dicts, so the check that
-compares it with theta_direct does not share the packing.
+theta_direct and both omega routes run on packed ints: a polynomial is
+its value at 2^B (poly.unpack), with B above the bit length of a
+coefficient bound each function proves for its own values, so every sum
+and product is one big-int operation and equal packed values are equal
+polynomials.  Contraction-deletion stays on coefficient dicts, so the
+check that compares it with theta_direct does not share the packing.
 
 Contraction-deletion recurses on the reduced 2-core (graph.two_core) and
 memoizes on the core's sorted edge tuple: pendant edges and isolated nodes
@@ -57,12 +57,7 @@ CD_EDGE_CAP = 500
 
 @dataclass(frozen=True)
 class ThetaPoly:
-    """theta in (b, g) coordinates plus its host graph summary."""
-
-    poly: BiPoly
-    node_count: int
-    edge_count: int
-    cycle_rank: int | None  # None when the host graph is disconnected
+    poly: BiPoly  # theta in (b, g) coordinates
 
 
 @dataclass(frozen=True)
@@ -73,17 +68,6 @@ class OmegaPoly:
 @dataclass(frozen=True)
 class MatchingPoly:
     poly: UniPoly  # alpha(x) = sum_k (-1)^k p(k) x^(n-2k)
-
-
-def _theta_wrap(g: Multigraph, coeffs: dict) -> ThetaPoly:
-    """ThetaPoly from {(b power, g power): integer coefficient}."""
-    ok, _ = is_connected(g)
-    return ThetaPoly(
-        poly=BiPoly(coeffs),
-        node_count=g.node_count,
-        edge_count=len(g.edges),
-        cycle_rank=cycle_rank(g) if ok else None,
-    )
 
 
 def theta_direct(g: Multigraph) -> ThetaPoly:
@@ -107,11 +91,11 @@ def theta_direct(g: Multigraph) -> ThetaPoly:
     per_size, _ = SubsetWeights(g, [packed[: top + 1] for top in deg]).frontier_sum(
         by_size=True, one=1
     )
-    return _theta_wrap(g, {
+    return ThetaPoly(BiPoly({
         (size, ge): c
         for size, value in per_size.items()
         for ge, c in unpack(value, bits).items()
-    })
+    }))
 
 
 def _theta_cd_rec(g: Multigraph, memo: dict) -> dict:
@@ -173,7 +157,7 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
             f"{len(core.edges)} edges in the 2-core exceed the contraction-deletion "
             f"cap {CD_EDGE_CAP}"
         )
-    return _theta_wrap(g, _theta_cd_rec(g, {}))
+    return ThetaPoly(BiPoly(_theta_cd_rec(g, {})))
 
 
 def theta_at_beta1(g: Multigraph, theta: ThetaPoly | None = None) -> tuple[UniPoly, UniPoly]:
@@ -232,20 +216,36 @@ def loop_count_bound(g: Multigraph, theta: ThetaPoly | None = None) -> LoopCount
     return LoopCountBound(bound=bound, count=count, attained=attained)
 
 
+def _signed_edge_sum(g: Multigraph, bound: int, table) -> UniPoly:
+    """sum over edge subsets s of (-b)^|s| prod_v table(d_v, b)[d_v(s)],
+    with d_v node v's degree in g and d_v(s) its degree in s: one frontier
+    sum packed at b = 2^B (poly.unpack), each edge weighing -2^B.  The
+    caller proves bound above the sum of the coefficients' absolute values;
+    B exceeds its bit length, which makes the unpacking exact.
+    """
+    ok, _ = is_connected(g)
+    if not ok:
+        raise ValueError("omega needs a connected graph")
+    bits = bound.bit_length() + 1
+    b = 1 << bits
+    tables = [table(d, b) for d in g.degrees()]
+    value, _ = SubsetWeights(g, tables, [-b] * len(g.edges)).frontier_sum(one=1)
+    return UniPoly(unpack(value, bits), "b")
+
+
 def omega(g: Multigraph) -> OmegaPoly:
     """omega by its matching form,
 
         omega(b) = sum over matchings N of (-b)^|N| prod_{v not in N} (1 + (d_v - 1) b),
 
-    one frontier sum packed at b = 2^B (poly.unpack): each edge weighs
-    -2^B, and node v's table weighs 1 + (d_v - 1) 2^B at entry 0
+    as a signed edge sum: node v's table weighs 1 + (d_v - 1) b at entry 0
     (unmatched), 1 at entry 1 and 0 above, so a self-loop (entry 2) is
     never taken.
 
     A matching maps one-to-one to a choice, at each node, of "unmatched"
     or one incident edge, so the coefficients' absolute values sum to at
-    most sum_N prod_{v not in N} (1 + |d_v - 1|) <= prod_v (1 + |d_v - 1| + d_v);
-    B exceeds that bound's bit length, which makes the unpacking exact.
+    most sum_N prod_{v not in N} (1 + |d_v - 1|) <= prod_v (1 + |d_v - 1| + d_v),
+    the bound the sum is packed under.
 
     omega_determinant_form proves the form on simple graphs.  It holds on
     multigraphs too, where the Ihara-Bass matrix has A_vv = 2 per self-loop
@@ -256,34 +256,36 @@ def omega(g: Multigraph) -> OmegaPoly:
     m edges.  The tests check it against _omega_by_theta on random
     multigraphs.
     """
-    ok, _ = is_connected(g)
-    if not ok:
-        raise ValueError("omega needs a connected graph")
-    deg = g.degrees()
-    bits = math.prod(1 + abs(d - 1) + d for d in deg).bit_length() + 1
-    b = 1 << bits
-    tables = [([1 + (d - 1) * b, 1] + [0] * d)[: d + 1] for d in deg]
-    value, _ = SubsetWeights(g, tables, [-b] * len(g.edges)).frontier_sum(one=1)
-    return OmegaPoly(UniPoly(unpack(value, bits), "b"))
+    bound = math.prod(1 + abs(d - 1) + d for d in g.degrees())
+    return OmegaPoly(_signed_edge_sum(
+        g, bound, lambda d, b: ([1 + (d - 1) * b, 1] + [0] * d)[: d + 1]
+    ))
 
 
 def _omega_by_theta(g: Multigraph) -> OmegaPoly:
     """omega by its definition: theta at xi = sqrt(-1), divided exactly by
     (1-b)^(|E|-|V|); the independent route omega is checked against.
 
-    There g = 2i, and theta has only even powers of g, so it is evaluated
-    over the integers with g^2 = -4; an odd power of g would leave an
-    imaginary part and raises.  A nonzero remainder falsifies the
-    divisibility statement and raises too.  For trees the exponent is -1,
-    so we multiply by (1-b) instead.
+    There g = xi - 1/xi = 2i, and f_d(2i) = i^d (1 - d): both sides are 1
+    and 0 at d = 0 and 1, and i^n (1 - n) satisfies the ladder's
+    recurrence, since 2i i^n (1 - n) + i^(n-1) (2 - n) = i^(n-1) n
+    = i^(n+1) (-n).  The degrees of an edge subset s sum to 2|s|, so
+    prod_v i^(d_v(s)) = (-1)^|s| and
+
+        theta(b, 2i) = sum_s (-b)^|s| prod_v (1 - d_v(s)),
+
+    a signed edge sum with node tables 1 - x; subsets with a degree-one
+    node vanish at entry 1, as f_1 = 0 makes them vanish in theta.  Each
+    |1 - d_v(s)| is at most max(1, d_v - 1), so the coefficients' absolute
+    values sum to at most 2^|E| prod_v max(1, d_v - 1), the bound the sum
+    is packed under.
+
+    A nonzero remainder of the division falsifies the divisibility
+    statement and raises.  For trees the exponent is -1, so we multiply by
+    (1-b) instead.
     """
-    ok, _ = is_connected(g)
-    if not ok:
-        raise ValueError("omega needs a connected graph")
-    theta = theta_direct(g).poly
-    if any(ge % 2 for _, ge in theta.coeffs):
-        raise IdentityError("theta has an odd power of g, so theta(b, sqrt(-1)) is not real")
-    at_imag = BiPoly({(be, ge // 2): c for (be, ge), c in theta.coeffs.items()}).eval_second(-4)
+    bound = (1 << len(g.edges)) * math.prod(max(1, d - 1) for d in g.degrees())
+    at_imag = _signed_edge_sum(g, bound, lambda d, b: [1 - x for x in range(d + 1)])
     power = len(g.edges) - g.node_count
     one_minus_b = UniPoly({0: 1, 1: -1}, "b")
     if power < 0:

@@ -170,26 +170,6 @@ class BiPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def eval_second(self, value) -> UniPoly:
-        """Substitute the second variable by an exact value; returns a
-        UniPoly in the first variable.  Powers of value are cached since
-        theta polynomials repeat small second-variable exponents heavily."""
-        powers = {0: 1}
-
-        def pw(n):
-            if n not in powers:
-                powers[n] = powers[n - 1] * value if n - 1 in powers else value**n
-            return powers[n]
-
-        out: dict = {}
-        for (be, ge), c in sorted(self.coeffs.items()):
-            s = out.get(be, 0) + c * pw(ge)
-            if s == 0:
-                out.pop(be, None)
-            else:
-                out[be] = s
-        return UniPoly(out, self.vars[0])
-
     def eval_first(self, value) -> UniPoly:
         """Substitute the first variable by an exact value; returns a
         UniPoly in the second variable."""

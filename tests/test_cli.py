@@ -249,12 +249,18 @@ def test_omega_past_the_old_determinant_cap(tmp_path, capsys):
     grid.write_text(render_edge_list(grid_graph(4, 4)))
     assert main(["omega", "--graph", str(grid), "--check"]) == 0
     assert capsys.readouterr().out.endswith("\ndeterminant-sum identity holds\n")
-    # K10: the matching form needs no theta, whose frontier outgrows STATE_CAP
+    # K10: theta outgrows STATE_CAP, but the theta route at g = 2i does not
     clique = tmp_path / "k10.txt"
     clique.write_text(render_edge_list(complete_graph(10)))
+    assert main(["omega", "--graph", str(clique), "--check"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("omega = 1 + 35*b + ")
+    assert out.endswith("\ndeterminant-sum identity holds\n")
+    # K12: the matching form needs no theta; --check needs the theta route,
+    # whose frontier outgrows STATE_CAP, so it exits 1 with one line
+    clique.write_text(render_edge_list(complete_graph(12)))
     assert main(["omega", "--graph", str(clique)]) == 0
-    assert capsys.readouterr().out.startswith("omega = 1 + 35*b + ")
-    # --check still needs the theta route, so it exits 1 with one line
+    assert capsys.readouterr().out.startswith("omega = 1 + ")
     assert main(["omega", "--graph", str(clique), "--check"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the frontier sum needs more than") and err.count("\n") == 1

@@ -1,7 +1,5 @@
 """theta, omega, matching polynomial, bound and determinant identities."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,24 +157,15 @@ def test_omega_cycles():
 
 def test_omega_b2_intermediate():
     # theta(b, sqrt(-1)) for the 2-loop bouquet is 1 + 2b - 3b^2: theta is
-    # 1 + 2b + b^2 (1 + g^2), and g^2 = -4 at g = 2i
+    # 1 + 2b + b^2 (1 + g^2), and g^2 = -4 at g = 2i; dividing by
+    # (1-b)^(|E|-|V|) = 1 - b leaves omega = 1 + 3b
     theta = theta_direct(bouquet_graph(2)).poly
-    in_g2 = BiPoly({(be, ge // 2): c for (be, ge), c in theta.coeffs.items()})
-    assert in_g2.eval_second(-4) == UniPoly({0: 1, 1: 2, 2: -3})
+    at_imag = UniPoly({}, "b")
+    for (be, ge), c in theta.coeffs.items():
+        at_imag = at_imag + UniPoly({be: c * (-4) ** (ge // 2)}, "b")
+    assert at_imag == UniPoly({0: 1, 1: 2, 2: -3})
     assert omega(bouquet_graph(2)).poly == UniPoly({0: 1, 1: 3}, "b")
-
-
-def test_omega_rejects_odd_g_power(monkeypatch):
-    # an odd power of g would leave an imaginary part at g = 2i
-    real = graphpoly.theta_direct
-
-    def with_odd_term(g):
-        theta = real(g)
-        return replace(theta, poly=BiPoly({**theta.poly.coeffs, (1, 1): 1}))
-
-    monkeypatch.setattr(graphpoly, "theta_direct", with_odd_term)
-    with pytest.raises(IdentityError, match="odd power of g"):
-        _omega_by_theta(cycle_graph(3))
+    assert at_imag == omega(bouquet_graph(2)).poly * UniPoly({0: 1, 1: -1})
 
 
 def test_omega_tree():
@@ -254,10 +243,12 @@ def test_omega_determinant_form():
         omega_determinant_form(g)  # raises on mismatch
     with pytest.raises(ValueError):
         omega_determinant_form(parallel_edges_graph(2))
-    # omega solves K10 by the matching form, but the theta route it is
-    # checked against outgrows the frontier's STATE_CAP
+    # K10's theta outgrows the frontier's STATE_CAP, but not theta at g = 2i;
+    # K12's does, although omega solves it by the matching form
+    omega_determinant_form(complete_graph(10))
+    omega(complete_graph(12))
     with pytest.raises(SizeError, match="frontier sum needs more than"):
-        omega_determinant_form(complete_graph(10))
+        omega_determinant_form(complete_graph(12))
     # the 4x4 grid has 16 nodes, past the cap the determinants once had
     assert omega_determinant_form(grid_graph(4, 4)) == omega(
         grid_graph(4, 4)).poly.map_exponents(2).with_var("u")
@@ -295,7 +286,11 @@ def test_determinant_sum_is_the_matching_form(g):
 @given(connected_graphs(max_nodes=7, max_edges=11, simple=False))
 @settings(max_examples=80, deadline=None)
 def test_matching_form_equals_theta_route_on_multigraphs(g):
-    assert omega(g).poly == _omega_by_theta(g).poly
+    # exact_omega_by_division goes through the printed theta, so both
+    # routes stay tied to it and theta's even-in-g claim stays checked
+    w = omega(g).poly
+    assert w == _omega_by_theta(g).poly
+    assert w == exact_omega_by_division(g)
 
 
 @pytest.mark.parametrize("g", [

@@ -40,14 +40,17 @@ def test_f_at_one():
     assert f_poly(4).eval(1) == 2
 
 
-def test_f_even_at_two_i():
-    # f_{2k} is even in g, and at g = 2i, i.e. g^2 = -4, it is
-    # (2k-1) * i^(2k-2) = (2k-1) * (-1)^(k-1)
-    for k in range(1, 7):
-        f = f_poly(2 * k)
-        assert all(e % 2 == 0 for e in f.coeffs)
-        in_g2 = UniPoly({e // 2: c for e, c in f.coeffs.items()})
-        assert in_g2.eval(-4) == (2 * k - 1) * (-1) ** (k - 1)
+def test_f_at_two_i():
+    # f_d has the parity of d, and f_d(2i) = i^d (1 - d) exactly: the node
+    # weight of omega's theta route.  (2i)^e = 2^e i^e, summed as a
+    # Gaussian integer (real, imaginary).
+    unit = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^e by e mod 4
+    for d in range(41):
+        f = f_poly(d)
+        assert all(e % 2 == d % 2 for e in f.coeffs)
+        re = sum(c * 2**e * unit[e % 4][0] for e, c in f.coeffs.items())
+        im = sum(c * 2**e * unit[e % 4][1] for e, c in f.coeffs.items())
+        assert (re, im) == ((1 - d) * unit[d % 4][0], (1 - d) * unit[d % 4][1])
 
 
 def test_g_eval_identity_seed():
@@ -167,8 +170,6 @@ def test_rendering_canonical():
 
 def test_bipoly_partial_evaluations():
     p = BiPoly({(0, 0): 1, (2, 1): 3, (1, 2): -1})
-    # substitute g, then b, must agree with joint evaluation
-    at_g = p.eval_second(2)  # poly in b
-    assert at_g.eval(5) == p.eval(5, 2)
+    # substituting b, then g, must agree with joint evaluation
     at_b = p.eval_first(5)
     assert at_b.eval(2) == p.eval(5, 2)
