@@ -21,11 +21,16 @@ and product is one big-int operation and equal packed values are equal
 polynomials.  Contraction-deletion stays on coefficient dicts, so the
 check that compares it with theta_direct does not share the packing.
 
-Contraction-deletion recurses on the reduced 2-core (graph.two_core) and
-memoizes on the core's sorted edge tuple: pendant edges and isolated nodes
-leave theta unchanged, so the copies of one core that deletion and
-contraction leave padded or shifted share one entry.  Its depth is the
-core's edge count, capped at CD_EDGE_CAP.
+Contraction-deletion runs on plain (node count, edges) tuples whose edges
+(a, b, k) carry a power k of b.  Every step reduces its graph to the
+series-reduced 2-core: pendant edges and isolated nodes leave theta
+unchanged, and a degree-two node has degree 0 or 2 in every generalized
+loop (f_1 = 0, f_2 = 1), so a chain of k edges acts as one edge of weight
+b^k.  The recurrence is then theta = (1 - b^k) theta(G\\e) + b^k theta(G/e)
+on the core's lowest-id non-loop edge, memoized on the core's sorted edge
+tuple, so copies of one core that deletion and contraction leave padded,
+shifted or subdivided share one entry.  Its depth is the core's edge
+count, capped at CD_EDGE_CAP; a cycle of any length is one self-loop.
 """
 
 from __future__ import annotations
@@ -37,21 +42,19 @@ from .exceptions import DivisibilityError, IdentityError, SizeError
 from .graph import (
     Multigraph,
     SubsetWeights,
-    contract,
     count_generalized_loops,
     cycle_rank,
-    delete,
     enumerate_matchings,
     is_connected,
-    two_core,
 )
 from .poly import BiPoly, UniPoly, exact_divide, f_poly, unpack
 
-# Contraction-deletion recurses one level per edge of the 2-core.  Capping
-# the core's edges at half the interpreter's default recursion limit of
-# 1000 leaves the other half to the callers (the CLI needs about ten
-# frames, a pytest test about 35), so a long cycle raises SizeError
-# instead of RecursionError.
+# Contraction-deletion recurses one level per edge of the series-reduced
+# 2-core, where a chain of any length is one edge.  Capping the core's edges
+# at half the interpreter's default recursion limit of 1000 leaves the other
+# half to the callers (the CLI needs about ten frames, a pytest test about
+# 35), so a core with too many edges raises SizeError instead of
+# RecursionError.
 CD_EDGE_CAP = 500
 
 
@@ -98,66 +101,163 @@ def theta_direct(g: Multigraph) -> ThetaPoly:
     }))
 
 
-def _theta_cd_rec(g: Multigraph, memo: dict) -> dict:
-    """theta of g as {(b power, g power): coefficient}, computed on its
-    reduced 2-core.  memo is keyed by the core's sorted edge tuple (the core
-    has no isolated node, so its edges fix it) and its dicts are never
-    mutated."""
-    core, _ = two_core(g)
-    if core is None:
-        return {(0, 0): 1}
-    key = tuple(sorted((min(a, b), max(a, b)) for a, b in core.edges))
+def _series_core(n: int, edges) -> tuple[int, list]:
+    """(node count, edges in id order) of the series-reduced 2-core of the
+    weighted multigraph on n nodes whose edge e is edges[e] = (a, b, k),
+    a <= b, k its power of b.
+
+    One pass to a fixed point: a node of degree one loses its edge, and a
+    node of degree two whose incidences are two distinct non-loop edges
+    (powers k1, k2) is suppressed, its edges merged into one of power
+    k1 + k2 at the lower of their ids, a self-loop when their other ends
+    meet.  Nodes left without an edge are dropped and the survivors
+    renumbered in id order, so a forest reduces to (0, []).
+    """
+    deg = [0] * n
+    for a, b, _ in edges:
+        deg[a] += 1
+        deg[b] += 1
+    if min(deg, default=3) >= 3:
+        return n, edges
+    ends = [[a, b] for a, b, _ in edges]
+    power = [k for _, _, k in edges]
+    alive = [True] * len(edges)
+    inc: list[list[int]] = [[] for _ in range(n)]  # a self-loop is listed twice
+    for e, (a, b, _) in enumerate(edges):
+        inc[a].append(e)
+        inc[b].append(e)
+    todo = [v for v in range(n) if deg[v] < 3]
+    while todo:
+        v = todo.pop()
+        if deg[v] == 1:
+            e = next(e for e in inc[v] if alive[e])
+            alive[e] = False
+            w = sum(ends[e]) - v
+            deg[v] = 0
+            deg[w] -= 1
+            if deg[w] < 3:
+                todo.append(w)
+        elif deg[v] == 2:
+            e, f = sorted(e for e in inc[v] if alive[e])
+            if e == f:  # v's one edge is a self-loop
+                continue
+            x, y = sum(ends[e]) - v, sum(ends[f]) - v
+            ends[e] = [x, y] if x <= y else [y, x]
+            power[e] += power[f]
+            alive[f] = False
+            inc[y].append(e)
+            deg[v] = 0
+    new_id = [0] * n
+    kept = 0
+    for v in range(n):
+        if deg[v]:
+            new_id[v] = kept
+            kept += 1
+    return kept, [
+        (new_id[a], new_id[b], k) for (a, b), k, ok in zip(ends, power, alive) if ok
+    ]
+
+
+def _theta_cd_rec(n: int, edges: list, memo: dict) -> dict:
+    """theta of the weighted multigraph (n, edges) (see _series_core) as
+    {(b power, g power): coefficient}, computed on its series-reduced
+    2-core.  memo is keyed by the core's sorted edge tuple (the core has no
+    isolated node, so its edges fix it) and its dicts are never mutated."""
+    n, edges = _series_core(n, edges)
+    key = tuple(sorted(edges))
     hit = memo.get(key)
     if hit is not None:
         return hit
-    pivot = next((e for e, (a, b) in enumerate(core.edges) if a != b), None)
+    pivot = next((e for e, (a, b, _) in enumerate(edges) if a != b), None)
     if pivot is None:
-        # Every edge is a self-loop: theta factorizes over nodes, each node
-        # with L loops contributing sum_k C(L,k) b^k f_{2k}(g).
+        # Every edge is a self-loop: theta factorizes over nodes, a node
+        # with loops of powers k_1..k_L contributing the sum over subsets T
+        # of its loops of b^(sum_T k) f_{2|T|}(g).
+        loops: list[list[int]] = [[] for _ in range(n)]
+        for a, _, k in edges:
+            loops[a].append(k)
         out = {(0, 0): 1}
-        loops_at = [0] * core.node_count
-        for a, _ in core.edges:
-            loops_at[a] += 1
-        for L in loops_at:
-            node = [(k, ge, math.comb(L, k) * c)
-                    for k in range(L + 1) for ge, c in f_poly(2 * k).coeffs.items()]
+        for powers in loops:
+            subsets = {(0, 0): 1}  # (b power, loops taken) -> count
+            for k in powers:
+                nxt = dict(subsets)
+                for (p, t), c in subsets.items():
+                    nxt[p + k, t + 1] = nxt.get((p + k, t + 1), 0) + c
+                subsets = nxt
             prod: dict = {}
             for (b1, g1), c1 in out.items():
-                for k, ge, c in node:
-                    prod[b1 + k, g1 + ge] = prod.get((b1 + k, g1 + ge), 0) + c1 * c
+                for (p, t), c in subsets.items():
+                    for ge, cf in f_poly(2 * t).coeffs.items():
+                        at = (b1 + p, g1 + ge)
+                        prod[at] = prod.get(at, 0) + c1 * c * cf
             out = prod
     else:
-        # (1-b) theta(G\e) + b theta(G/e): the b factors shift b powers by one.
-        deleted = _theta_cd_rec(delete(core, pivot), memo)
+        # (1 - b^k) theta(G\e) + b^k theta(G/e): the b^k factors shift b
+        # powers by k.  Contraction merges end b into end a < b, and the
+        # ids above b shift down by one.
+        a, b, k = edges[pivot]
+        rest = edges[:pivot] + edges[pivot + 1:]
+        relabel = [*range(b), a, *range(b, n - 1)]
+        merged = []
+        for x, y, kk in rest:
+            x, y = relabel[x], relabel[y]
+            merged.append((x, y, kk) if x <= y else (y, x, kk))
+        deleted = _theta_cd_rec(n, rest, memo)
         out = dict(deleted)
-        for sign, part in ((-1, deleted), (1, _theta_cd_rec(contract(core, pivot), memo))):
-            for (be, ge), c in part.items():
-                out[be + 1, ge] = out.get((be + 1, ge), 0) + sign * c
-        out = {k: c for k, c in out.items() if c}
+        get = out.get
+        for (be, ge), c in deleted.items():
+            out[be + k, ge] = get((be + k, ge), 0) - c
+        for (be, ge), c in _theta_cd_rec(n - 1, merged, memo).items():
+            out[be + k, ge] = get((be + k, ge), 0) + c
+        out = {at: c for at, c in out.items() if c}
     memo[key] = out
     return out
 
 
 def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
-    """theta by the recurrence theta = (1-b) theta_{G\\e} + b theta_{G/e} on
-    the lowest-id non-loop edge of the 2-core, with all-self-loop graphs as
-    the base case.
+    """theta by contraction-deletion on weighted, series-reduced cores.
 
-    Every step first reduces its graph to the 2-core (graph.two_core):
-    a pendant edge lies in no generalized loop and an isolated node weighs
-    f_0 = 1, so theta is unchanged, and relabelled or padded copies of one
-    core share a memo entry.  Each level of the recursion removes an edge,
-    so a core above CD_EDGE_CAP edges raises SizeError.
+    An edge of power k weighs b^k, so theta(G) = sum over generalized
+    loops s of b^(sum_{e in s} k_e) prod_v f_{d_v(s)}(g), and g is the
+    weighted graph whose edges all have power 1.  Every step reduces its
+    graph to the series-reduced 2-core (_series_core), which leaves theta
+    unchanged:
 
-    Agrees with theta_direct exactly; that equality is an acceptance check.
+    - a pendant edge lies in no generalized loop (its end would have
+      degree one, and f_1 = 0), and an isolated node weighs f_0 = 1;
+    - a suppressed degree-two node has degree 0 or 2 in every generalized
+      loop, weighing f_0 = f_2 = 1, so its two edges are taken together or
+      not at all, and together they weigh b^(k1 + k2) and add one to the
+      degree of each other end, as the merged edge does (two, as a
+      self-loop, when the ends meet).  A chain of k edges acts as one edge
+      of weight b^k.
+
+    It then recurses on the core's lowest-id non-loop edge e, joining nodes
+    u and w with power k, with all-self-loop cores as the base case:
+
+        theta = (1 - b^k) theta(G\\e) + b^k theta(G/e).
+
+    The loops without e are theta(G\\e).  Those with e weigh b^k times
+    their weight in G\\e with f_{d_u + 1} f_{d_w + 1} in place of
+    f_{d_u} f_{d_w}; in G/e the merged node weighs f_{d_u + d_w}, and
+    f_{n+m-2} = f_n f_m + f_{n-1} f_{m-1} (poly.f_product_identity_check)
+    at n = d_u + 1, m = d_w + 1 gives f_{d_u + 1} f_{d_w + 1} =
+    f_{d_u + d_w} - f_{d_u} f_{d_w}, so they sum to
+    b^k (theta(G/e) - theta(G\\e)).
+
+    Each level of the recursion removes an edge, so a core above
+    CD_EDGE_CAP edges raises SizeError.  Agrees with theta_direct exactly;
+    that equality is an acceptance check.
     """
-    core, _ = two_core(g)
-    if core is not None and len(core.edges) > CD_EDGE_CAP:
+    n, edges = _series_core(
+        g.node_count, [(min(a, b), max(a, b), 1) for a, b in g.edges]
+    )
+    if len(edges) > CD_EDGE_CAP:
         raise SizeError(
-            f"{len(core.edges)} edges in the 2-core exceed the contraction-deletion "
+            f"{len(edges)} edges in the 2-core exceed the contraction-deletion "
             f"cap {CD_EDGE_CAP}"
         )
-    return ThetaPoly(BiPoly(_theta_cd_rec(g, {})))
+    return ThetaPoly(BiPoly(_theta_cd_rec(n, edges, {})))
 
 
 def theta_at_beta1(g: Multigraph, theta: ThetaPoly | None = None) -> tuple[UniPoly, UniPoly]:

@@ -47,6 +47,27 @@ def corpus_graphs():
     )
 
 
+def circular_ladder(rungs):
+    """Two concentric cycles of `rungs` nodes joined by rungs: 3 * rungs
+    edges, every node of degree three, so no edge is pendant or in series."""
+    outer = [(i, (i + 1) % rungs) for i in range(rungs)]
+    inner = [(rungs + i, rungs + (i + 1) % rungs) for i in range(rungs)]
+    spokes = [(i, rungs + i) for i in range(rungs)]
+    return Multigraph(2 * rungs, tuple(outer + inner + spokes))
+
+
+def subdivided(g, k):
+    """g with every edge replaced by a chain of k edges through k - 1 new
+    nodes; a self-loop becomes a cycle through its node."""
+    n, edges = g.node_count, []
+    for a, b in g.edges:
+        for _ in range(k - 1):
+            edges.append((a, n))
+            a, n = n, n + 1
+        edges.append((a, b))
+    return Multigraph(n, tuple(edges))
+
+
 def corpus_simple_connected():
     """The subset valid for the determinant-sum identity."""
     return [g for g in corpus_graphs() if g.is_simple()]

@@ -24,6 +24,7 @@ from loopcorrect.graph import (
     two_triangles_graph,
 )
 from loopcorrect.model import PairwiseModel, model_from_json, pairwise_to_json
+from tests.conftest import circular_ladder
 
 
 @pytest.fixture
@@ -234,13 +235,21 @@ def test_polynomial_commands(graph_file, capsys):
 
 
 def test_theta_cd_on_long_cycle(tmp_path, capsys):
-    # contraction-deletion recurses once per edge: a 1500-edge cycle is
-    # refused with one line, not a RecursionError traceback
+    # a cycle of any length series-reduces to one self-loop, so both
+    # methods solve and check a 1500-edge cycle
     path = tmp_path / "cycle.txt"
     path.write_text(render_edge_list(cycle_graph(1500)))
+    assert main(["theta", "--graph", str(path), "--method", "cd"]) == 0
+    assert capsys.readouterr().out == "theta = 1 + b^1500\n"
+    assert main(["theta", "--graph", str(path), "--check"]) == 0
+    assert capsys.readouterr().out.startswith("theta = 1 + b^1500\nloop_count = 2 ")
+    # every node of a circular ladder has degree three, so its core keeps
+    # all 501 edges: refused with one line, not a RecursionError traceback
+    path.write_text(render_edge_list(circular_ladder(167)))
     assert main(["theta", "--graph", str(path), "--method", "cd"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "error: 501 edges in the 2-core exceed the contraction-deletion cap 500\n"
+    )
 
 
 def test_omega_past_the_old_determinant_cap(tmp_path, capsys):

@@ -34,10 +34,12 @@ from loopcorrect.graphpoly import (
 )
 from loopcorrect.poly import BiPoly, UniPoly, unpack
 from tests.conftest import (
+    circular_ladder,
     corpus_graphs,
     corpus_loop_free,
     corpus_simple_connected,
     corpus_trees,
+    subdivided,
 )
 from tests.oracles import bareiss_det, determinant_sum_reference
 
@@ -62,6 +64,12 @@ def test_theta_direct_cap():
         theta_direct(complete_graph(12))
 
 
+def _weighted(g):
+    # the (node count, edges) form contraction-deletion runs on, every edge
+    # of power one
+    return g.node_count, [(min(a, b), max(a, b), 1) for a, b in g.edges]
+
+
 def test_theta_contraction_deletion_matches_direct():
     # past the corpus: grids whose deletions leave long pendant paths, and a
     # triangle with a doubled edge and a self-loop, a pendant tree on node
@@ -69,26 +77,48 @@ def test_theta_contraction_deletion_matches_direct():
     # nodes; the whole ThetaPoly describes the input graph, not its core
     trees = Multigraph(11, ((0, 1), (2, 3), (1, 2), (3, 4), (0, 2), (3, 5), (1, 1),
                             (0, 1), (5, 6), (6, 6), (7, 7), (7, 7), (2, 9)))
-    for g in corpus_graphs() + [grid_graph(3, 5), grid_graph(4, 4), trees]:
+    # pendant trees hung on long chains: K4, and two nodes joined by a
+    # doubled edge with a self-loop, each edge made a chain of four; then a
+    # path and a star hung on inner chain nodes and a path to a pendant
+    # triangle, and every edge subdivided once more
+    chains = []
+    for g in (complete_graph(4), Multigraph(2, ((0, 1), (0, 1), (1, 1)))):
+        h = subdivided(g, 4)
+        n = h.node_count
+        hung = [(n - 1, n), (n, n + 1), (n + 1, n + 2),  # path on an inner node
+                (n - 2, n + 3), (n + 3, n + 4), (n + 3, n + 5), (n + 3, n + 6),  # star
+                (0, n + 7), (n + 7, n + 8), (n + 8, n + 9), (n + 9, n + 10),
+                (n + 10, n + 8)]  # path to a triangle
+        chains.append(subdivided(Multigraph(n + 11, h.edges + tuple(hung)), 2))
+    for g in corpus_graphs() + [grid_graph(3, 5), grid_graph(4, 4), trees] + chains:
         assert theta_contraction_deletion(g) == theta_direct(g)
 
 
 def test_contraction_deletion_memo_holds_reduced_cores():
-    # keyed on the reduced 2-core, the 3x4 grid needs 171 memo entries;
-    # keyed on the labelled graph with its pendant paths it needed 4542
+    # keyed on the series-reduced 2-core, the 3x4 grid needs 104 memo
+    # entries; on the 2-core alone it needed 171, and keyed on the labelled
+    # graph with its pendant paths 4542
     memo = {}
-    _theta_cd_rec(grid_graph(3, 4), memo)
-    assert len(memo) <= 200
+    _theta_cd_rec(*_weighted(grid_graph(3, 4)), memo)
+    assert len(memo) <= 120
+    # a cycle of any length reduces to one self-loop in one pass
+    memo = {}
+    assert _theta_cd_rec(*_weighted(cycle_graph(1500)), memo) == {(0, 0): 1, (1500, 0): 1}
+    assert len(memo) == 1
 
 
 def test_contraction_deletion_edge_cap():
-    # a path strips to nothing, however long; a cycle's core keeps every edge
+    # a path strips to nothing and a cycle to one self-loop, however long;
+    # a circular ladder has every node of degree three, so its core keeps
+    # every edge, and 167 rungs make 501
     assert theta_contraction_deletion(path_graph(1500)).poly == BiPoly({(0, 0): 1})
-    assert theta_contraction_deletion(cycle_graph(CD_EDGE_CAP)).poly == BiPoly(
-        {(0, 0): 1, (CD_EDGE_CAP, 0): 1}
+    assert theta_contraction_deletion(cycle_graph(1500)).poly == BiPoly(
+        {(0, 0): 1, (1500, 0): 1}
     )
-    with pytest.raises(SizeError, match="contraction-deletion cap"):
-        theta_contraction_deletion(cycle_graph(CD_EDGE_CAP + 1))
+    assert len(circular_ladder(167).edges) == CD_EDGE_CAP + 1
+    with pytest.raises(SizeError, match="^501 edges in the 2-core exceed the "
+                                        "contraction-deletion cap 500$"):
+        theta_contraction_deletion(circular_ladder(167))
 
 
 def test_theta_at_beta1():
@@ -291,6 +321,18 @@ def test_matching_form_equals_theta_route_on_multigraphs(g):
     w = omega(g).poly
     assert w == _omega_by_theta(g).poly
     assert w == exact_omega_by_division(g)
+
+
+@given(connected_graphs(max_nodes=6, max_edges=9, simple=False),
+       st.sampled_from([1, 2, 3, 5]))
+@settings(max_examples=60, deadline=None)
+def test_subdivision_raises_b_to_the_chain_length(g, k):
+    # a chain of k edges acts as one edge of weight b^k: subdividing every
+    # edge maps theta(b, g) to theta(b^k, g), by both routes
+    expected = BiPoly({(be * k, ge): c for (be, ge), c in theta_direct(g).poly.coeffs.items()})
+    h = subdivided(g, k)
+    assert theta_direct(h).poly == expected
+    assert theta_contraction_deletion(h).poly == expected
 
 
 @pytest.mark.parametrize("g", [
