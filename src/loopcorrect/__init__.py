@@ -15,7 +15,6 @@ from .graph import (
     Multigraph,
     contract,
     cycle_rank,
-    degree_in_subset,
     delete,
     enumerate_disjoint_cycles,
     enumerate_generalized_loops,

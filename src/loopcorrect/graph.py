@@ -41,24 +41,14 @@ class Multigraph:
             if not (0 <= a < self.node_count and 0 <= b < self.node_count):
                 raise ValueError(f"edge ({a},{b}) out of range")
 
-    def degree(self, i: int) -> int:
-        """Degree in the full graph; a self-loop counts twice."""
-        return degree_in_subset(self, range(len(self.edges)), i)
-
     def degrees(self) -> list[int]:
-        """Every node's degree, in one pass over the edges."""
+        """Every node's degree, in one pass over the edges; a self-loop
+        counts twice."""
         deg = [0] * self.node_count
         for a, b in self.edges:
             deg[a] += 1
             deg[b] += 1
         return deg
-
-    def incident_edges(self, i: int) -> list[int]:
-        out = []
-        for e, (a, b) in enumerate(self.edges):
-            if a == i or b == i:
-                out.append(e)
-        return out
 
     def has_self_loop(self) -> bool:
         return any(a == b for a, b in self.edges)
@@ -73,20 +63,6 @@ class Multigraph:
                 return False
             seen.add(key)
         return True
-
-
-def degree_in_subset(g: Multigraph, s, i: int) -> int:
-    """Number of endpoint incidences of node i among edges in s."""
-    if not (0 <= i < g.node_count):
-        raise ValueError(f"node id {i} out of range")
-    d = 0
-    for e in s:
-        a, b = g.edges[e]
-        if a == i:
-            d += 1
-        if b == i:
-            d += 1
-    return d
 
 
 def is_connected(g: Multigraph) -> tuple[bool, int]:
@@ -144,46 +120,6 @@ def delete(g: Multigraph, e: int) -> Multigraph:
     if not (0 <= e < len(g.edges)):
         raise ValueError(f"edge id {e} out of range")
     return Multigraph(g.node_count, tuple(p for i, p in enumerate(g.edges) if i != e))
-
-
-def two_core(g: Multigraph) -> tuple[Multigraph | None, list[int]]:
-    """(reduced 2-core, original ids of its nodes in id order).
-
-    Non-loop edges with an endpoint of degree one are deleted until none is
-    left; a self-loop counts two, so a node whose only edge is a self-loop
-    stays.  Nodes left with no edge are dropped, the survivors renumbered in
-    id order, and the kept edges keep their relative order.  No generalized
-    loop holds a pendant edge, so the core has the same generalized loops.
-    The core is None when nothing survives (g is a forest).
-    """
-    deg = g.degrees()
-    incident: list[list[int]] = [[] for _ in range(g.node_count)]
-    for e, (a, b) in enumerate(g.edges):
-        if a != b:
-            incident[a].append(e)
-            incident[b].append(e)
-    alive = [True] * len(g.edges)
-    leaves = [v for v, d in enumerate(deg) if d == 1]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] != 1:  # its edge went when its neighbour was stripped
-            continue
-        e = next(e for e in incident[v] if alive[e])
-        alive[e] = False
-        a, b = g.edges[e]
-        deg[a] -= 1
-        deg[b] -= 1
-        w = a + b - v
-        if deg[w] == 1:
-            leaves.append(w)
-    kept = [v for v, d in enumerate(deg) if d]
-    if not kept:
-        return None, kept
-    if len(kept) == g.node_count and all(alive):
-        return g, kept
-    new_id = {v: i for i, v in enumerate(kept)}
-    edges = tuple((new_id[a], new_id[b]) for (a, b), ok in zip(g.edges, alive) if ok)
-    return Multigraph(len(kept), edges), kept
 
 
 def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):

@@ -30,7 +30,9 @@ b^k.  The recurrence is then theta = (1 - b^k) theta(G\\e) + b^k theta(G/e)
 on the core's lowest-id non-loop edge, memoized on the core's sorted edge
 tuple, so copies of one core that deletion and contraction leave padded,
 shifted or subdivided share one entry.  Its depth is the core's edge
-count, capped at CD_EDGE_CAP; a cycle of any length is one self-loop.
+count, capped at CD_EDGE_CAP; a cycle of any length is one self-loop.  Its
+time grows with the memo, which grows exponentially in the core's width,
+so the memo is capped at STATE_CAP cores.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 
 from .exceptions import DivisibilityError, IdentityError, SizeError
 from .graph import (
+    STATE_CAP,
     Multigraph,
     SubsetWeights,
     count_generalized_loops,
@@ -162,7 +165,8 @@ def _theta_cd_rec(n: int, edges: list, memo: dict) -> dict:
     """theta of the weighted multigraph (n, edges) (see _series_core) as
     {(b power, g power): coefficient}, computed on its series-reduced
     2-core.  memo is keyed by the core's sorted edge tuple (the core has no
-    isolated node, so its edges fix it) and its dicts are never mutated."""
+    isolated node, so its edges fix it) and its dicts are never mutated;
+    past STATE_CAP entries SizeError is raised."""
     n, edges = _series_core(n, edges)
     key = tuple(sorted(edges))
     hit = memo.get(key)
@@ -210,6 +214,8 @@ def _theta_cd_rec(n: int, edges: list, memo: dict) -> dict:
         for (be, ge), c in _theta_cd_rec(n - 1, merged, memo).items():
             out[be + k, ge] = get((be + k, ge), 0) + c
         out = {at: c for at, c in out.items() if c}
+    if len(memo) >= STATE_CAP:
+        raise SizeError(f"contraction-deletion needs more than {STATE_CAP} memo entries")
     memo[key] = out
     return out
 
@@ -246,7 +252,8 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     b^k (theta(G/e) - theta(G\\e)).
 
     Each level of the recursion removes an edge, so a core above
-    CD_EDGE_CAP edges raises SizeError.  Agrees with theta_direct exactly;
+    CD_EDGE_CAP edges raises SizeError, as does a run whose memo would
+    hold more than STATE_CAP cores.  Agrees with theta_direct exactly;
     that equality is an acceptance check.
     """
     n, edges = _series_core(
@@ -399,29 +406,26 @@ def _omega_by_theta(g: Multigraph) -> OmegaPoly:
 
 
 def omega_at_1_count(g: Multigraph) -> tuple[int, int]:
-    """(omega(1), brute-force count of injective incident-edge assignments).
+    """(omega(1), count of injective incident-edge assignments).
 
     Counts maps from nodes to edges where each node takes a distinct edge
-    incident to it; raises if the two numbers disagree.
+    incident to it, as one frontier count on g with every edge subdivided:
+    edge e = (a, b) becomes a - m_e - b, edges 2e and 2e + 1, and taking a
+    half gives e to the original end it touches.  The midpoint's table
+    [1, 1, 0] lets at most one end take e, and an original node weighs one
+    only at entry 1, taking exactly one edge.  Raises if the two numbers
+    disagree.
     """
     if g.has_self_loop():
         raise ValueError("the counting interpretation needs a loop-free graph")
     value = omega(g).poly.eval(1)
-    incident = [g.incident_edges(i) for i in range(g.node_count)]
-    used = [False] * len(g.edges)
-
-    def rec(i: int) -> int:
-        if i == g.node_count:
-            return 1
-        total = 0
-        for e in incident[i]:
-            if not used[e]:
-                used[e] = True
-                total += rec(i + 1)
-                used[e] = False
-        return total
-
-    count = rec(0)
+    n, halves = g.node_count, []
+    for e, (a, b) in enumerate(g.edges):
+        halves += [(a, n + e), (n + e, b)]
+    tables = [[int(x == 1) for x in range(d + 1)] for d in g.degrees()]
+    tables += [[1, 1, 0]] * len(g.edges)
+    subdivided = Multigraph(n + len(g.edges), tuple(halves))
+    count, _ = SubsetWeights(subdivided, tables).frontier_sum(one=1)
     if value != count:
         raise IdentityError(f"omega(1) = {value} but assignment count = {count}")
     return value, count

@@ -9,9 +9,7 @@ A synchronous (Jacobi) sweep recomputes every variable-to-factor message as
 the product of the variable's other incoming factor-to-variable messages,
 then every factor-to-variable message from those.  Only the
 factor-to-variable messages are stored: each is normalized to sum to one and
-damped as (1 - damping) * update + damping * old.  The sequential schedule
-runs the same sweep on one factor at a time, in factor order, for the
-fixed-points-are-schedule-independent checks.
+damped as (1 - damping) * update + damping * old.
 
 Messages live in the linear domain.  If any unnormalized message leaves
 [1e-280, 1e280], the run restarts in the log domain, where the same sweep
@@ -52,7 +50,6 @@ class LbpOptions:
     max_iters: int = 10_000
     tol: float = 1e-12
     damping: float = 0.5
-    schedule: str = "sync"  # "sync" or "seq"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -61,8 +58,6 @@ class LbpOptions:
             raise ValueError("damping must be in [0, 1)")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.schedule not in ("sync", "seq"):
-            raise ValueError("schedule must be 'sync' or 'seq'")
 
 
 @dataclass
@@ -97,14 +92,15 @@ class _RangeSignal(Exception):
 
 @dataclass
 class _Group:
-    """Gathers for the factors `ids`, which share arity k, within a block.
+    """Gathers for the factors `ids`, which share arity k.
 
-    Entries index the block's variable-to-factor messages flattened to
-    2 * (block slot) + spin.  Factor f's belief entry e is tables[f, e]
-    times v2f[index[f, e]] for each index in belief_index.  The message to
-    scope position pos of f is row f * k + pos of message_tables and
-    message_index, with the entries for spin 0 in column 0 and those for
-    spin 1 in column 1, each in ascending table order.
+    Entries index the block's (_FactorGraph.block) variable-to-factor
+    messages flattened to 2 * (block slot) + spin.  Factor f's belief entry
+    e is tables[f, e] times v2f[index[f, e]] for each index in
+    belief_index.  The message to scope position pos of f is row f * k +
+    pos of message_tables and message_index, with the entries for spin 0
+    in column 0 and those for spin 1 in column 1, each in ascending table
+    order.
     """
 
     ids: list
@@ -135,16 +131,19 @@ class _FactorGraph:
         ).reshape(variable_count, width)
         rows = self.var_slots[var]
         self.others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
-        self._sync = {}  # domain -> the block of every factor
+        self._blocks = {}  # domain -> block
 
-    def _block(self, factor_ids, domain: str):
-        """(slots, gather, groups) for updating the factors at once: slots
-        index the block's message slots (a slice when they are one ascending
-        run), gather[b] lists the slots whose product is the
-        variable-to-factor message of the block's b-th slot."""
+    def block(self, domain: str):
+        """(slots, gather, groups) for updating every factor at once, built
+        once per domain: slots index the message slots grouped by factor
+        arity (a slice when they are one ascending run), gather[b] lists
+        the slots whose product is the variable-to-factor message of the
+        block's b-th slot."""
+        if domain in self._blocks:
+            return self._blocks[domain]
         by_arity: dict[int, list[int]] = {}
-        for f in factor_ids:
-            by_arity.setdefault(len(self.scopes[f]), []).append(f)
+        for f, scope in enumerate(self.scopes):
+            by_arity.setdefault(len(scope), []).append(f)
         groups, slots, start = [], [], 0
         for k, ids in sorted(by_arity.items()):
             n = len(ids)
@@ -174,60 +173,46 @@ class _FactorGraph:
         gather = self.others[slots]
         if slots.size and (np.diff(slots) == 1).all():
             slots = slice(int(slots[0]), int(slots[-1]) + 1)
-        return slots, gather, groups
+        self._blocks[domain] = slots, gather, groups
+        return self._blocks[domain]
 
-    def _sync_block(self, domain: str):
-        """The block of every factor, built once per domain."""
-        if domain not in self._sync:
-            self._sync[domain] = self._block(range(len(self.scopes)), domain)
-        return self._sync[domain]
-
-    def blocks(self, schedule: str, domain: str) -> list:
-        """What one sweep updates in turn: every factor at once under
-        "sync", one factor at a time under "seq"."""
-        if schedule == "sync":
-            blocks = [self._sync_block(domain)]
-        else:
-            blocks = [self._block([f], domain) for f in range(len(self.scopes))]
-        return [b for b in blocks if len(b[1])]
-
-    def sweep(self, ext, blocks, damping: float, domain: str) -> float:
+    def sweep(self, ext, damping: float, domain: str) -> float:
         """Update the message buffer ext ((slot_count + 1) x 2 in the given
-        domain, its last row the unit pad message) in place, block by block;
-        returns the largest change of a linear message entry."""
+        domain, its last row the unit pad message) in place; returns the
+        largest change of a linear message entry, 0 when there is no slot."""
+        if not self.slot_count:
+            return 0.0
         log = domain == "log"
         combine = np.add if log else np.multiply
-        residual = 0.0
-        for slots, gather, groups in blocks:
-            v2f = combine.reduce(ext.take(gather, axis=0), axis=1).ravel()
-            parts = []
-            for group in groups:
-                terms = group.message_tables
-                for index in group.message_index:
-                    terms = combine(terms, v2f.take(index))
-                if log:
-                    top = _max(terms, axis=2)
-                    parts.append(top + np.log(_sum(np.exp(terms - top[:, :, None]), axis=2)))
-                else:
-                    parts.append(_sum(terms, axis=2))
-            u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            old = ext[slots]
+        slots, gather, groups = self.block(domain)
+        v2f = combine.reduce(ext.take(gather, axis=0), axis=1).ravel()
+        parts = []
+        for group in groups:
+            terms = group.message_tables
+            for index in group.message_index:
+                terms = combine(terms, v2f.take(index))
             if log:
-                s = np.logaddexp(u[:, :1], u[:, 1:])
-                if not np.isfinite(s).all():
-                    raise NumericError("log-domain message update produced a non-finite value")
-                new = u - s
-                if damping > 0:
-                    new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
-                change = _max(np.abs(np.exp(new) - np.exp(old)), axis=None)
+                top = _max(terms, axis=2)
+                parts.append(top + np.log(_sum(np.exp(terms - top[:, :, None]), axis=2)))
             else:
-                if not (_min(u, axis=None) >= _LINEAR_LO and _max(u, axis=None) < _LINEAR_HI):
-                    raise _RangeSignal
-                new = (1 - damping) * (u / _sum(u, axis=1, keepdims=True)) + damping * old
-                change = _max(np.abs(new - old), axis=None)
-            residual = max(residual, float(change))
-            ext[slots] = new
-        return residual
+                parts.append(_sum(terms, axis=2))
+        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        old = ext[slots]
+        if log:
+            s = np.logaddexp(u[:, :1], u[:, 1:])
+            if not np.isfinite(s).all():
+                raise NumericError("log-domain message update produced a non-finite value")
+            new = u - s
+            if damping > 0:
+                new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
+            change = _max(np.abs(np.exp(new) - np.exp(old)), axis=None)
+        else:
+            if not (_min(u, axis=None) >= _LINEAR_LO and _max(u, axis=None) < _LINEAR_HI):
+                raise _RangeSignal
+            new = (1 - damping) * (u / _sum(u, axis=1, keepdims=True)) + damping * old
+            change = _max(np.abs(new - old), axis=None)
+        ext[slots] = new
+        return float(change)
 
     def beliefs(self, ext):
         """Normalized node beliefs (n x 2) and flat factor beliefs from a
@@ -236,7 +221,7 @@ class _FactorGraph:
         total = node.sum(axis=1, keepdims=True)
         if not ((total > 0.0).all() and np.isfinite(total).all()):
             raise NumericError("belief normalization failed")
-        _, gather, groups = self._sync_block("linear")
+        _, gather, groups = self.block("linear")
         v2f = ext[gather].prod(axis=1).ravel()
         factor = [None] * len(self.scopes)
         for group in groups:
@@ -256,13 +241,12 @@ def _iterate(graph: _FactorGraph, opts: LbpOptions, domain: str):
     returns the linear-domain message buffer, iterations, converged,
     residual."""
     log = domain == "log"
-    blocks = graph.blocks(opts.schedule, domain)
     ext = np.full((graph.slot_count + 1, 2), math.log(0.5) if log else 0.5)
     ext[-1] = 0.0 if log else 1.0
     residual = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        residual = graph.sweep(ext, blocks, opts.damping, domain)
+        residual = graph.sweep(ext, opts.damping, domain)
         if residual < opts.tol:
             break
     return (np.exp(ext) if log else ext), iterations, residual < opts.tol, residual

@@ -25,8 +25,8 @@ from .graph import (
     SubsetWeights,
     count_generalized_loops,
     cycle_rank,
+    enumerate_generalized_loops,
     is_connected,
-    two_core,
 )
 from .lbp import LbpResult
 from .model import FactorModel, PairwiseModel, factor_incidence_graph
@@ -264,8 +264,9 @@ def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bo
     ok, _ = is_connected(g)
     if not ok or cycle_rank(g) != 1:
         raise ValueError("sign check needs a connected graph with exactly one cycle")
-    _, cycle_nodes = two_core(g)
-    if target not in cycle_nodes:
+    # cycle rank 1: the generalized loops are the empty set and the cycle
+    _, cycle = enumerate_generalized_loops(g)
+    if not any(target in g.edges[e] for e in cycle):
         raise ValueError(f"target {target} does not lie on the cycle")
 
     z_report = loop_series_z(m, res)

@@ -92,44 +92,45 @@ def random_connected_graph_reference(n: int, m: int, rng) -> Multigraph:
 _UNIT = {"linear": np.ones((1, 2)), "log": np.zeros((1, 2))}  # the pad slot's message
 
 
-def sweep_reference(self, msgs, blocks, damping: float, domain: str) -> float:
-    """Update msgs (slot_count x 2, in the given domain) in place, block
-    by block; returns the largest change of a linear message entry."""
+def sweep_reference(self, msgs, block, damping: float, domain: str) -> float:
+    """Update msgs (slot_count x 2, in the given domain) in place from the
+    block of every factor; returns the largest change of a linear message
+    entry, 0 when there is no slot."""
+    if not self.slot_count:
+        return 0.0
     log = domain == "log"
     combine = np.add if log else np.multiply
     ext = np.concatenate((msgs, _UNIT[domain]))
-    residual = 0.0
-    for slots, gather, groups in blocks:
-        v2f = combine.reduce(ext[gather], axis=1).ravel()
-        parts = []
-        for group in groups:
-            terms = group.message_tables
-            for index in group.message_index:
-                terms = combine(terms, v2f[index])
-            if log:
-                top = terms.max(axis=2)
-                parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
-            else:
-                parts.append(terms.sum(axis=2))
-        u = np.concatenate(parts)
-        old = ext[slots]
+    slots, gather, groups = block
+    v2f = combine.reduce(ext[gather], axis=1).ravel()
+    parts = []
+    for group in groups:
+        terms = group.message_tables
+        for index in group.message_index:
+            terms = combine(terms, v2f[index])
         if log:
-            s = np.logaddexp(u[:, :1], u[:, 1:])
-            if not np.isfinite(s).all():
-                raise NumericError("log-domain message update produced a non-finite value")
-            new = u - s
-            if damping > 0:
-                new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
-            change = np.abs(np.exp(new) - np.exp(old)).max()
+            top = terms.max(axis=2)
+            parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
         else:
-            if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
-                raise _RangeSignal
-            new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
-            change = np.abs(new - old).max()
-        residual = max(residual, float(change))
-        ext[slots] = new
+            parts.append(terms.sum(axis=2))
+    u = np.concatenate(parts)
+    old = ext[slots]
+    if log:
+        s = np.logaddexp(u[:, :1], u[:, 1:])
+        if not np.isfinite(s).all():
+            raise NumericError("log-domain message update produced a non-finite value")
+        new = u - s
+        if damping > 0:
+            new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
+        change = np.abs(np.exp(new) - np.exp(old)).max()
+    else:
+        if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
+            raise _RangeSignal
+        new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
+        change = np.abs(new - old).max()
+    ext[slots] = new
     msgs[:] = ext[:-1]
-    return residual
+    return float(change)
 
 
 def beliefs_reference(self, msgs):
@@ -140,7 +141,7 @@ def beliefs_reference(self, msgs):
     total = node.sum(axis=1, keepdims=True)
     if not ((total > 0.0).all() and np.isfinite(total).all()):
         raise NumericError("belief normalization failed")
-    _, gather, groups = self._block(range(len(self.scopes)), "linear")
+    _, gather, groups = self.block("linear")
     v2f = ext[gather].prod(axis=1).ravel()
     factor = [None] * len(self.scopes)
     for group in groups:
@@ -158,16 +159,14 @@ def beliefs_reference(self, msgs):
 def _iterate_reference(graph, opts, domain: str):
     """Sweep from uniform messages until the residual drops below tol;
     returns linear-domain messages, iterations, converged, residual."""
-    # the blocks with every slot index as an array, as the sweep then took them
-    blocks = [
-        (np.arange(graph.slot_count)[slots], gather, groups)
-        for slots, gather, groups in graph.blocks(opts.schedule, domain)
-    ]
+    # the block with every slot index as an array, as the sweep then took it
+    slots, gather, groups = graph.block(domain)
+    block = (np.arange(graph.slot_count)[slots], gather, groups)
     msgs = np.full((graph.slot_count, 2), math.log(0.5) if domain == "log" else 0.5)
     residual = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        residual = sweep_reference(graph, msgs, blocks, opts.damping, domain)
+        residual = sweep_reference(graph, msgs, block, opts.damping, domain)
         if residual < opts.tol:
             break
     return (np.exp(msgs) if domain == "log" else msgs), iterations, residual < opts.tol, residual

@@ -17,7 +17,6 @@ from loopcorrect.graph import (
     contract,
     cycle_graph,
     cycle_rank,
-    degree_in_subset,
     delete,
     enumerate_disjoint_cycles,
     enumerate_generalized_loops,
@@ -30,22 +29,12 @@ from loopcorrect.graph import (
     complete_graph,
     count_generalized_loops,
     grid_graph,
-    two_core,
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import theta_contraction_deletion, theta_direct
 from oracles import enumerate_generalized_loops_naive
 
 TRIANGLE = cycle_graph(3)
-
-
-def test_degree_in_subset():
-    assert degree_in_subset(TRIANGLE, {0, 1, 2}, 0) == 2
-    assert degree_in_subset(TRIANGLE, frozenset(), 1) == 0
-    b2 = bouquet_graph(2)
-    assert degree_in_subset(b2, {0, 1}, 0) == 4
-    with pytest.raises(ValueError):
-        degree_in_subset(TRIANGLE, {0}, 7)
 
 
 def test_cycle_rank():
@@ -266,8 +255,8 @@ def test_degree_sum_is_twice_subset_size(g, data):
         )
     else:
         ids = set()
-    total = sum(degree_in_subset(g, ids, i) for i in range(g.node_count))
-    assert total == 2 * len(ids)
+    sub = Multigraph(g.node_count, tuple(g.edges[e] for e in ids))
+    assert sum(sub.degrees()) == 2 * len(ids)
 
 
 def test_contract_triangle_edge():
@@ -348,7 +337,7 @@ def test_disjoint_cycles_match_naive_filter(g):
     want = []
     for mask in range(1 << m):
         c = [e for e in range(m) if (mask >> e) & 1]
-        deg = [degree_in_subset(g, c, v) for v in range(n)]
+        deg = Multigraph(n, tuple(g.edges[e] for e in c)).degrees()
         if set(deg) <= {0, 2}:
             label = list(range(n))
             for _ in range(n):
@@ -366,34 +355,6 @@ def test_disjoint_cycles_listing_cap():
     assert count_generalized_loops(complete_graph(10), max_degree=2) == 819134
     with pytest.raises(SizeError, match="disjoint cycle sets exceed the listing cap"):
         enumerate_disjoint_cycles(complete_graph(10))
-
-
-def test_two_core_examples():
-    assert two_core(path_graph(5)) == (None, [])
-    assert two_core(TRIANGLE) == (TRIANGLE, [0, 1, 2])
-    # a triangle on 1, 3, 4 with a pendant path 4-5-6, an isolated node 0,
-    # a self-loop alone at 2, and a bridge 1-7 to a doubled edge 7-8
-    g = Multigraph(9, ((4, 5), (1, 3), (2, 2), (5, 6), (3, 4), (1, 7),
-                       (4, 1), (7, 8), (7, 8)))
-    core, kept = two_core(g)
-    assert kept == [1, 2, 3, 4, 7, 8]
-    assert core == Multigraph(6, ((0, 2), (1, 1), (2, 3), (0, 4), (3, 0), (4, 5), (4, 5)))
-    # the bridge between the two triangles stays
-    assert two_core(two_triangles_graph())[0] == two_triangles_graph()
-
-
-@given(multigraphs())
-@settings(max_examples=80, deadline=None)
-def test_two_core_keeps_the_loops(g):
-    """No node of the core has degree one, and the core has exactly as many
-    generalized loops (of each size) as the graph."""
-    core, kept = two_core(g)
-    if core is None:
-        assert count_generalized_loops(g) == 1
-        return
-    assert 1 not in core.degrees() and 0 not in core.degrees()
-    assert len(kept) == core.node_count and kept == sorted(kept)
-    assert count_generalized_loops(core, by_size=True) == count_generalized_loops(g, by_size=True)
 
 
 def test_matchings():

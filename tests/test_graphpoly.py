@@ -121,6 +121,16 @@ def test_contraction_deletion_edge_cap():
         theta_contraction_deletion(circular_ladder(167))
 
 
+def test_contraction_deletion_memo_cap(monkeypatch):
+    # circular_ladder(8) has nothing to series-reduce and memoizes 3397 cores
+    monkeypatch.setattr(graphpoly, "STATE_CAP", 3397)
+    assert theta_contraction_deletion(circular_ladder(8)) == theta_direct(circular_ladder(8))
+    monkeypatch.setattr(graphpoly, "STATE_CAP", 3396)
+    with pytest.raises(SizeError, match="^contraction-deletion needs more than 3396 "
+                                        "memo entries$"):
+        theta_contraction_deletion(circular_ladder(8))
+
+
 def test_theta_at_beta1():
     sub, binom = theta_at_beta1(cycle_graph(3))
     assert sub == UniPoly({0: 2}) and binom == sub
@@ -234,6 +244,11 @@ def test_omega_at_1_counts():
         assert value == count
     with pytest.raises(ValueError):
         omega_at_1_count(bouquet_graph(1))
+    # one frontier count, no recursion per node: a 1500-node path, and the
+    # 6x6 grid, which backtracking over the nodes cannot finish
+    assert omega_at_1_count(path_graph(1500)) == (0, 0)
+    value, count = omega_at_1_count(grid_graph(6, 6))
+    assert value == count > 0
 
 
 def test_matching_polynomials():

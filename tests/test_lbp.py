@@ -1,4 +1,4 @@
-"""Message passing: fixed points, Bethe values, schedules, fallbacks."""
+"""Message passing: fixed points, Bethe values, fallbacks."""
 
 import math
 
@@ -96,16 +96,6 @@ def test_margin_consistency_at_fixed_point(rng):
             assert abs(tab.sum(axis=0) - res.node_beliefs[b]).max() < 10 * opts.tol
 
 
-def test_schedules_agree_on_fixed_point(rng):
-    for _ in range(3):
-        g = random_connected_graph(6, 8, rng)
-        m = ising_model(g, rng, coupling=0.7, field=0.4)
-        sync = run_lbp(m, LbpOptions(schedule="sync"))
-        seq = run_lbp(m, LbpOptions(schedule="seq"))
-        if sync.converged and seq.converged:
-            assert abs(sync.log_z_b - seq.log_z_b) < 1e-7
-
-
 def test_damping_does_not_move_fixed_points(rng):
     # one undamped sweep evaluated at a damped fixed point barely moves it
     opts = LbpOptions(damping=0.5, tol=1e-12)
@@ -114,7 +104,7 @@ def test_damping_does_not_move_fixed_points(rng):
     assert res.converged
     graph = _FactorGraph(m.node_count, edge_tables(res.model))
     msgs = np.vstack((res.messages, np.ones((1, 2))))  # the sweep's padded buffer
-    worst = graph.sweep(msgs, graph.blocks("sync", "linear"), 0.0, "linear")
+    worst = graph.sweep(msgs, 0.0, "linear")
     assert worst < 10 * opts.tol
 
 
@@ -254,17 +244,15 @@ def test_factor_lbp_uniform_tables():
 @given(
     pairwise=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    schedule=st.sampled_from(["sync", "seq"]),
     damping=st.sampled_from([0.0, 0.5]),
     scale=st.sampled_from([1.0, 1e-290]),
     max_iters=st.sampled_from([3, 300]),
 )
-def test_lbp_matches_reference_sweep_bit_for_bit(pairwise, seed, schedule, damping, scale,
-                                                 max_iters):
+def test_lbp_matches_reference_sweep_bit_for_bit(pairwise, seed, damping, scale, max_iters):
     # the in-place padded buffer changes no bit of the unpadded reference
     # sweep's run; scale 1e-290 forces the log-domain fallback
     rng = np.random.default_rng(seed)
-    opts = LbpOptions(max_iters=max_iters, damping=damping, schedule=schedule)
+    opts = LbpOptions(max_iters=max_iters, damping=damping)
     if pairwise:
         n = int(rng.integers(2, 9))
         g = random_connected_graph(n, int(rng.integers(n - 1, min(14, n * (n - 1) // 2) + 1)), rng)

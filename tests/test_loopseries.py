@@ -174,7 +174,7 @@ def test_pruning_matches_full_subset_sum(rng):
     res = run_lbp(m)
     assert res.converged
     coeff = coefficients_from_beliefs(res)
-    f_tab = [f_values(coeff.gamma[i], g.degree(i)) for i in range(g.node_count)]
+    f_tab = [f_values(coeff.gamma[i], d) for i, d in enumerate(g.degrees())]
     terms = []
     for mask in range(1 << len(g.edges)):
         deg = [0] * g.node_count
@@ -244,6 +244,17 @@ def test_single_cycle_sign_check_rejects_trees(rng):
     res = run_lbp(m)
     with pytest.raises(ValueError):
         single_cycle_sign_check(m, res, target=0)
+
+
+def test_single_cycle_sign_check_rejects_target_off_cycle(rng):
+    g = single_cycle_graph(4, 1, rng)  # node 4 hangs off the 4-cycle
+    m = ising_model(g, rng, coupling=0.5, field=0.5)
+    res = run_lbp(m)
+    assert res.converged
+    for target in range(4):
+        single_cycle_sign_check(m, res, target)
+    with pytest.raises(ValueError, match="^target 4 does not lie on the cycle$"):
+        single_cycle_sign_check(m, res, target=4)
 
 
 def test_single_cycle_strong_interactions(rng):

@@ -166,7 +166,7 @@ def test_absorb_uses_lowest_id_incident_edge(rng):
     m = ising_model(random_connected_graph(9, 16, rng), rng, coupling=1.0, field=0.7)
     psi = [[list(row) for row in tab] for tab in m.edge_potentials]
     for i, phi in enumerate(m.node_potentials):
-        e = m.graph.incident_edges(i)[0]
+        e = next(e for e, ends in enumerate(m.graph.edges) if i in ends)
         a, b = m.graph.edges[e]
         for xa in (0, 1):
             for xb in (0, 1):
