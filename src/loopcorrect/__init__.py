@@ -13,9 +13,7 @@ from .exceptions import (
 )
 from .graph import (
     Multigraph,
-    contract,
     cycle_rank,
-    delete,
     enumerate_disjoint_cycles,
     enumerate_generalized_loops,
     enumerate_matchings,

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,7 +93,7 @@ def cmd_lbp(args) -> int:
     sys.stdout.write(f"log_Z_B = {res.log_z_b:.12g}\n")
     sys.stdout.write(
         f"iterations = {res.iterations}  converged = {res.converged}  "
-        f"residual = {res.residual:.3e}  domain = {res.domain}\n"
+        f"residual = {res.residual:.3e}\n"
     )
     if not res.converged:
         return EXIT_NOT_CONVERGED
@@ -123,12 +124,12 @@ def cmd_loopseries(args) -> int:
     # a bad --max-size fails here, before anything is printed
     partials = [] if args.max_size is None else truncated_series(report, args.max_size)
     if args.terms:
-        rows = []
-        running: list[float] = []
+        # an exact running sum, rounded once per row: fsum of the prefix
+        rows, running = [], Fraction(0)
         for s, r in report.terms:
-            running.append(r)
+            running += Fraction(r)
             mask = sum(1 << e for e in s)
-            rows.append((mask, len(s), f"{r:.12g}", f"{math.fsum(running):.12g}"))
+            rows.append((mask, len(s), f"{r:.12g}", f"{float(running):.12g}"))
         _emit_rows(rows, ["subset", "size", "r", "partial_sum"], args.format)
     for size, partial in partials:
         sys.stdout.write(f"partial_sum(size<={size}) = {partial:.12g}\n")

@@ -14,7 +14,7 @@ class NotConvergedError(LoopcorrectError):
 
 
 class NumericError(LoopcorrectError):
-    """Message iteration produced non-finite values even in the log-domain path."""
+    """A message or belief summed to zero or to a non-finite value."""
 
 
 class DivisibilityError(LoopcorrectError):

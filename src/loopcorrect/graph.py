@@ -1,6 +1,6 @@
 """Multigraphs and the combinatorial enumeration the series and the graph
-polynomials are built on: generalized loops, node-disjoint cycle sets,
-matchings, contraction and deletion.
+polynomials are built on: generalized loops, node-disjoint cycle sets and
+matchings.
 
 Counting and listing are one frontier sum whose node tables alone decide
 which edge subsets count; listing takes lists of edge bitmasks as values,
@@ -24,8 +24,7 @@ from .exceptions import SizeError
 class Multigraph:
     """Undirected multigraph: edges are an ordered list of endpoint pairs.
 
-    Edge ids are list indices and survive deletion/contraction in relative
-    order, so derived polynomials are reproducible.
+    Edge ids are list indices, so derived polynomials are reproducible.
     """
 
     node_count: int
@@ -94,32 +93,6 @@ def cycle_rank(g: Multigraph) -> int:
     if not ok:
         raise ValueError(f"cycle rank needs a connected graph (got {comps} components)")
     return len(g.edges) - g.node_count + 1
-
-
-def contract(g: Multigraph, e: int) -> Multigraph:
-    """Merge the endpoints of a non-loop edge e; the merged node takes the
-    smaller id and higher ids shift down by one."""
-    a, b = g.edges[e]
-    if a == b:
-        raise ValueError("cannot contract a self-loop")
-    lo, hi = min(a, b), max(a, b)
-
-    def remap(v: int) -> int:
-        if v == hi:
-            return lo
-        return v - 1 if v > hi else v
-
-    edges = tuple(
-        (remap(x), remap(y)) for i, (x, y) in enumerate(g.edges) if i != e
-    )
-    return Multigraph(g.node_count - 1, edges)
-
-
-def delete(g: Multigraph, e: int) -> Multigraph:
-    """Remove edge e, keeping all nodes."""
-    if not (0 <= e < len(g.edges)):
-        raise ValueError(f"edge id {e} out of range")
-    return Multigraph(g.node_count, tuple(p for i, p in enumerate(g.edges) if i != e))
 
 
 def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
@@ -272,16 +245,11 @@ def _loop_tables(g: Multigraph, free_node=None, max_degree=None) -> list:
     ]
 
 
-def count_generalized_loops(
-    g: Multigraph,
-    free_node: int | None = None,
-    max_degree: int | None = None,
-    by_size: bool = False,
-):
-    """Number of generalized loops (free_node exempt from the degree-one
-    rule), by a frontier sum; with max_degree, only those in which no node
-    exceeds it; with by_size, as {|s|: count} in size order."""
-    tables = _loop_tables(g, free_node, max_degree)
+def count_generalized_loops(g: Multigraph, max_degree: int | None = None, by_size: bool = False):
+    """Number of generalized loops, by a frontier sum; with max_degree, only
+    those in which no node exceeds it; with by_size, as {|s|: count} in size
+    order."""
+    tables = _loop_tables(g, None, max_degree)
     return SubsetWeights(g, tables).frontier_sum(by_size, one=1)[0]
 
 

@@ -11,15 +11,17 @@ then every factor-to-variable message from those.  Only the
 factor-to-variable messages are stored: each is normalized to sum to one and
 damped as (1 - damping) * update + damping * old.
 
-Messages live in the linear domain.  If any unnormalized message leaves
-[1e-280, 1e280], the run restarts in the log domain, where the same sweep
-adds instead of multiplying, takes log-sum-exp marginals, and normalizes and
-damps with logaddexp.  LbpResult.domain records which domain ran.
+Messages live in the linear domain; there is no log-domain path.  Each
+factor table enters the sweep multiplied by the power of two that centres
+its exponent range on 2^0.  While no product leaves the normal float range
+that scaling changes no bit of a normalized message, and a table's overall
+scale can no longer carry an unnormalized message out of float range.
+Beliefs are formed from the tables as given.  A message or belief whose
+entries sum to zero or to a non-finite value raises NumericError.
 
 A run keeps every message in one (slot_count + 1) x 2 buffer that the sweeps
-update in place.  Its last row is the pad slot, a unit message (ones, or
-zeros in the log domain) that the gathers of variables with fewer than the
-most slots point at.
+update in place.  Its last row is the pad slot, a unit message that the
+gathers of variables with fewer than the most slots point at.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .model import (
     edge_tables,
 )
 
-_LINEAR_LO = 1e-280
-_LINEAR_HI = 1e280
 # The sweep calls the reductions as ufunc methods: the ndarray methods
 # (min, max, sum) add a Python-level call per use, which tells on the small
 # arrays of a sweep, and compute the same values.
@@ -69,8 +69,7 @@ class LbpResult:
     goes to endpoint a of edge e (sent by b) and messages[2e + 1] to b.
     node_beliefs[i], factor_beliefs[f] (flat, first scope variable most
     significant) and, for pairwise runs, edge_beliefs[e] (2x2, endpoint
-    order) are normalized.  domain is "linear" or "log", whichever the
-    messages were iterated in; model is the model the run iterated on, with
+    order) are normalized.  model is the model the run iterated on, with
     node potentials absorbed for pairwise runs.
     """
 
@@ -83,24 +82,19 @@ class LbpResult:
     edge_beliefs: np.ndarray | None = None
     factor_beliefs: list = field(default_factory=list)
     model: object = None
-    domain: str = "linear"
-
-
-class _RangeSignal(Exception):
-    """Internal: a linear-domain message left the safe range."""
 
 
 @dataclass
 class _Group:
     """Gathers for the factors `ids`, which share arity k.
 
-    Entries index the block's (_FactorGraph.block) variable-to-factor
-    messages flattened to 2 * (block slot) + spin.  Factor f's belief entry
-    e is tables[f, e] times v2f[index[f, e]] for each index in
-    belief_index.  The message to scope position pos of f is row f * k +
-    pos of message_tables and message_index, with the entries for spin 0
-    in column 0 and those for spin 1 in column 1, each in ascending table
-    order.
+    Entries index the block's variable-to-factor messages flattened to
+    2 * (block slot) + spin.  Factor f's belief entry e is tables[f, e]
+    times v2f[index[f, e]] for each index in belief_index.  The message to
+    scope position pos of f is row f * k + pos of message_tables and
+    message_index, with the entries for spin 0 in column 0 and those for
+    spin 1 in column 1, each in ascending table order.  Beliefs take the
+    tables as given, messages each row scaled by a power of two.
     """
 
     ids: list
@@ -111,12 +105,17 @@ class _Group:
 
 
 class _FactorGraph:
-    """Slot arrays of a binary factor graph and the sweep over them."""
+    """Slot arrays of a binary factor graph and the sweep over them.
+
+    The block updates every factor at once: slots index the message slots
+    grouped by factor arity (a slice when they are one ascending run),
+    gather[b] lists the slots whose product is the variable-to-factor
+    message of the block's b-th slot, and groups hold one _Group per arity.
+    """
 
     def __init__(self, variable_count: int, factors):
         self.scopes = [tuple(scope) for scope, _ in factors]
-        self.tables = [np.asarray(table, dtype=float) for _, table in factors]
-        self.offsets = np.cumsum([0] + [len(s) for s in self.scopes])
+        offsets = np.cumsum([0] + [len(s) for s in self.scopes])
         var = np.array([i for scope in self.scopes for i in scope], dtype=np.intp)
         self.slot_count = pad = len(var)
         slots_of = [[] for _ in range(variable_count)]
@@ -130,101 +129,75 @@ class _FactorGraph:
             [s + [pad] * (width - len(s)) for s in slots_of], dtype=np.intp
         ).reshape(variable_count, width)
         rows = self.var_slots[var]
-        self.others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
-        self._blocks = {}  # domain -> block
-
-    def block(self, domain: str):
-        """(slots, gather, groups) for updating every factor at once, built
-        once per domain: slots index the message slots grouped by factor
-        arity (a slice when they are one ascending run), gather[b] lists
-        the slots whose product is the variable-to-factor message of the
-        block's b-th slot."""
-        if domain in self._blocks:
-            return self._blocks[domain]
+        others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
         by_arity: dict[int, list[int]] = {}
         for f, scope in enumerate(self.scopes):
             by_arity.setdefault(len(scope), []).append(f)
-        groups, slots, start = [], [], 0
+        self.groups, slots, start = [], [], 0
         for k, ids in sorted(by_arity.items()):
             n = len(ids)
-            slots.append((self.offsets[ids][:, None] + np.arange(k)).ravel())
+            slots.append((offsets[ids][:, None] + np.arange(k)).ravel())
             local = 2 * (start + np.arange(n * k).reshape(n, k))
             start += n * k
-            tables = np.array([self.tables[f] for f in ids]).reshape(n, 1 << k)
-            if domain == "log":
-                tables = np.log(tables)
+            tables = np.array([factors[f][1] for f in ids], dtype=float).reshape(n, 1 << k)
+            _, hi = np.frexp(_max(tables, axis=1, keepdims=True))
+            _, lo = np.frexp(_min(tables, axis=1, keepdims=True))
+            centred = np.ldexp(tables, -((hi + lo) >> 1))
             bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
             order = np.argsort(bits, axis=0, kind="stable").T  # (k, 2^k)
             rest = np.array(
                 [[q for q in range(k) if q != pos] for pos in range(k)], dtype=np.intp
             ).reshape(k, max(k - 1, 0))
             shape = (n * k, 2, (1 << k) // 2)
-            groups.append(_Group(
+            self.groups.append(_Group(
                 ids=ids,
                 tables=tables,
                 belief_index=[local[:, q, None] + bits[:, q] for q in range(k)],
-                message_tables=tables[:, order].reshape(shape),
+                message_tables=centred[:, order].reshape(shape),
                 message_index=[
                     (local[:, rest[:, j], None] + bits[order, rest[:, j, None]]).reshape(shape)
                     for j in range(k - 1)
                 ],
             ))
         slots = np.concatenate([np.zeros(0, dtype=np.intp), *slots])
-        gather = self.others[slots]
+        self.gather = others[slots]
         if slots.size and (np.diff(slots) == 1).all():
             slots = slice(int(slots[0]), int(slots[-1]) + 1)
-        self._blocks[domain] = slots, gather, groups
-        return self._blocks[domain]
+        self.slots = slots
 
-    def sweep(self, ext, damping: float, domain: str) -> float:
-        """Update the message buffer ext ((slot_count + 1) x 2 in the given
-        domain, its last row the unit pad message) in place; returns the
-        largest change of a linear message entry, 0 when there is no slot."""
+    def sweep(self, ext, damping: float) -> float:
+        """Update the message buffer ext ((slot_count + 1) x 2, its last row
+        the unit pad message) in place; returns the largest change of a
+        message entry, 0 when there is no slot."""
         if not self.slot_count:
             return 0.0
-        log = domain == "log"
-        combine = np.add if log else np.multiply
-        slots, gather, groups = self.block(domain)
-        v2f = combine.reduce(ext.take(gather, axis=0), axis=1).ravel()
+        v2f = np.multiply.reduce(ext.take(self.gather, axis=0), axis=1).ravel()
         parts = []
-        for group in groups:
+        for group in self.groups:
             terms = group.message_tables
             for index in group.message_index:
-                terms = combine(terms, v2f.take(index))
-            if log:
-                top = _max(terms, axis=2)
-                parts.append(top + np.log(_sum(np.exp(terms - top[:, :, None]), axis=2)))
-            else:
-                parts.append(_sum(terms, axis=2))
+                terms = terms * v2f.take(index)
+            parts.append(_sum(terms, axis=2))
         u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        old = ext[slots]
-        if log:
-            s = np.logaddexp(u[:, :1], u[:, 1:])
-            if not np.isfinite(s).all():
-                raise NumericError("log-domain message update produced a non-finite value")
-            new = u - s
-            if damping > 0:
-                new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
-            change = _max(np.abs(np.exp(new) - np.exp(old)), axis=None)
-        else:
-            if not (_min(u, axis=None) >= _LINEAR_LO and _max(u, axis=None) < _LINEAR_HI):
-                raise _RangeSignal
-            new = (1 - damping) * (u / _sum(u, axis=1, keepdims=True)) + damping * old
-            change = _max(np.abs(new - old), axis=None)
-        ext[slots] = new
+        total = _sum(u, axis=1, keepdims=True)
+        if not (_min(total, axis=None) > 0.0 and _max(total, axis=None) < math.inf):
+            raise NumericError("a message update summed to zero or a non-finite value")
+        old = ext[self.slots]  # a view when slots is a slice
+        new = (1 - damping) * (u / total) + damping * old
+        change = _max(np.abs(new - old), axis=None)
+        ext[self.slots] = new
         return float(change)
 
     def beliefs(self, ext):
         """Normalized node beliefs (n x 2) and flat factor beliefs from a
-        linear-domain message buffer laid out as sweep() takes it."""
+        message buffer laid out as sweep() takes it."""
         node = ext[self.var_slots].prod(axis=1)
         total = node.sum(axis=1, keepdims=True)
         if not ((total > 0.0).all() and np.isfinite(total).all()):
             raise NumericError("belief normalization failed")
-        _, gather, groups = self.block("linear")
-        v2f = ext[gather].prod(axis=1).ravel()
+        v2f = ext[self.gather].prod(axis=1).ravel()
         factor = [None] * len(self.scopes)
-        for group in groups:
+        for group in self.groups:
             joint = group.tables
             for index in group.belief_index:
                 joint = joint * v2f[index]
@@ -236,43 +209,28 @@ class _FactorGraph:
         return node / total, factor
 
 
-def _iterate(graph: _FactorGraph, opts: LbpOptions, domain: str):
-    """Sweep from uniform messages until the residual drops below tol;
-    returns the linear-domain message buffer, iterations, converged,
-    residual."""
-    log = domain == "log"
-    ext = np.full((graph.slot_count + 1, 2), math.log(0.5) if log else 0.5)
-    ext[-1] = 0.0 if log else 1.0
+def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
+    """Sweep from uniform messages until the residual drops below tol; the
+    caller fills in log_z_b and model."""
+    opts = opts or LbpOptions()
+    graph = _FactorGraph(variable_count, factors)
+    ext = np.full((graph.slot_count + 1, 2), 0.5)
+    ext[-1] = 1.0
     residual = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        residual = graph.sweep(ext, opts.damping, domain)
+        residual = graph.sweep(ext, opts.damping)
         if residual < opts.tol:
             break
-    return (np.exp(ext) if log else ext), iterations, residual < opts.tol, residual
-
-
-def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
-    """LBP to a fixed point, restarting in the log domain when a linear
-    message leaves the safe range; the caller fills in log_z_b and model."""
-    opts = opts or LbpOptions()
-    graph = _FactorGraph(variable_count, factors)
-    domain = "linear"
-    try:
-        ext, iterations, converged, residual = _iterate(graph, opts, domain)
-    except _RangeSignal:
-        domain = "log"
-        ext, iterations, converged, residual = _iterate(graph, opts, domain)
     node_beliefs, factor_beliefs = graph.beliefs(ext)
     return LbpResult(
         node_beliefs=node_beliefs,
         log_z_b=math.nan,
         iterations=iterations,
-        converged=converged,
+        converged=residual < opts.tol,
         residual=residual,
         messages=ext[:-1],
         factor_beliefs=factor_beliefs,
-        domain=domain,
     )
 
 

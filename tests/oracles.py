@@ -1,10 +1,11 @@
 """Slow reference oracles that only the tests call: a per-state Python
 loop for the exact partition function and marginals, a filter of all
-2^|E| edge subsets for the generalized loops, the LBP sweep as it was
-before it updated one padded buffer in place, the random connected
-graph sampler as it was when it listed all n(n-1)/2 pairs, and the
-determinant sum over disjoint cycle sets as omega --check once
-computed it."""
+2^|E| edge subsets for the generalized loops, edge contraction and
+deletion for omega's deletion-contraction recurrence, the LBP engine as
+it was when it kept unscaled tables and restarted in the log domain when
+a message left float's safe range, the random connected graph sampler as
+it was when it listed all n(n-1)/2 pairs, and the determinant sum over
+disjoint cycle sets as omega --check once computed it."""
 
 import math
 
@@ -14,7 +15,6 @@ from loopcorrect.exact import ExactResult
 from loopcorrect.exceptions import DivisibilityError, GenerationError, NumericError, SizeError
 from loopcorrect.generate import CONNECTED_DRAWS
 from loopcorrect.graph import Multigraph, enumerate_disjoint_cycles, is_connected
-from loopcorrect.lbp import _LINEAR_HI, _LINEAR_LO, _FactorGraph, _RangeSignal
 from loopcorrect.model import PairwiseModel
 from loopcorrect.poly import UniPoly, unpack
 
@@ -74,6 +74,32 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
     return out
 
 
+def contract(g: Multigraph, e: int) -> Multigraph:
+    """Merge the endpoints of a non-loop edge e; the merged node takes the
+    smaller id and higher ids shift down by one."""
+    a, b = g.edges[e]
+    if a == b:
+        raise ValueError("cannot contract a self-loop")
+    lo, hi = min(a, b), max(a, b)
+
+    def remap(v: int) -> int:
+        if v == hi:
+            return lo
+        return v - 1 if v > hi else v
+
+    edges = tuple(
+        (remap(x), remap(y)) for i, (x, y) in enumerate(g.edges) if i != e
+    )
+    return Multigraph(g.node_count - 1, edges)
+
+
+def delete(g: Multigraph, e: int) -> Multigraph:
+    """Remove edge e, keeping all nodes."""
+    if not (0 <= e < len(g.edges)):
+        raise ValueError(f"edge id {e} out of range")
+    return Multigraph(g.node_count, tuple(p for i, p in enumerate(g.edges) if i != e))
+
+
 def random_connected_graph_reference(n: int, m: int, rng) -> Multigraph:
     """The first connected one of CONNECTED_DRAWS uniform draws of m pairs,
     picked by position in the list of all pairs; raises when none is."""
@@ -89,101 +115,158 @@ def random_connected_graph_reference(n: int, m: int, rng) -> Multigraph:
     raise GenerationError(f"could not sample a connected graph (n={n}, m={m})")
 
 
+_LINEAR_LO = 1e-280  # the reference's safe range for an unnormalized message
+_LINEAR_HI = 1e280
 _UNIT = {"linear": np.ones((1, 2)), "log": np.zeros((1, 2))}  # the pad slot's message
 
 
-def sweep_reference(self, msgs, block, damping: float, domain: str) -> float:
-    """Update msgs (slot_count x 2, in the given domain) in place from the
-    block of every factor; returns the largest change of a linear message
-    entry, 0 when there is no slot."""
-    if not self.slot_count:
-        return 0.0
-    log = domain == "log"
-    combine = np.add if log else np.multiply
-    ext = np.concatenate((msgs, _UNIT[domain]))
-    slots, gather, groups = block
-    v2f = combine.reduce(ext[gather], axis=1).ravel()
-    parts = []
-    for group in groups:
-        terms = group.message_tables
-        for index in group.message_index:
-            terms = combine(terms, v2f[index])
+class _RangeSignal(Exception):
+    """A linear-domain message left [_LINEAR_LO, _LINEAR_HI)."""
+
+
+class FactorGraphReference:
+    """The two-domain LBP engine as it was before each table was rescaled by
+    a power of two: the same slot layout as loopcorrect.lbp._FactorGraph,
+    with the raw tables (linear) or their logs (log) in its blocks."""
+
+    def __init__(self, variable_count: int, factors):
+        self.scopes = [tuple(scope) for scope, _ in factors]
+        self.tables = [np.asarray(table, dtype=float) for _, table in factors]
+        self.offsets = np.cumsum([0] + [len(s) for s in self.scopes])
+        var = np.array([i for scope in self.scopes for i in scope], dtype=np.intp)
+        self.slot_count = pad = len(var)
+        slots_of = [[] for _ in range(variable_count)]
+        for k, i in enumerate(var):
+            slots_of[i].append(k)
+        width = max(map(len, slots_of), default=0)
+        self.var_slots = np.array(
+            [s + [pad] * (width - len(s)) for s in slots_of], dtype=np.intp
+        ).reshape(variable_count, width)
+        rows = self.var_slots[var]
+        self.others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
+
+    def block(self, domain: str):
+        """(slots, gather, groups): slots index the message slots grouped by
+        factor arity, gather[b] the slots whose product is the
+        variable-to-factor message of the block's b-th slot, and each group
+        is (ids, tables, belief_index, message_tables, message_index)."""
+        by_arity: dict[int, list[int]] = {}
+        for f, scope in enumerate(self.scopes):
+            by_arity.setdefault(len(scope), []).append(f)
+        groups, slots, start = [], [], 0
+        for k, ids in sorted(by_arity.items()):
+            n = len(ids)
+            slots.append((self.offsets[ids][:, None] + np.arange(k)).ravel())
+            local = 2 * (start + np.arange(n * k).reshape(n, k))
+            start += n * k
+            tables = np.array([self.tables[f] for f in ids]).reshape(n, 1 << k)
+            if domain == "log":
+                tables = np.log(tables)
+            bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+            order = np.argsort(bits, axis=0, kind="stable").T
+            rest = np.array(
+                [[q for q in range(k) if q != pos] for pos in range(k)], dtype=np.intp
+            ).reshape(k, max(k - 1, 0))
+            shape = (n * k, 2, (1 << k) // 2)
+            groups.append((
+                ids,
+                tables,
+                [local[:, q, None] + bits[:, q] for q in range(k)],
+                tables[:, order].reshape(shape),
+                [
+                    (local[:, rest[:, j], None] + bits[order, rest[:, j, None]]).reshape(shape)
+                    for j in range(k - 1)
+                ],
+            ))
+        slots = np.concatenate([np.zeros(0, dtype=np.intp), *slots])
+        return slots, self.others[slots], groups
+
+    def sweep(self, msgs, block, damping: float, domain: str) -> float:
+        """Update msgs (slot_count x 2, in the given domain) in place from
+        the block of every factor; returns the largest change of a linear
+        message entry, 0 when there is no slot."""
+        if not self.slot_count:
+            return 0.0
+        log = domain == "log"
+        combine = np.add if log else np.multiply
+        ext = np.concatenate((msgs, _UNIT[domain]))
+        slots, gather, groups = block
+        v2f = combine.reduce(ext[gather], axis=1).ravel()
+        parts = []
+        for _, _, _, terms, message_index in groups:
+            for index in message_index:
+                terms = combine(terms, v2f[index])
+            if log:
+                top = terms.max(axis=2)
+                parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
+            else:
+                parts.append(terms.sum(axis=2))
+        u = np.concatenate(parts)
+        old = ext[slots]
         if log:
-            top = terms.max(axis=2)
-            parts.append(top + np.log(np.exp(terms - top[:, :, None]).sum(axis=2)))
+            s = np.logaddexp(u[:, :1], u[:, 1:])
+            if not np.isfinite(s).all():
+                raise NumericError("log-domain message update produced a non-finite value")
+            new = u - s
+            if damping > 0:
+                new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
+            change = np.abs(np.exp(new) - np.exp(old)).max()
         else:
-            parts.append(terms.sum(axis=2))
-    u = np.concatenate(parts)
-    old = ext[slots]
-    if log:
-        s = np.logaddexp(u[:, :1], u[:, 1:])
-        if not np.isfinite(s).all():
-            raise NumericError("log-domain message update produced a non-finite value")
-        new = u - s
-        if damping > 0:
-            new = np.logaddexp(math.log(1 - damping) + new, math.log(damping) + old)
-        change = np.abs(np.exp(new) - np.exp(old)).max()
-    else:
-        if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
-            raise _RangeSignal
-        new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
-        change = np.abs(new - old).max()
-    ext[slots] = new
-    msgs[:] = ext[:-1]
-    return float(change)
+            if not (u.min() >= _LINEAR_LO and u.max() < _LINEAR_HI):
+                raise _RangeSignal
+            new = (1 - damping) * (u / u.sum(axis=1, keepdims=True)) + damping * old
+            change = np.abs(new - old).max()
+        ext[slots] = new
+        msgs[:] = ext[:-1]
+        return float(change)
 
+    def beliefs(self, msgs):
+        """Normalized node beliefs (n x 2) and flat factor beliefs from
+        linear-domain messages."""
+        ext = np.concatenate((msgs, _UNIT["linear"]))
+        node = ext[self.var_slots].prod(axis=1)
+        total = node.sum(axis=1, keepdims=True)
+        if not ((total > 0.0).all() and np.isfinite(total).all()):
+            raise NumericError("belief normalization failed")
+        _, gather, groups = self.block("linear")
+        v2f = ext[gather].prod(axis=1).ravel()
+        factor = [None] * len(self.scopes)
+        for ids, joint, belief_index, _, _ in groups:
+            for index in belief_index:
+                joint = joint * v2f[index]
+            norm = joint.sum(axis=1, keepdims=True)
+            if not ((norm > 0.0).all() and np.isfinite(norm).all()):
+                raise NumericError("factor belief normalization failed")
+            for f, row in zip(ids, joint / norm):
+                factor[f] = row
+        return node / total, factor
 
-def beliefs_reference(self, msgs):
-    """Normalized node beliefs (n x 2) and flat factor beliefs from
-    linear-domain messages."""
-    ext = np.concatenate((msgs, _UNIT["linear"]))
-    node = ext[self.var_slots].prod(axis=1)
-    total = node.sum(axis=1, keepdims=True)
-    if not ((total > 0.0).all() and np.isfinite(total).all()):
-        raise NumericError("belief normalization failed")
-    _, gather, groups = self.block("linear")
-    v2f = ext[gather].prod(axis=1).ravel()
-    factor = [None] * len(self.scopes)
-    for group in groups:
-        joint = group.tables
-        for index in group.belief_index:
-            joint = joint * v2f[index]
-        norm = joint.sum(axis=1, keepdims=True)
-        if not ((norm > 0.0).all() and np.isfinite(norm).all()):
-            raise NumericError("factor belief normalization failed")
-        for f, row in zip(group.ids, joint / norm):
-            factor[f] = row
-    return node / total, factor
-
-
-def _iterate_reference(graph, opts, domain: str):
-    """Sweep from uniform messages until the residual drops below tol;
-    returns linear-domain messages, iterations, converged, residual."""
-    # the block with every slot index as an array, as the sweep then took it
-    slots, gather, groups = graph.block(domain)
-    block = (np.arange(graph.slot_count)[slots], gather, groups)
-    msgs = np.full((graph.slot_count, 2), math.log(0.5) if domain == "log" else 0.5)
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        residual = sweep_reference(graph, msgs, block, opts.damping, domain)
-        if residual < opts.tol:
-            break
-    return (np.exp(msgs) if domain == "log" else msgs), iterations, residual < opts.tol, residual
+    def iterate(self, opts, domain: str):
+        """Sweep from uniform messages until the residual drops below tol;
+        returns linear-domain messages, iterations, residual."""
+        block = self.block(domain)
+        msgs = np.full((self.slot_count, 2), math.log(0.5) if domain == "log" else 0.5)
+        residual = math.inf
+        iterations = 0
+        for iterations in range(1, opts.max_iters + 1):
+            residual = self.sweep(msgs, block, opts.damping, domain)
+            if residual < opts.tol:
+                break
+        return (np.exp(msgs) if domain == "log" else msgs), iterations, residual
 
 
 def lbp_reference(variable_count: int, factors, opts):
     """(messages, node_beliefs, factor_beliefs, iterations, residual,
-    domain) of the reference sweep, restarting in the log domain as
-    run_lbp does."""
-    graph = _FactorGraph(variable_count, factors)
+    domain) of the reference engine, which runs in the linear domain and
+    restarts in the log domain when a message leaves the safe range."""
+    graph = FactorGraphReference(variable_count, factors)
     domain = "linear"
     try:
-        msgs, iterations, _, residual = _iterate_reference(graph, opts, domain)
+        msgs, iterations, residual = graph.iterate(opts, domain)
     except _RangeSignal:
         domain = "log"
-        msgs, iterations, _, residual = _iterate_reference(graph, opts, domain)
-    node_beliefs, factor_beliefs = beliefs_reference(graph, msgs)
+        msgs, iterations, residual = graph.iterate(opts, domain)
+    node_beliefs, factor_beliefs = graph.beliefs(msgs)
     return msgs, node_beliefs, factor_beliefs, iterations, residual, domain
 
 

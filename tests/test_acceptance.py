@@ -20,9 +20,7 @@ from loopcorrect.generate import (
 )
 from loopcorrect.graph import (
     bouquet_graph,
-    contract,
     cycle_graph,
-    delete,
     is_connected,
     two_triangles_graph,
 )
@@ -49,6 +47,7 @@ from loopcorrect.loopseries import (
 from loopcorrect.model import to_factor_model
 from loopcorrect.poly import UniPoly, f_product_identity_check
 from tests.conftest import corpus_graphs, corpus_loop_free, corpus_simple_connected
+from tests.oracles import contract, delete
 
 OPTS = LbpOptions(tol=1e-12)
 

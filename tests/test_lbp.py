@@ -1,20 +1,23 @@
-"""Message passing: fixed points, Bethe values, fallbacks."""
+"""Message passing: fixed points, Bethe values, scaled tables."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcorrect.exact import brute_force, belief_ratio_state_sum
+from loopcorrect.exceptions import LoopcorrectError
 from loopcorrect.generate import (
     ising_model,
     random_connected_graph,
     random_factor_model,
     random_tree,
 )
-from loopcorrect.graph import cycle_graph, path_graph, two_triangles_graph
+from loopcorrect.graph import cycle_graph, path_graph, star_graph, two_triangles_graph
 from loopcorrect.lbp import (
     LbpOptions,
     _FactorGraph,
@@ -43,6 +46,17 @@ def graph_diameter(g):
     for k in range(g.node_count):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     return int(dist.max())
+
+
+def _scaled(model, scale):
+    """model with every edge or factor table multiplied by scale."""
+    if isinstance(model, PairwiseModel):
+        return PairwiseModel(model.graph, tuple(
+            tuple(tuple(v * scale for v in row) for row in tab) for tab in model.edge_potentials
+        ), model.node_potentials)
+    return FactorModel(model.variable_count, tuple(
+        (scope, tuple(v * scale for v in table)) for scope, table in model.factors
+    ))
 
 
 def test_tree_is_exact(rng):
@@ -104,7 +118,7 @@ def test_damping_does_not_move_fixed_points(rng):
     assert res.converged
     graph = _FactorGraph(m.node_count, edge_tables(res.model))
     msgs = np.vstack((res.messages, np.ones((1, 2))))  # the sweep's padded buffer
-    worst = graph.sweep(msgs, 0.0, "linear")
+    worst = graph.sweep(msgs, 0.0)
     assert worst < 10 * opts.tol
 
 
@@ -117,25 +131,43 @@ def test_non_convergence_is_reported_not_raised(rng):
 
 
 def test_log_domain_fallback_matches_rescaled_model(rng):
+    # scaling every edge table by 1e-290 moves no fixed point: the engine's
+    # power-of-two table scaling cancels it up to the rounding of the entries
     g = cycle_graph(3)
     base = ising_model(g, rng, coupling=0.8, field=0.4)
-    scale = 1e-290  # forces unnormalized messages under the linear floor
-    tiny = PairwiseModel(
-        g,
-        tuple(
-            tuple(tuple(v * scale for v in row) for row in tab)
-            for tab in base.edge_potentials
-        ),
-        base.node_potentials,
-    )
+    scale = 1e-290
+    tiny = _scaled(base, scale)
     res_base = run_lbp(base)
     res_tiny = run_lbp(tiny)
-    assert res_base.domain == "linear" and res_tiny.domain == "log"
-    assert res_tiny.converged
-    assert abs(np.asarray(res_tiny.node_beliefs) - res_base.node_beliefs).max() < 1e-9
+    assert res_tiny.converged and res_tiny.iterations == res_base.iterations
+    assert abs(np.asarray(res_tiny.node_beliefs) - res_base.node_beliefs).max() < 1e-12
     # scaling every edge table by c shifts log Z_B by E log c
     shift = len(g.edges) * math.log(scale)
-    assert res_tiny.log_z_b == pytest.approx(res_base.log_z_b + shift, abs=1e-6)
+    assert res_tiny.log_z_b == pytest.approx(res_base.log_z_b + shift, rel=1e-12)
+
+
+def test_power_of_two_table_scale_changes_no_message_bit():
+    # A hub between 12 leaves, pulled alternately up and down by strong
+    # fields, and one free node: both entries of the hub's message towards
+    # the free node are about e^-60.  With the tables scaled by 2^-960 the
+    # products of that edge's update are subnormal, but for the engine's
+    # own table scaling, which leaves every message bit unchanged.
+    leaves, e, ei = 12, math.exp(5.0), math.exp(-5.0)
+    phi = ((1.0, 1.0),) + ((e, ei), (ei, e)) * (leaves // 2) + ((1.0, 1.0),)
+    base = PairwiseModel(star_graph(leaves + 2), (((e, ei), (ei, e)),) * (leaves + 1), phi)
+
+    def sweeps(model, damping):
+        graph = _FactorGraph(model.node_count, edge_tables(absorb_node_potentials(model)))
+        msgs = np.full((graph.slot_count + 1, 2), 0.5)
+        msgs[-1] = 1.0  # the pad slot
+        return [graph.sweep(msgs, damping) for _ in range(30)], msgs
+
+    for damping in (0.0, 0.5):
+        changes, msgs = sweeps(base, damping)
+        for exponent in (-960, 960):
+            changes_scaled, msgs_scaled = sweeps(_scaled(base, 2.0**exponent), damping)
+            assert changes_scaled == changes
+            assert np.array_equal(msgs_scaled, msgs)
 
 
 def test_bethe_log_z_values(rng):
@@ -213,18 +245,14 @@ def test_factor_lbp_matches_pairwise(n, extra, seed, coupling, field):
 
 
 def test_factor_log_domain_fallback(rng):
+    # scaling every factor table by 1e-290 moves no fixed point
     scale = 1e-290
-    scopes_tables = []
-    for scope, table in HYPERTREE.factors:
-        scopes_tables.append((scope, tuple(v * scale for v in table)))
-    tiny = FactorModel(HYPERTREE.variable_count, tuple(scopes_tables))
     res_base = run_lbp_factor(HYPERTREE)
-    res_tiny = run_lbp_factor(tiny)
-    assert res_tiny.domain == "log"
-    assert res_tiny.converged
-    assert abs(np.asarray(res_tiny.node_beliefs) - res_base.node_beliefs).max() < 1e-9
+    res_tiny = run_lbp_factor(_scaled(HYPERTREE, scale))
+    assert res_tiny.converged and res_tiny.iterations == res_base.iterations
+    assert abs(np.asarray(res_tiny.node_beliefs) - res_base.node_beliefs).max() < 1e-12
     shift = len(HYPERTREE.factors) * math.log(scale)
-    assert res_tiny.log_z_b == pytest.approx(res_base.log_z_b + shift, abs=1e-6)
+    assert res_tiny.log_z_b == pytest.approx(res_base.log_z_b + shift, rel=1e-12)
 
 
 def test_factor_lbp_uniform_tables():
@@ -240,38 +268,108 @@ def test_factor_lbp_uniform_tables():
     )
 
 
-@settings(max_examples=80, deadline=None)
+def _reference(model, opts):
+    """(lbp_reference's tuple, the Bethe value at its beliefs), or the type
+    of the LoopcorrectError or ValueError that computing them raised."""
+    try:
+        if isinstance(model, PairwiseModel):
+            absorbed = absorb_node_potentials(model)
+            ref = lbp_reference(model.node_count, edge_tables(absorbed), opts)
+            return ref, bethe_log_z(absorbed, ref[1], np.reshape(ref[2], (-1, 2, 2)))
+        ref = lbp_reference(model.variable_count, model.factors, opts)
+        return ref, bethe_log_z_factor(model, ref[1], ref[2])
+    except (LoopcorrectError, ValueError) as exc:
+        return type(exc)
+
+
+def _belief_gap(res, node_beliefs, factor_beliefs):
+    """The largest difference of a node or factor belief entry."""
+    return max(
+        abs(res.node_beliefs - node_beliefs).max(),
+        *(abs(a - b).max() for a, b in zip(res.factor_beliefs, factor_beliefs)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     pairwise=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     damping=st.sampled_from([0.0, 0.5]),
-    scale=st.sampled_from([1.0, 1e-290]),
+    # the table scale and the coupling (or factor strength); every table
+    # entry must stay within [1e-300, 1.8e308]
+    scale_coupling=st.sampled_from([
+        (1.0, 1.0), (1.0, 20.0), (1.0, 300.0),
+        (1e-290, 1.0), (1e-290, 20.0), (1e290, 1.0), (1e290, 20.0),
+    ]),
     max_iters=st.sampled_from([3, 300]),
 )
-def test_lbp_matches_reference_sweep_bit_for_bit(pairwise, seed, damping, scale, max_iters):
-    # the in-place padded buffer changes no bit of the unpadded reference
-    # sweep's run; scale 1e-290 forces the log-domain fallback
+# tables spanning e^600 and a factor belief entry of about 5e-287
+@example(pairwise=False, seed=3367, damping=0.0, scale_coupling=(1.0, 300.0), max_iters=300)
+def test_lbp_matches_reference_sweep_bit_for_bit(
+    pairwise, seed, damping, scale_coupling, max_iters
+):
+    # Against the two-domain reference engine on unscaled tables (oracles).
+    # Where the reference ran linear, the runs agree bit for bit: a
+    # power-of-two table scaling changes no bit of a normalized message,
+    # and beliefs are formed from the tables as given.  Where a table scale
+    # or a strong coupling sent it to the log domain, the runs converge
+    # alike and agree to rounding.
     rng = np.random.default_rng(seed)
+    scale, coupling = scale_coupling
     opts = LbpOptions(max_iters=max_iters, damping=damping)
     if pairwise:
         n = int(rng.integers(2, 9))
         g = random_connected_graph(n, int(rng.integers(n - 1, min(14, n * (n - 1) // 2) + 1)), rng)
-        m = ising_model(g, rng, coupling=1.0, field=0.5)
-        m = PairwiseModel(g, tuple(
-            tuple(tuple(v * scale for v in row) for row in tab) for tab in m.edge_potentials
-        ), m.node_potentials)
-        res = run_lbp(m, opts)
-        ref = lbp_reference(m.node_count, edge_tables(absorb_node_potentials(m)), opts)
+        base, run = ising_model(g, rng, coupling=coupling, field=0.5), run_lbp
     else:
-        fm = random_factor_model(rng, max_vars=8, max_arity=3, max_incidences=14)
-        fm = FactorModel(fm.variable_count, tuple(
-            (scope, tuple(v * scale for v in table)) for scope, table in fm.factors
-        ))
-        res = run_lbp_factor(fm, opts)
-        ref = lbp_reference(fm.variable_count, fm.factors, opts)
-    messages, node_beliefs, factor_beliefs, iterations, residual, domain = ref
-    assert domain == ("log" if scale < 1.0 else "linear")
-    assert np.array_equal(res.messages, messages)
-    assert np.array_equal(res.node_beliefs, node_beliefs)
-    assert all(map(np.array_equal, res.factor_beliefs, factor_beliefs))
-    assert (res.iterations, res.residual, res.domain) == (iterations, residual, domain)
+        base = random_factor_model(rng, max_vars=8, max_arity=3, max_incidences=14,
+                                   strength=coupling)
+        run = run_lbp_factor
+    model = _scaled(base, scale)
+    try:
+        with warnings.catch_warnings():
+            # no overflow or invalid value inside the engine either
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run(model, opts)
+    except (LoopcorrectError, ValueError) as exc:
+        res = type(exc)
+    ref = _reference(model, opts)
+    if isinstance(ref, type):
+        # the reference refused (a zero belief or message); an engine run
+        # that does not refuse must still report a finite Bethe value
+        assert isinstance(res, type) or math.isfinite(res.log_z_b)
+        return
+    (messages, node_beliefs, factor_beliefs, iterations, residual, domain), log_z_b = ref
+    if domain == "linear":
+        assert not isinstance(res, type), f"the engine raised {res.__name__}"
+        assert np.array_equal(res.messages, messages)
+        assert np.array_equal(res.node_beliefs, node_beliefs)
+        assert all(map(np.array_equal, res.factor_beliefs, factor_beliefs))
+        assert (res.iterations, res.residual, res.log_z_b) == (iterations, residual, log_z_b)
+        return
+    converged = residual < opts.tol
+    if not isinstance(res, type) and res.converged != converged:
+        # a strongly coupled transient can amplify rounding until the runs
+        # converge sweeps apart, on either side of max_iters; with the
+        # default budget both converge
+        opts = replace(opts, max_iters=LbpOptions().max_iters)
+        res = run(model, opts)
+        (_, node_beliefs, factor_beliefs, iterations, residual, _), log_z_b = _reference(
+            model, opts
+        )
+        converged = residual < opts.tol
+        assert res.converged and converged
+    if not converged:
+        # unconverged sweeps of a strong coupling amplify rounding to any
+        # size, so their beliefs, or a refusal, are not compared
+        return
+    assert not isinstance(res, type), f"the engine raised {res.__name__}"
+    if res.iterations == iterations:
+        bound, rel = 1e-12, 1e-12
+    else:
+        # a sweep below tol can still move a belief by far more than tol
+        # (by up to 1.8e-9, and log Z_B by 4e-12 relative, in 19868
+        # converged log-domain draws)
+        bound, rel = 1e-6, 1e-9
+    assert _belief_gap(res, node_beliefs, factor_beliefs) < bound
+    assert res.log_z_b == pytest.approx(log_z_b, rel=rel)
