@@ -138,7 +138,8 @@ class SubsetWeights:
     mask_nodes: frozenset = frozenset()
 
     def _steps(self) -> list:
-        """Per edge, the (node, entry increment) pair of each endpoint."""
+        """Per edge, the (node, entry increment) pair of each endpoint: the
+        one entry rule, which frontier_sum's plan and terms both read."""
         seen = [0] * self.graph.node_count
         out = []
         for a, b in self.graph.edges:
@@ -160,9 +161,20 @@ class SubsetWeights:
         {|s|: sum} in size order.  A vector table entry drops a state only
         when it is zero in every world; a state kept for one world carries
         zeros in the others.
+
+        The plan is compiled once per call: one pass over the edges assigns
+        the fields and gives each step its packed increment and its retiring
+        nodes, and every table entry is tested for zero once (None marks a
+        zero).  Steps where no node or one node retires run unrolled loops;
+        a step where two retire runs the general one.  Each loop visits the
+        states in order and adds each state's skip branch, then its take
+        branch, so every shape accumulates in the same order.
         """
         g = self.graph
-        tables = [[None if _is_zero(w) else w for w in t] for t in self.node_tables]
+        tables = [
+            [None if (not w.any() if isinstance(w, np.ndarray) else w == 0) else w for w in t]
+            for t in self.node_tables
+        ]
         last = [-1] * g.node_count
         for e, (a, b) in enumerate(g.edges):
             last[a] = last[b] = e
@@ -170,15 +182,14 @@ class SubsetWeights:
         fmask = (1 << width) - 1
         slot, free, top, plan = [-1] * g.node_count, [], 0, []
         for e, steps in enumerate(self._steps()):
-            for v, _ in steps:
+            inc = 0
+            for v, d in steps:
                 if slot[v] < 0:
                     slot[v], top = (free.pop(), top) if free else (top, top + 1)
-            done = [v for v, _ in steps if last[v] == e]
-            plan.append((
-                sum(d << slot[v] * width for v, d in steps),
-                [(slot[v] * width, tables[v]) for v in done],
-            ))
-            free += [slot[v] for v in done]
+                inc += d << slot[v] * width
+            retire = [(slot[v] * width, tables[v], d) for v, d in steps if last[v] == e]
+            free += [shift // width for shift, _, _ in retire]
+            plan.append((inc, retire))
         size_shift = top * width
         inc_size = 1 << size_shift if by_size else 0
         states = {0: one}
@@ -190,18 +201,51 @@ class SubsetWeights:
         for (inc, retire), w in zip(plan, self.edge_weights or [None] * len(plan)):
             inc += inc_size
             new: dict = {}
-            for key, val in states.items():
-                for k, x in ((key, val), (key + inc, val if w is None else val * w)):
-                    for shift, tab in retire:
-                        d = (k >> shift) & fmask
-                        t = tab[d]
-                        if t is None:
-                            break
+            get = new.get
+            if not retire:
+                for key, x in states.items():
+                    old = get(key)
+                    new[key] = x if old is None else old + x
+                    key += inc
+                    if w is not None:
+                        x = x * w
+                    old = get(key)
+                    new[key] = x if old is None else old + x
+            elif len(retire) == 1:
+                # the retiring node's entry is d when skipped and d + dv when
+                # taken (its table covers every entry it reaches, so the
+                # field cannot carry), so both branches read one field of key
+                ((shift, tab, dv),) = retire
+                take, rest = tab[dv:], inc - (dv << shift)
+                for key, x in states.items():
+                    d = key >> shift & fmask
+                    key -= d << shift
+                    t = tab[d]
+                    if t is not None:
+                        y = x * t
+                        old = get(key)
+                        new[key] = y if old is None else old + y
+                    t = take[d]
+                    if t is not None:
+                        if w is not None:
+                            x = x * w
                         x = x * t
-                        k -= d << shift
-                    else:
-                        old = new.get(k)
-                        new[k] = x if old is None else old + x
+                        key += rest
+                        old = get(key)
+                        new[key] = x if old is None else old + x
+            else:
+                for key, val in states.items():
+                    for k, x in ((key, val), (key + inc, val if w is None else val * w)):
+                        for shift, tab, _ in retire:
+                            d = (k >> shift) & fmask
+                            t = tab[d]
+                            if t is None:
+                                break
+                            x = x * t
+                            k -= d << shift
+                        else:
+                            old = get(k)
+                            new[k] = x if old is None else old + x
             states = new
             peak = max(peak, len(states))
             if peak > STATE_CAP:
@@ -228,11 +272,6 @@ class SubsetWeights:
                 r *= self.node_tables[v][x[v]]
             out.append((s, r))
         return out
-
-
-def _is_zero(w) -> bool:
-    """Whether a table entry weighs zero (a vector: in every world)."""
-    return not w.any() if isinstance(w, np.ndarray) else w == 0
 
 
 def _loop_tables(g: Multigraph, free_node=None, max_degree=None) -> list:

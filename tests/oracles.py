@@ -4,8 +4,9 @@ loop for the exact partition function and marginals, a filter of all
 deletion for omega's deletion-contraction recurrence, the LBP engine as
 it was when it kept unscaled tables and restarted in the log domain when
 a message left float's safe range, the random connected graph sampler as
-it was when it listed all n(n-1)/2 pairs, and the determinant sum over
-disjoint cycle sets as omega --check once computed it."""
+it was when it listed all n(n-1)/2 pairs, the determinant sum over
+disjoint cycle sets as omega --check once computed it, and the frontier
+subset sum as it was before its step loop was unrolled."""
 
 import math
 
@@ -14,6 +15,7 @@ import numpy as np
 from loopcorrect.exact import ExactResult
 from loopcorrect.exceptions import DivisibilityError, GenerationError, NumericError, SizeError
 from loopcorrect.generate import CONNECTED_DRAWS
+from loopcorrect import graph
 from loopcorrect.graph import Multigraph, enumerate_disjoint_cycles, is_connected
 from loopcorrect.model import PairwiseModel
 from loopcorrect.poly import UniPoly, unpack
@@ -72,6 +74,67 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
     # bitmask-lex order: membership string with edge 0 most significant
     out.sort(key=lambda s: tuple(e in s for e in range(m)))
     return out
+
+
+def _is_zero(w) -> bool:
+    """Whether a table entry weighs zero (a vector: in every world)."""
+    return not w.any() if isinstance(w, np.ndarray) else w == 0
+
+
+def frontier_sum_reference(weights, by_size=False, one=1.0):
+    """graph.SubsetWeights.frontier_sum with one general per-state loop for
+    every step: each state's skip and take branches are built as a tuple
+    and each retiring node's table is applied in a for/else.  The cap is
+    read from graph.STATE_CAP at call time, so a test can lower it for both
+    folds at once."""
+    g = weights.graph
+    tables = [[None if _is_zero(w) else w for w in t] for t in weights.node_tables]
+    last = [-1] * g.node_count
+    for e, (a, b) in enumerate(g.edges):
+        last[a] = last[b] = e
+    width = max(len(t) - 1 for t in tables).bit_length() or 1
+    fmask = (1 << width) - 1
+    slot, free, top, plan = [-1] * g.node_count, [], 0, []
+    for e, steps in enumerate(weights._steps()):
+        for v, _ in steps:
+            if slot[v] < 0:
+                slot[v], top = (free.pop(), top) if free else (top, top + 1)
+        done = [v for v, _ in steps if last[v] == e]
+        plan.append((
+            sum(d << slot[v] * width for v, d in steps),
+            [(slot[v] * width, tables[v]) for v in done],
+        ))
+        free += [slot[v] for v in done]
+    size_shift = top * width
+    inc_size = 1 << size_shift if by_size else 0
+    states = {0: one}
+    for v in range(g.node_count):
+        if last[v] < 0:  # untouched: entry 0 throughout
+            w = tables[v][0]
+            states = {k: x * w for k, x in states.items() if w is not None}
+    peak = len(states)
+    for (inc, retire), w in zip(plan, weights.edge_weights or [None] * len(plan)):
+        inc += inc_size
+        new: dict = {}
+        for key, val in states.items():
+            for k, x in ((key, val), (key + inc, val if w is None else val * w)):
+                for shift, tab in retire:
+                    d = (k >> shift) & fmask
+                    t = tab[d]
+                    if t is None:
+                        break
+                    x = x * t
+                    k -= d << shift
+                else:
+                    old = new.get(k)
+                    new[k] = x if old is None else old + x
+        states = new
+        peak = max(peak, len(states))
+        if peak > graph.STATE_CAP:
+            raise SizeError(f"the frontier sum needs more than {graph.STATE_CAP} states")
+    if by_size:
+        return {k >> size_shift: x for k, x in sorted(states.items())}, peak
+    return states.get(0, one - one), peak
 
 
 def contract(g: Multigraph, e: int) -> Multigraph:

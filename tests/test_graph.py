@@ -3,12 +3,14 @@ oracles' contraction and deletion."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopcorrect import graph
 from loopcorrect.exceptions import SizeError
 from loopcorrect.graph import (
     Multigraph,
@@ -28,9 +30,15 @@ from loopcorrect.graph import (
     count_generalized_loops,
     grid_graph,
     two_triangles_graph,
+    _Subsets,
 )
 from loopcorrect.graphpoly import theta_contraction_deletion, theta_direct
-from oracles import contract, delete, enumerate_generalized_loops_naive
+from oracles import (
+    contract,
+    delete,
+    enumerate_generalized_loops_naive,
+    frontier_sum_reference,
+)
 
 TRIANGLE = cycle_graph(3)
 
@@ -219,6 +227,104 @@ def test_vector_frontier_sum_is_per_world_sums(w):
         expect, alone_peak = alone.frontier_sum()
         assert close(total[world], expect, naive_subset_sum(alone, by_size=False)[0][1])
         assert peak >= alone_peak
+
+
+@st.composite
+def fold_inputs(draw):
+    """(SubsetWeights, one) of one value kind: floats, small ints, packed
+    big ints, vectors over 1-3 worlds (mask nodes keep scalar tables, as
+    the factor marginals have them) or _Subsets listings.  Multigraphs with
+    self-loops, parallel edges and isolated nodes; mask nodes of degree at
+    most 5; zero table entries; edge weights None or given."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    g = Multigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=12))))
+    deg = g.degrees()
+    small = [v for v in range(n) if deg[v] <= 5]
+    mask = frozenset(draw(st.sets(st.sampled_from(small)))) if small else frozenset()
+    kind = draw(st.sampled_from(["float", "int", "packed", "vector", "subsets"]))
+    zeros = st.sampled_from([0, 0.0, -0.0])
+    # full 53-bit mantissas, so that products round and their order shows
+    rough = st.integers(-(1 << 53), 1 << 53).map(lambda k: k * 2.0**-52)
+    floats = zeros | st.sampled_from([1.0, -1.0]) | st.floats(-2.0, 2.0, allow_nan=False) | rough
+    scalar = {
+        "float": floats,
+        "vector": floats,
+        "int": st.integers(-3, 3),
+        "packed": st.just(0) | st.integers(-(1 << 200), 1 << 200),
+        "subsets": st.integers(0, 1),
+    }[kind]
+    worlds = draw(st.integers(min_value=1, max_value=3))
+    entry = scalar
+    if kind == "vector":
+        vector = st.lists(floats, min_size=worlds, max_size=worlds).map(np.array)
+        entry = st.just(np.zeros(worlds)) | vector
+    tables = [
+        draw(st.lists(scalar if v in mask else entry, min_size=size, max_size=size))
+        for v, size in enumerate((1 << d) if v in mask else d + 1 for v, d in enumerate(deg))
+    ]
+    m = len(g.edges)
+    edge_weights = None
+    if kind == "subsets":
+        one = _Subsets([0])
+        if draw(st.booleans()):
+            edge_weights = [_Subsets([1 << (m - 1 - e)]) for e in range(m)]
+    else:
+        one = {"vector": np.ones(worlds), "float": 1.0}.get(kind, 1)
+        if draw(st.booleans()):
+            edge_weights = draw(st.lists(scalar, min_size=m, max_size=m))
+    return SubsetWeights(g, tables, edge_weights, mask), one
+
+
+def same(a, b) -> bool:
+    """Bit for bit: equal types, float signs included, dict keys in order,
+    arrays element by element, _Subsets lists in order."""
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return (
+            a.dtype == b.dtype
+            and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b))
+        )
+    if isinstance(a, float):
+        return type(b) is float and a == b and math.copysign(1, a) == math.copysign(1, b)
+    return type(a) is type(b) and a == b
+
+
+@given(fold_inputs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_frontier_sum_equals_reference_fold(drawn, by_size):
+    """The unrolled fold returns the reference fold's value and peak bit for
+    bit, on every value kind, with and without the size split."""
+    w, one = drawn
+    value, peak = w.frontier_sum(by_size, one)
+    expect, expect_peak = frontier_sum_reference(w, by_size, one)
+    assert same(value, expect)
+    assert peak == expect_peak
+
+
+@given(fold_inputs(), st.booleans(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_frontier_sum_hits_the_state_cap_like_the_reference(drawn, by_size, cap):
+    """With a small STATE_CAP both folds raise SizeError on the same inputs
+    and agree on the rest."""
+    w, one = drawn
+
+    def outcome(fold):
+        try:
+            return fold(w, by_size, one)
+        except SizeError as exc:
+            return str(exc)
+
+    with mock.patch.object(graph, "STATE_CAP", cap):
+        got = outcome(SubsetWeights.frontier_sum)
+        expect = outcome(frontier_sum_reference)
+    assert type(got) is type(expect)
+    if isinstance(got, str):
+        assert got == expect
+    else:
+        assert same(got[0], expect[0]) and got[1] == expect[1]
 
 
 @given(weighted_multigraphs())

@@ -167,6 +167,20 @@ def test_series_exact_on_4x5_grid(rng):
         assert abs(corr.corrected_marginal - p).max() < 1e-8
 
 
+@pytest.mark.parametrize("rows, cols, total_peak, by_size_peak", [
+    (3, 4, 40, 135),
+    (4, 5, 80, 1268),
+    (5, 5, 80, 1988),
+])
+def test_z_series_peak_states(rows, cols, total_peak, by_size_peak):
+    """The frontier sizes of the Z series on grids, with and without the
+    size split: any change to the fold's pruning or field layout shows."""
+    m = ising_model(grid_graph(rows, cols), np.random.default_rng(0), coupling=0.5, field=0.3)
+    rep = loop_series_z(m, run_lbp(m))
+    assert rep.peak_states == total_peak
+    assert rep.weights.frontier_sum(by_size=True)[1] == by_size_peak
+
+
 def test_pruning_matches_full_subset_sum(rng):
     # identical totals when summing over all 2^|E| subsets with f factors
     g = random_connected_graph(5, 7, rng)
