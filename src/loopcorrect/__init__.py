@@ -47,12 +47,9 @@ from .loopseries import (
     SeriesCoefficients,
     SeriesReport,
     coefficients_from_beliefs,
-    factor_coefficients,
     loop_series_marginal,
-    loop_series_marginal_factor,
     loop_series_marginals,
     loop_series_z,
-    loop_series_z_factor,
     single_cycle_sign_check,
     truncated_series,
 )

@@ -31,10 +31,8 @@ from .graphpoly import (
 from .lbp import LbpOptions, run_lbp, run_lbp_factor
 from .loopseries import (
     loop_series_marginal,
-    loop_series_marginal_factor,
     loop_series_marginals,
     loop_series_z,
-    loop_series_z_factor,
     truncated_series,
 )
 from .model import PairwiseModel, model_from_json, pairwise_to_json
@@ -119,8 +117,7 @@ def cmd_loopseries(args) -> int:
             f"LBP did not converge (residual {res.residual:.3e})\n"
         )
         return EXIT_NOT_CONVERGED
-    pairwise = isinstance(model, PairwiseModel)
-    report = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
+    report = loop_series_z(res)
     # a bad --max-size fails here, before anything is printed
     partials = [] if args.max_size is None else truncated_series(report, args.max_size)
     if args.terms:
@@ -137,11 +134,7 @@ def cmd_loopseries(args) -> int:
     sys.stdout.write(f"log_Z_B = {report.log_z_b:.12g}\n")
     sys.stdout.write(f"corrected log_Z = {report.log_z_b + math.log(report.total):.12g}\n")
     if args.target is not None:
-        corr = (
-            loop_series_marginal(model, res, args.target, z_report=report)
-            if pairwise
-            else loop_series_marginal_factor(model, res, args.target, z_report=report)
-        )
+        corr = loop_series_marginal(res, args.target, report)
         sys.stdout.write(
             f"marginal[{args.target}] corrected = "
             f"({corr.corrected_marginal[0]:.12g}, {corr.corrected_marginal[1]:.12g})\n"
@@ -159,9 +152,8 @@ def cmd_compare(args) -> int:
             f"LBP did not converge (residual {res.residual:.3e})\n"
         )
         return EXIT_NOT_CONVERGED
-    pairwise = isinstance(model, PairwiseModel)
     exact = brute_force(model)
-    report = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
+    report = loop_series_z(res)
     corrected_log_z = report.log_z_b + math.log(report.total)
     rel_err = abs(math.expm1(corrected_log_z - exact.log_z))
     rows = [

@@ -284,11 +284,10 @@ def _loop_tables(g: Multigraph, free_node=None, max_degree=None) -> list:
     ]
 
 
-def count_generalized_loops(g: Multigraph, max_degree: int | None = None, by_size: bool = False):
-    """Number of generalized loops, by a frontier sum; with max_degree, only
-    those in which no node exceeds it; with by_size, as {|s|: count} in size
-    order."""
-    tables = _loop_tables(g, None, max_degree)
+def count_generalized_loops(g: Multigraph, by_size: bool = False):
+    """Number of generalized loops, by a frontier sum; with by_size, as
+    {|s|: count} in size order."""
+    tables = _loop_tables(g)
     return SubsetWeights(g, tables).frontier_sum(by_size, one=1)[0]
 
 

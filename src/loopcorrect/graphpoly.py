@@ -284,16 +284,20 @@ def theta_at_beta1(g: Multigraph, theta: ThetaPoly | None = None) -> tuple[UniPo
     return substituted, binomial
 
 
-def golden_ratio_value(g: Multigraph, theta: ThetaPoly | None = None) -> float:
-    """theta at b = 1 and g = 1 (i.e. xi at the golden ratio), which equals
-    ((5-sqrt5)/2)^(n-1) + ((5+sqrt5)/2)^(n-1) for cycle rank n.  theta is
-    passed to theta_at_beta1."""
+def golden_ratio_value(g: Multigraph, theta: ThetaPoly | None = None) -> int:
+    """theta at b = 1 and g = 1 (i.e. xi at the golden ratio), checked
+    exactly against its closed form for cycle rank n,
+    ((5-sqrt5)/2)^(n-1) + ((5+sqrt5)/2)^(n-1).  That is the power sum
+    s_{n-1} of two roots whose sum and product are both 5, so it is the
+    integer s_{n-1} with s_{-1} = 1, s_0 = 2 and s_k = 5 s_{k-1} - 5 s_{k-2}.
+    theta is passed to theta_at_beta1."""
     n = cycle_rank(g)
-    r5 = math.sqrt(5.0)
-    closed = ((5.0 - r5) / 2.0) ** (n - 1) + ((5.0 + r5) / 2.0) ** (n - 1)
+    closed, after = 1, 2  # s_{-1}, s_0
+    for _ in range(n):
+        closed, after = after, 5 * after - 5 * closed
     substituted, _ = theta_at_beta1(g, theta)
-    value = float(substituted.eval(1))
-    if abs(value - closed) > 1e-9 * max(1.0, abs(closed)):
+    value = substituted.eval(1)
+    if value != closed:
         raise IdentityError(
             f"theta(1, golden) = {value} but closed form gives {closed}"
         )
@@ -302,25 +306,26 @@ def golden_ratio_value(g: Multigraph, theta: ThetaPoly | None = None) -> float:
 
 @dataclass(frozen=True)
 class LoopCountBound:
-    bound: float
+    bound: int
     count: int
     attained: bool
 
 
 def loop_count_bound(g: Multigraph, theta: ThetaPoly | None = None) -> LoopCountBound:
-    """Count generalized loops against the golden-ratio bound.
+    """Count generalized loops against the golden-ratio bound theta(1, 1).
 
-    attained is decided by the combinatorial condition (every node of every
-    generalized loop has degree at most three), not by float equality: a
-    second count, of the loops with no node above degree three, must match.
+    theta(1, 1) sums prod_v f_{d_v(s)}(1) over the generalized loops s, and
+    f_d(1) is the Fibonacci ladder: 1 at d = 0, 2 and 3, and at least 2 for
+    d >= 4 (no loop has a node of degree one).  So every loop adds at least
+    one, theta(1, 1) >= count, and equality holds exactly when no node of
+    any generalized loop has degree above three; attained is that equality.
     theta is passed to golden_ratio_value.
     """
     count = count_generalized_loops(g)
     bound = golden_ratio_value(g, theta)
-    if count > bound + 1e-9:
+    if count > bound:
         raise IdentityError(f"loop count {count} exceeds bound {bound}")
-    attained = count_generalized_loops(g, max_degree=3) == count
-    return LoopCountBound(bound=bound, count=count, attained=attained)
+    return LoopCountBound(bound=bound, count=count, attained=count == bound)
 
 
 def _signed_edge_sum(g: Multigraph, bound: int, table) -> UniPoly:

@@ -1,6 +1,10 @@
 """The loop series: belief-derived coefficients and the exact finite
 expansions of Z and of single-node marginals around the Bethe value, for
-pairwise and factor-graph models.
+pairwise and factor-graph models alike.
+
+Every function reads the model from the LBP result (res.model).  A
+pairwise model is the arity-2 case: only the beta weights and the subset
+weights are built per kind.
 
 A term's node weights depend only on each node's degree in the subset (or,
 for a factor node, on which of its incidences the subset holds), so every
@@ -29,7 +33,7 @@ from .graph import (
     is_connected,
 )
 from .lbp import LbpResult
-from .model import FactorModel, PairwiseModel, factor_incidence_graph
+from .model import PairwiseModel, factor_incidence_graph
 from .poly import f_values, g_values
 
 BELIEF_FLOOR = 1e-12
@@ -38,13 +42,15 @@ BELIEF_FLOOR = 1e-12
 @dataclass
 class SeriesCoefficients:
     """Per-node bias numbers gamma, per-node xi, and the correlation
-    weights: per-edge beta for pairwise models, per-(factor, subset) beta
-    for factor models."""
+    weights: per-edge beta for pairwise models, per-(factor, incidence mask)
+    beta for factor models."""
 
     xi: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray | None = None
-    factor_beta: list = field(default_factory=list)  # per factor: {frozenset: float}
+    # per factor: its betas indexed by incidence mask, bit q for scope
+    # position q, the order of its frontier table
+    factor_beta: list = field(default_factory=list)
 
 
 @dataclass
@@ -87,12 +93,16 @@ def _require_converged(res: LbpResult) -> None:
         )
 
 
-def _xi_gamma(node_beliefs: np.ndarray):
-    nb = np.asarray(node_beliefs, dtype=float)
-    if nb.min() < BELIEF_FLOOR:
+def _check_floor(beliefs: np.ndarray) -> None:
+    """Refuse beliefs below BELIEF_FLOOR; an empty array (no edges) passes."""
+    if beliefs.size and beliefs.min() < BELIEF_FLOOR:
         raise ValueError(
             f"belief entry below {BELIEF_FLOOR}; refusing to extract coefficients"
         )
+
+
+def _xi_gamma(nb: np.ndarray):
+    _check_floor(nb)
     xi = np.sqrt(nb[:, 1] / nb[:, 0])
     gamma = (nb[:, 1] - nb[:, 0]) / np.sqrt(nb[:, 1] * nb[:, 0])
     drift = np.abs(gamma - (xi - 1.0 / xi)) / np.maximum(1.0, np.abs(gamma))
@@ -102,15 +112,16 @@ def _xi_gamma(node_beliefs: np.ndarray):
 
 
 def coefficients_from_beliefs(res: LbpResult) -> SeriesCoefficients:
-    """Extract xi, gamma and per-edge beta from converged pairwise beliefs."""
+    """Extract xi, gamma and the correlation weights from converged
+    beliefs: per-edge beta for a pairwise model, per-(factor, incidence
+    mask) beta for a factor model."""
     _require_converged(res)
-    xi, gamma = _xi_gamma(res.node_beliefs)
-    nb = np.asarray(res.node_beliefs)
+    nb = np.asarray(res.node_beliefs, dtype=float)
+    xi, gamma = _xi_gamma(nb)
+    if not isinstance(res.model, PairwiseModel):
+        return SeriesCoefficients(xi=xi, gamma=gamma, factor_beta=_factor_betas(res, xi, nb))
     eb = np.asarray(res.edge_beliefs)
-    if eb.min() < BELIEF_FLOOR:
-        raise ValueError(
-            f"belief entry below {BELIEF_FLOOR}; refusing to extract coefficients"
-        )
+    _check_floor(eb)
     ends = np.array(res.model.graph.edges, dtype=int).reshape(-1, 2)
     root = np.sqrt(nb[:, 1] * nb[:, 0])
     beta = (eb[:, 1, 1] * eb[:, 0, 0] - eb[:, 1, 0] * eb[:, 0, 1]) / (
@@ -119,29 +130,77 @@ def coefficients_from_beliefs(res: LbpResult) -> SeriesCoefficients:
     return SeriesCoefficients(xi=xi, gamma=gamma, beta=beta)
 
 
+def _factor_betas(res: LbpResult, xi: np.ndarray, nb: np.ndarray) -> list:
+    """Per factor, beta^f_I for every incidence mask I.
+
+    The basis functions prod_{i in I} x_i xi_i^{-x_i} are orthonormal under
+    the product of node beliefs, so beta^f_I is the plain expectation of the
+    basis function under b_f.  The empty set is pinned to 1 and singletons
+    to 0 (they vanish at a fixed point by margin consistency); the expansion
+    is then verified by reconstructing every b_f, and a failure beyond
+    tolerance is a hard error because it would invalidate the inversion.
+    """
+    factor_beta = []
+    worst = 0.0
+    for f, (scope, _) in enumerate(res.model.factors):
+        bf = np.asarray(res.factor_beliefs[f], dtype=float)
+        _check_floor(bf)
+        k, at = len(scope), np.array(scope, dtype=int)
+        idx = np.arange(1 << k)
+        bits = (idx[:, None] >> np.arange(k - 1, -1, -1)) & 1  # (state, q)
+        spin = 2.0 * bits - 1.0
+        phi = spin * xi[at] ** -spin
+        members = ((idx[:, None] >> np.arange(k)) & 1).astype(bool)  # (mask, q)
+        # basis[mask, state] = prod over q in mask of x_q xi_q^{-x_q}
+        basis = np.where(members[:, None, :], phi[None, :, :], 1.0).prod(axis=2)
+        betas = basis @ bf
+        betas[members.sum(axis=1) == 1] = 0.0
+        betas[0] = 1.0
+        # reconstruction check: the expansion must reproduce b_f
+        recon = (betas @ basis) * nb[at, bits].prod(axis=1)
+        worst = max(worst, float(np.abs(recon - bf).max()))
+        factor_beta.append(betas.tolist())
+    if worst > 1e-10:
+        raise IdentityError(
+            f"factor belief reconstruction off by {worst:.3e}; "
+            "coefficient inversion is invalid"
+        )
+    return factor_beta
+
+
 def _degree_tables(coeff: SeriesCoefficients, degrees) -> list:
     return [f_values(float(coeff.gamma[i]), d) for i, d in enumerate(degrees)]
 
 
-def _series_report(weights: SubsetWeights, coeff, log_z_b: float) -> SeriesReport:
+def _subset_weights(model, coeff: SeriesCoefficients) -> SubsetWeights:
+    """The Z series' weights.  Pairwise: the model's graph, each edge
+    weighing its beta.  Factor: the incidence graph, each incidence edge
+    weighing -1 and each factor node, a mask node, its betas."""
+    if isinstance(model, PairwiseModel):
+        g = model.graph
+        return SubsetWeights(g, _degree_tables(coeff, g.degrees()), coeff.beta.tolist())
+    gh = factor_incidence_graph(model)
+    n = model.variable_count
+    tables = _degree_tables(coeff, gh.degrees()[:n]) + coeff.factor_beta
+    return SubsetWeights(gh, tables, [-1.0] * len(gh.edges), frozenset(range(n, gh.node_count)))
+
+
+def loop_series_z(res: LbpResult) -> SeriesReport:
+    """The exact expansion Z = Z_B * sum_s r(s) over generalized loops of
+    res.model: r(s) = prod_{ij in s} beta_ij * prod_i f_{d_i(s)}(gamma_i)
+    for a pairwise model, and over subsets of the incidence edges
+    r(s) = (-1)^{|s|} prod_f beta^f_{I_f(s)} * prod_i f_{d_i(s)}(gamma_i)
+    for a factor model."""
+    coeff = coefficients_from_beliefs(res)
+    weights = _subset_weights(res.model, coeff)
     total, peak = weights.frontier_sum()
     return SeriesReport(
         total=total,
-        log_z_b=log_z_b,
+        log_z_b=res.log_z_b,
         coefficients=coeff,
         peak_states=peak,
         weights=weights,
     )
-
-
-def loop_series_z(m: PairwiseModel, res: LbpResult) -> SeriesReport:
-    """The exact expansion Z = Z_B * sum_s r(s) over generalized loops,
-    r(s) = prod_{ij in s} beta_ij * prod_i f_{d_i(s)}(gamma_i)."""
-    _require_converged(res)
-    coeff = coefficients_from_beliefs(res)
-    g = res.model.graph
-    weights = SubsetWeights(g, _degree_tables(coeff, g.degrees()), coeff.beta.tolist())
-    return _series_report(weights, coeff, res.log_z_b)
 
 
 @dataclass
@@ -201,22 +260,17 @@ def _corrected_marginal(node_belief, bias, total) -> np.ndarray:
     return np.array([(1.0 - diff) / 2.0, (1.0 + diff) / 2.0])
 
 
-def loop_series_marginal(
-    m: PairwiseModel,
-    res: LbpResult,
-    target: int,
-    z_report: SeriesReport | None = None,
-) -> MarginalCorrection:
-    """Exact marginal of the target node via the weighted series.
+def loop_series_marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCorrection:
+    """Exact marginal of the target node (variable) via the weighted series.
 
-    z_report, when given, must be the loop_series_z output for the same
-    fixed point; its coefficients and weights are reused.  It is computed
-    otherwise.
+    z_report must be the loop_series_z output for the same fixed point; its
+    coefficients and weights are reused.  On a factor model the factor
+    nodes still prune at degree one, because singleton betas vanish.
     """
     _require_converged(res)
-    if not (0 <= target < res.model.graph.node_count):
+    if not (0 <= target < len(res.node_beliefs)):
         raise ValueError(f"target node {target} out of range")
-    return _marginal(res, target, z_report or loop_series_z(m, res))
+    return _marginal(res, target, z_report)
 
 
 def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[MarginalCorrection]:
@@ -231,8 +285,7 @@ def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[Margin
     carried with zeros; each correction still holds its own target-swapped
     weights for terms.  Each state holds an n-float vector, so memory grows
     as peak states times n (STATE_CAP bounds only the states).  z_report
-    must be the loop_series_z (or loop_series_z_factor) output for the same
-    fixed point.
+    must be the loop_series_z output for the same fixed point.
     """
     _require_converged(res)
     n = len(res.node_beliefs)
@@ -251,9 +304,11 @@ def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[Margin
     ]
 
 
-def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bool:
-    """On a one-cycle graph with the target on the cycle, check that the
-    exact and the belief marginal biases share a sign (zero matches either).
+def single_cycle_sign_check(res: LbpResult, target: int) -> bool:
+    """On a one-cycle pairwise model with the target on the cycle, check
+    that the exact and the belief marginal biases share a sign (zero
+    matches either).  The oracle runs on res.model, the absorbed model,
+    whose joint distribution is the original's.
 
     Also verifies the structural claim that exactly two subsets survive
     pruning and carry gamma and -(prod beta)*gamma respectively.
@@ -269,8 +324,8 @@ def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bo
     if not any(target in g.edges[e] for e in cycle):
         raise ValueError(f"target {target} does not lie on the cycle")
 
-    z_report = loop_series_z(m, res)
-    correction = loop_series_marginal(m, res, target, z_report=z_report)
+    z_report = loop_series_z(res)
+    correction = loop_series_marginal(res, target, z_report)
     if len(correction.terms) != 2:
         raise IdentityError(
             f"expected exactly 2 contributing subsets, got {len(correction.terms)}"
@@ -286,7 +341,7 @@ def single_cycle_sign_check(m: PairwiseModel, res: LbpResult, target: int) -> bo
     ):
         raise IdentityError("series terms do not match the gamma*(1 - prod beta) form")
 
-    exact = brute_force(m)
+    exact = brute_force(res.model)
     p = exact.marginals[target]
     b = res.node_beliefs[target]
     sp = _sign(p[1] - p[0])
@@ -302,94 +357,12 @@ def _sign(x: float, tol: float = 0.0) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Factor-graph series
-# ---------------------------------------------------------------------------
-
-def factor_coefficients(res: LbpResult) -> SeriesCoefficients:
-    """Extract xi, gamma and per-(factor, subset) beta from converged
-    factor beliefs.
-
-    The basis functions prod_{i in I} x_i xi_i^{-x_i} are orthonormal under
-    the product of node beliefs, so beta^f_I is the plain expectation of the
-    basis function under b_f.  The empty set is pinned to 1 and singletons
-    to 0 (they vanish at a fixed point by margin consistency); the expansion
-    is then verified by reconstructing every b_f, and a failure beyond
-    tolerance is a hard error because it would invalidate the inversion.
-    """
-    _require_converged(res)
-    fm: FactorModel = res.model
-    xi, gamma = _xi_gamma(res.node_beliefs)
-    nb = np.asarray(res.node_beliefs)
-    factor_beta = []
-    worst = 0.0
-    for f, (scope, _) in enumerate(fm.factors):
-        bf = np.asarray(res.factor_beliefs[f], dtype=float)
-        if bf.min() < BELIEF_FLOOR:
-            raise ValueError(
-                f"belief entry below {BELIEF_FLOOR}; refusing to extract coefficients"
-            )
-        k, at = len(scope), np.array(scope, dtype=int)
-        idx = np.arange(1 << k)
-        bits = (idx[:, None] >> np.arange(k - 1, -1, -1)) & 1  # (state, q)
-        spin = 2.0 * bits - 1.0
-        phi = spin * xi[at] ** -spin
-        members = ((idx[:, None] >> np.arange(k)) & 1).astype(bool)  # (mask, q)
-        # basis[mask, state] = prod over q in mask of x_q xi_q^{-x_q}
-        basis = np.where(members[:, None, :], phi[None, :, :], 1.0).prod(axis=2)
-        betas = basis @ bf
-        betas[members.sum(axis=1) == 1] = 0.0
-        betas[0] = 1.0
-        # reconstruction check: the expansion must reproduce b_f
-        recon = (betas @ basis) * nb[at, bits].prod(axis=1)
-        worst = max(worst, float(np.abs(recon - bf).max()))
-        factor_beta.append({
-            frozenset(v for v, keep in zip(scope, row) if keep): float(beta)
-            for row, beta in zip(members, betas)
-        })
-    if worst > 1e-10:
-        raise IdentityError(
-            f"factor belief reconstruction off by {worst:.3e}; "
-            "coefficient inversion is invalid"
-        )
-    return SeriesCoefficients(xi=xi, gamma=gamma, factor_beta=factor_beta)
-
-
-def loop_series_z_factor(fm: FactorModel, res: LbpResult) -> SeriesReport:
-    """Factor-graph expansion over subsets of the bipartite incidence edges:
-    r(s) = (-1)^{|s|} prod_f beta^f_{I_f(s)} * prod_i f_{d_i(s)}(gamma_i).
-
-    Each incidence edge weighs -1, and a factor node's entry is the mask of
-    its chosen incidences, weighted by beta^f of the variables it names."""
-    _require_converged(res)
-    coeff = factor_coefficients(res)
-    gh = factor_incidence_graph(fm)
-    n = fm.variable_count
-    tables = _degree_tables(coeff, gh.degrees()[:n])
-    for betas, (scope, _) in zip(coeff.factor_beta, fm.factors):
-        tables.append([
-            betas[frozenset(v for q, v in enumerate(scope) if mask >> q & 1)]
-            for mask in range(1 << len(scope))
-        ])
-    weights = SubsetWeights(
-        gh, tables, [-1.0] * len(gh.edges), frozenset(range(n, gh.node_count))
-    )
-    return _series_report(weights, coeff, res.log_z_b)
-
-
-def loop_series_marginal_factor(
-    fm: FactorModel,
-    res: LbpResult,
-    target: int,
-    z_report: SeriesReport | None = None,
-) -> MarginalCorrection:
-    """Factor analogue of the marginal series: the target variable takes g
-    weights; factor nodes still prune at degree one because singleton betas
-    vanish."""
-    _require_converged(res)
-    if not (0 <= target < fm.variable_count):
-        raise ValueError(f"target variable {target} out of range")
-    return _marginal(res, target, z_report or loop_series_z_factor(fm, res))
+# The per-kind names of the unified functions.  The benchmark tracer
+# (bench/spans.py) looks each one up, and maps it to the same span as its
+# unified twin.
+factor_coefficients = coefficients_from_beliefs
+loop_series_z_factor = loop_series_z
+loop_series_marginal_factor = loop_series_marginal
 
 
 def truncated_series(report: SeriesReport, max_size: int):

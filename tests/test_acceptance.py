@@ -39,9 +39,7 @@ from loopcorrect.lbp import LbpOptions, run_lbp, run_lbp_factor
 from loopcorrect.loopseries import (
     coefficients_from_beliefs,
     loop_series_marginal,
-    loop_series_marginal_factor,
     loop_series_z,
-    loop_series_z_factor,
     single_cycle_sign_check,
 )
 from loopcorrect.model import to_factor_model
@@ -73,7 +71,7 @@ def pairwise_corpus():
         if not res.converged:
             continue
         exact = brute_force(model)
-        report = loop_series_z(model, res)
+        report = loop_series_z(res)
         runs.append((model, res, exact, report))
     elapsed = time.monotonic() - t0
     return runs, elapsed
@@ -99,7 +97,7 @@ def test_criterion_2_marginal_exactness(pairwise_corpus):
     worst = 0.0
     for model, res, exact, report in runs:
         for i in range(model.node_count):
-            corr = loop_series_marginal(model, res, i, z_report=report)
+            corr = loop_series_marginal(res, i, report)
             worst = max(
                 worst, float(abs(corr.corrected_marginal - exact.marginals[i]).max())
             )
@@ -114,7 +112,7 @@ def test_criterion_3_tree_exactness():
         model = ising_model(random_tree(n, rng), rng, coupling=1.0, field=0.5)
         res = run_lbp(model, OPTS)
         assert res.converged
-        report = loop_series_z(model, res)
+        report = loop_series_z(res)
         exact = brute_force(model)
         worst_total = max(worst_total, abs(report.total - 1.0))
         worst_logz = max(worst_logz, abs(res.log_z_b - exact.log_z))
@@ -132,7 +130,7 @@ def test_criterion_4_two_triangles_reproduction():
     model = ising_model(g, rng, coupling=0.8, field=0.4)
     res = run_lbp(model, OPTS)
     assert res.converged
-    report = loop_series_z(model, res)
+    report = loop_series_z(res)
     coeff = coefficients_from_beliefs(res)
     by_subset = dict(report.terms)
     left, right = frozenset({0, 1, 2}), frozenset({4, 5, 6})
@@ -168,12 +166,12 @@ def test_criterion_5_factor_graph_exactness():
         res = run_lbp_factor(fm, OPTS)
         if not res.converged:
             continue
-        report = loop_series_z_factor(fm, res)
+        report = loop_series_z(res)
         exact = brute_force(fm)
         z = math.exp(exact.log_z)
         worst = max(worst, abs(report.z_estimate - z) / z)
         for i in range(fm.variable_count):
-            corr = loop_series_marginal_factor(fm, res, i, z_report=report)
+            corr = loop_series_marginal(res, i, report)
             worst_marg = max(
                 worst_marg,
                 float(abs(corr.corrected_marginal - exact.marginals[i]).max()),
@@ -190,7 +188,7 @@ def test_criterion_5_factor_graph_exactness():
             continue
         worst_pair = max(
             worst_pair,
-            abs(loop_series_z(model, res_p).total - loop_series_z_factor(fm, res_f).total),
+            abs(loop_series_z(res_p).total - loop_series_z(res_f).total),
         )
     ok = worst < 1e-8 and worst_marg < 1e-8 and worst_pair < 1e-10
     _report(
@@ -236,7 +234,7 @@ def test_criterion_7_single_cycle_sign():
         if not res.converged:
             continue
         accepted += 1
-        if single_cycle_sign_check(model, res, target=0):
+        if single_cycle_sign_check(res, target=0):
             matches += 1
     _report(7, matches == accepted, f"{matches}/{accepted} sign agreements")
 

@@ -150,7 +150,7 @@ def test_terms_partial_sums_are_fsum_prefixes(model_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split(",") for line in lines[1:] if line.count(",") == 3]
     model = model_from_json(model_file.read_text())
-    terms = loop_series_z(model, run_lbp(model)).terms
+    terms = loop_series_z(run_lbp(model)).terms
     assert len(rows) == len(terms) > 2
     prefixes = [math.fsum(r for _, r in terms[: k + 1]) for k in range(len(terms))]
     assert [row[3] for row in rows] == [f"{p:.12g}" for p in prefixes]
@@ -409,3 +409,18 @@ def test_max_size_lists_zero_sum_sizes(tmp_path, capsys):
     assert sizes == sorted({len(s) for s in loops if len(s) <= 9})
     partial = dict(zip(sizes, (p for _, p in rows)))
     assert 7 in partial and partial[7] == partial[6]
+
+
+def test_edgeless_pairwise_model(tmp_path, capsys):
+    # no edges, so no edge beliefs: the series is the Bethe term alone and
+    # Z is the two states of the one free node
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"nodes": 1, "edges": []}')
+    assert main(["compare", "--model", str(path), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = dict(line.split(",") for line in lines if line.count(",") == 1)
+    assert float(rows["series_total"]) == 1.0
+    assert float(rows["log_Z_exact"]) == float(rows["log_Z_B"]) == float(f"{math.log(2):.12g}")
+    assert main(["loopseries", "--model", str(path), "--target", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "series_total = 1\n" in out and "marginal[0] corrected = (0.5, 0.5)\n" in out

@@ -457,8 +457,7 @@ def test_disjoint_cycles_match_naive_filter(g):
 def test_disjoint_cycles_listing_cap():
     """The sets are counted first: K10 has 819134 of them, past TERMS_CAP,
     so none is listed."""
-    assert count_generalized_loops(complete_graph(10), max_degree=2) == 819134
-    with pytest.raises(SizeError, match="disjoint cycle sets exceed the listing cap"):
+    with pytest.raises(SizeError, match="^819134 disjoint cycle sets exceed the listing cap"):
         enumerate_disjoint_cycles(complete_graph(10))
 
 

@@ -92,7 +92,7 @@ def test_weak_coupling_gap_is_closed_by_series(rng):
     assert gap > 1e-8  # Bethe alone is off on a loopy graph
     from loopcorrect.loopseries import loop_series_z
 
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     assert rep.log_z_b + math.log(rep.total) == pytest.approx(exact.log_z, abs=1e-10)
 
 

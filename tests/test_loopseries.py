@@ -102,13 +102,13 @@ def test_series_requires_convergence(rng):
     res = run_lbp(m, LbpOptions(max_iters=2))
     assert not res.converged
     with pytest.raises(NotConvergedError):
-        loop_series_z(m, res)
+        loop_series_z(res)
 
 
 def test_tree_series_is_bethe(rng):
     m = ising_model(random_tree(8, rng), rng)
     res = run_lbp(m)
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     assert rep.terms == [(frozenset(), 1.0)]
     assert rep.total == 1.0
     assert rep.z_estimate == pytest.approx(math.exp(brute_force(m).log_z), rel=1e-9)
@@ -119,7 +119,7 @@ def test_two_triangles_term_structure(rng):
     m = ising_model(g, rng, coupling=0.9, field=0.6)
     res = run_lbp(m)
     assert res.converged
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     coeff = coefficients_from_beliefs(res)
     by_subset = dict(rep.terms)
     left = frozenset({0, 1, 2})
@@ -143,7 +143,7 @@ def test_series_exact_on_random_model(rng):
     m = ising_model(g, rng, coupling=0.9, field=0.5)
     res = run_lbp(m)
     assert res.converged
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     z = math.exp(brute_force(m).log_z)
     assert rep.z_estimate == pytest.approx(z, rel=1e-8)
     assert belief_ratio_state_sum(res.model, res) == pytest.approx(rep.total, abs=1e-9)
@@ -155,11 +155,11 @@ def test_series_exact_on_4x5_grid(rng):
     res = run_lbp(m)
     assert res.converged
     exact = brute_force(m)
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     assert rep.peak_states == 80
     assert abs(rep.log_z_b + math.log(rep.total) - exact.log_z) < 1e-8
     for i in range(20):
-        corr = loop_series_marginal(m, res, i, z_report=rep)
+        corr = loop_series_marginal(res, i, rep)
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
     corrections = loop_series_marginals(res, rep)
     assert [c.target for c in corrections] == list(range(20))
@@ -176,7 +176,7 @@ def test_z_series_peak_states(rows, cols, total_peak, by_size_peak):
     """The frontier sizes of the Z series on grids, with and without the
     size split: any change to the fold's pruning or field layout shows."""
     m = ising_model(grid_graph(rows, cols), np.random.default_rng(0), coupling=0.5, field=0.3)
-    rep = loop_series_z(m, run_lbp(m))
+    rep = loop_series_z(run_lbp(m))
     assert rep.peak_states == total_peak
     assert rep.weights.frontier_sum(by_size=True)[1] == by_size_peak
 
@@ -202,7 +202,7 @@ def test_pruning_matches_full_subset_sum(rng):
         for i, d in enumerate(deg):
             r *= f_tab[i][d]
         terms.append(r)
-    assert loop_series_z(m, res).total == pytest.approx(math.fsum(terms), abs=1e-12)
+    assert loop_series_z(res).total == pytest.approx(math.fsum(terms), abs=1e-12)
 
 
 def test_marginal_tree_bias_is_gamma(rng):
@@ -210,8 +210,9 @@ def test_marginal_tree_bias_is_gamma(rng):
     res = run_lbp(m)
     coeff = coefficients_from_beliefs(res)
     exact = brute_force(m)
+    rep = loop_series_z(res)
     for i in range(6):
-        corr = loop_series_marginal(m, res, i)
+        corr = loop_series_marginal(res, i, rep)
         assert corr.bias_series == pytest.approx(coeff.gamma[i], rel=1e-12)
         assert abs(corr.corrected_marginal - res.node_beliefs[i]).max() < 1e-12
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-9
@@ -223,9 +224,9 @@ def test_marginal_exact_on_random_model(rng):
     res = run_lbp(m)
     assert res.converged
     exact = brute_force(m)
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     for i in range(8):
-        corr = loop_series_marginal(m, res, i, z_report=rep)
+        corr = loop_series_marginal(res, i, rep)
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
 
 
@@ -236,7 +237,7 @@ def test_marginal_symmetric_model_is_uniform():
         cycle_graph(4), (((e, ei), (ei, e)),) * 4, uniform_phi(4)
     )
     res = run_lbp(m)
-    corr = loop_series_marginal(m, res, 0)
+    corr = loop_series_marginal(res, 0, loop_series_z(res))
     assert corr.corrected_marginal[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -248,7 +249,7 @@ def test_single_cycle_sign_check(rng):
         res = run_lbp(m)
         if not res.converged:
             continue
-        assert single_cycle_sign_check(m, res, target=0)
+        assert single_cycle_sign_check(res, target=0)
         hits += 1
     assert hits >= 30
 
@@ -257,7 +258,7 @@ def test_single_cycle_sign_check_rejects_trees(rng):
     m = ising_model(random_tree(5, rng), rng)
     res = run_lbp(m)
     with pytest.raises(ValueError):
-        single_cycle_sign_check(m, res, target=0)
+        single_cycle_sign_check(res, target=0)
 
 
 def test_single_cycle_sign_check_rejects_target_off_cycle(rng):
@@ -266,9 +267,9 @@ def test_single_cycle_sign_check_rejects_target_off_cycle(rng):
     res = run_lbp(m)
     assert res.converged
     for target in range(4):
-        single_cycle_sign_check(m, res, target)
+        single_cycle_sign_check(res, target)
     with pytest.raises(ValueError, match="^target 4 does not lie on the cycle$"):
-        single_cycle_sign_check(m, res, target=4)
+        single_cycle_sign_check(res, target=4)
 
 
 def test_single_cycle_strong_interactions(rng):
@@ -276,7 +277,7 @@ def test_single_cycle_strong_interactions(rng):
     m = ising_model(g, rng, coupling=2.5, field=1.0)
     res = run_lbp(m, LbpOptions(max_iters=50_000))
     if res.converged:
-        assert single_cycle_sign_check(m, res, target=0)
+        assert single_cycle_sign_check(res, target=0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +285,21 @@ def test_single_cycle_strong_interactions(rng):
 # ---------------------------------------------------------------------------
 
 
+def test_per_kind_names_are_the_unified_functions():
+    assert factor_coefficients is coefficients_from_beliefs
+    assert loop_series_z_factor is loop_series_z
+    assert loop_series_marginal_factor is loop_series_marginal
+
+
 def test_factor_coefficients_conventions(rng):
     res = run_lbp_factor(HYPERTREE)
     assert res.converged
-    coeff = factor_coefficients(res)
+    coeff = coefficients_from_beliefs(res)
     for f, (scope, _) in enumerate(HYPERTREE.factors):
         betas = coeff.factor_beta[f]
-        assert betas[frozenset()] == 1.0
-        for i in scope:
-            assert betas[frozenset({i})] == 0.0
+        assert betas[0] == 1.0
+        for q in range(len(scope)):
+            assert betas[1 << q] == 0.0
         # the pinned singleton values really do vanish at the fixed point
         nb = np.asarray(res.node_beliefs)
         bf = np.asarray(res.factor_beliefs[f])
@@ -313,19 +320,17 @@ def test_factor_beta_matches_pairwise(rng):
     res_f = run_lbp_factor(to_factor_model(m))
     assert res_p.converged and res_f.converged
     cp = coefficients_from_beliefs(res_p)
-    cf = factor_coefficients(res_f)
-    for e, (a, b) in enumerate(g.edges):
-        assert cf.factor_beta[e][frozenset({a, b})] == pytest.approx(
-            cp.beta[e], abs=1e-9
-        )
+    cf = coefficients_from_beliefs(res_f)
+    for e in range(len(g.edges)):
+        assert cf.factor_beta[e][0b11] == pytest.approx(cp.beta[e], abs=1e-9)
 
 
 def test_factor_beta_uniform_beliefs_vanish():
     fm = FactorModel(3, (((0, 1, 2), (1.0,) * 8), ((0,), (1.0, 1.0))))
     res = run_lbp_factor(fm)
-    coeff = factor_coefficients(res)
-    for key, val in coeff.factor_beta[0].items():
-        if len(key) >= 1:
+    coeff = coefficients_from_beliefs(res)
+    for mask, val in enumerate(coeff.factor_beta[0]):
+        if mask:
             assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -335,14 +340,14 @@ def test_factor_series_matches_pairwise(rng):
     res_p = run_lbp(m)
     res_f = run_lbp_factor(to_factor_model(m))
     assert res_p.converged and res_f.converged
-    tot_p = loop_series_z(m, res_p).total
-    tot_f = loop_series_z_factor(to_factor_model(m), res_f).total
+    tot_p = loop_series_z(res_p).total
+    tot_f = loop_series_z(res_f).total
     assert abs(tot_p - tot_f) < 1e-10
 
 
 def test_factor_series_hypertree_total_is_one():
     res = run_lbp_factor(HYPERTREE)
-    rep = loop_series_z_factor(HYPERTREE, res)
+    rep = loop_series_z(res)
     assert rep.total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -358,19 +363,20 @@ def test_factor_series_exact_with_arity_three(rng):
     fm = FactorModel(6, tuple(factors))
     res = run_lbp_factor(fm)
     assert res.converged
-    rep = loop_series_z_factor(fm, res)
+    rep = loop_series_z(res)
     z = math.exp(brute_force(fm).log_z)
     assert rep.z_estimate == pytest.approx(z, rel=1e-8)
     exact = brute_force(fm)
     for i in range(6):
-        corr = loop_series_marginal_factor(fm, res, i, z_report=rep)
+        corr = loop_series_marginal(res, i, rep)
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
 
 
 def test_factor_marginal_hypertree_is_belief():
     res = run_lbp_factor(HYPERTREE)
+    rep = loop_series_z(res)
     for i in range(HYPERTREE.variable_count):
-        corr = loop_series_marginal_factor(HYPERTREE, res, i)
+        corr = loop_series_marginal(res, i, rep)
         assert abs(corr.corrected_marginal - res.node_beliefs[i]).max() < 1e-11
 
 
@@ -381,16 +387,17 @@ def test_factor_marginal_matches_pairwise_route(rng):
     fm = to_factor_model(m)
     res_f = run_lbp_factor(fm)
     assert res_p.converged and res_f.converged
+    rep_p, rep_f = loop_series_z(res_p), loop_series_z(res_f)
     for i in range(5):
-        a = loop_series_marginal(m, res_p, i).corrected_marginal
-        b = loop_series_marginal_factor(fm, res_f, i).corrected_marginal
+        a = loop_series_marginal(res_p, i, rep_p).corrected_marginal
+        b = loop_series_marginal(res_f, i, rep_f).corrected_marginal
         assert abs(a - b).max() < 1e-10
 
 
 def test_truncated_series(rng):
     m = ising_model(two_triangles_graph(), rng, coupling=0.8, field=0.5)
     res = run_lbp(m)
-    rep = loop_series_z(m, res)
+    rep = loop_series_z(res)
     assert truncated_series(rep, 0) == [(0, 1.0)]
     upto3 = truncated_series(rep, 3)
     assert upto3[-1][1] == pytest.approx(
@@ -421,15 +428,13 @@ def series_models(draw):
 @given(series_models())
 @settings(max_examples=60, deadline=None)
 def test_all_marginals_match_per_target_sums(model):
-    pairwise = isinstance(model, PairwiseModel)
-    res = run_lbp(model) if pairwise else run_lbp_factor(model)
+    res = run_lbp(model) if isinstance(model, PairwiseModel) else run_lbp_factor(model)
     assume(res.converged)
-    z = loop_series_z(model, res) if pairwise else loop_series_z_factor(model, res)
-    single = loop_series_marginal if pairwise else loop_series_marginal_factor
+    z = loop_series_z(res)
     corrections = loop_series_marginals(res, z)
     assert len(corrections) == len(res.node_beliefs)
     for v, corr in enumerate(corrections):
-        want = single(model, res, v, z_report=z)
+        want = loop_series_marginal(res, v, z)
         assert corr.target == v and corr.series_total == want.series_total
         assert abs(corr.corrected_marginal - want.corrected_marginal).max() <= 1e-14
         assert abs(corr.bias_series - want.bias_series) <= 1e-12 * max(1.0, abs(want.bias_series))
