@@ -315,6 +315,8 @@ def single_cycle_sign_check(res: LbpResult, target: int) -> bool:
     """
     from .exact import brute_force
 
+    if not isinstance(res.model, PairwiseModel):
+        raise ValueError("sign check needs a pairwise model")
     g = res.model.graph
     ok, _ = is_connected(g)
     if not ok or cycle_rank(g) != 1:

@@ -261,6 +261,14 @@ def test_single_cycle_sign_check_rejects_trees(rng):
         single_cycle_sign_check(res, target=0)
 
 
+def test_single_cycle_sign_check_rejects_factor_models(rng):
+    m = ising_model(single_cycle_graph(4, 0, rng), rng)
+    res = run_lbp_factor(to_factor_model(m))
+    assert res.converged
+    with pytest.raises(ValueError, match="^sign check needs a pairwise model$"):
+        single_cycle_sign_check(res, target=0)
+
+
 def test_single_cycle_sign_check_rejects_target_off_cycle(rng):
     g = single_cycle_graph(4, 1, rng)  # node 4 hangs off the 4-cycle
     m = ising_model(g, rng, coupling=0.5, field=0.5)
