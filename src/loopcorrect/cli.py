@@ -3,6 +3,8 @@
 Commands: lbp, loopseries, oracle, compare, theta, omega, matching, gen.
 Exit codes: 0 success, 1 usage or I/O trouble, 2 LBP non-convergence,
 3 identity-check failure.  Every computation runs serially in one process.
+A command computes and checks everything before it prints; a refusal is an
+exception that main reports as one "error: " line on stderr.
 """
 
 from __future__ import annotations
@@ -112,14 +114,10 @@ def cmd_oracle(args) -> int:
 def cmd_loopseries(args) -> int:
     model = _load_model(args.model)
     res = _run_model_lbp(model, _lbp_opts(args))
-    if not res.converged:
-        sys.stderr.write(
-            f"LBP did not converge (residual {res.residual:.3e})\n"
-        )
-        return EXIT_NOT_CONVERGED
     report = loop_series_z(res)
-    # a bad --max-size fails here, before anything is printed
+    # a bad --max-size or --target fails here, before anything is printed
     partials = [] if args.max_size is None else truncated_series(report, args.max_size)
+    corr = None if args.target is None else loop_series_marginal(res, args.target, report)
     if args.terms:
         # an exact running sum, rounded once per row: fsum of the prefix
         rows, running = [], Fraction(0)
@@ -133,8 +131,7 @@ def cmd_loopseries(args) -> int:
     sys.stdout.write(f"series_total = {report.total:.12g}\n")
     sys.stdout.write(f"log_Z_B = {report.log_z_b:.12g}\n")
     sys.stdout.write(f"corrected log_Z = {report.log_z_b + math.log(report.total):.12g}\n")
-    if args.target is not None:
-        corr = loop_series_marginal(res, args.target, report)
+    if corr is not None:
         sys.stdout.write(
             f"marginal[{args.target}] corrected = "
             f"({corr.corrected_marginal[0]:.12g}, {corr.corrected_marginal[1]:.12g})\n"
@@ -147,13 +144,10 @@ def cmd_compare(args) -> int:
         raise ValueError(f"--check-tol must be finite and non-negative, got {args.check_tol}")
     model = _load_model(args.model)
     res = _run_model_lbp(model, _lbp_opts(args))
-    if not res.converged:
-        sys.stderr.write(
-            f"LBP did not converge (residual {res.residual:.3e})\n"
-        )
-        return EXIT_NOT_CONVERGED
-    exact = brute_force(model)
+    # the series refuses an unconverged run before the 2^N oracle starts
     report = loop_series_z(res)
+    exact = brute_force(model)
+    corrections = loop_series_marginals(res, report)
     corrected_log_z = report.log_z_b + math.log(report.total)
     rel_err = abs(math.expm1(corrected_log_z - exact.log_z))
     rows = [
@@ -169,17 +163,17 @@ def cmd_compare(args) -> int:
 
     marg_rows = []
     worst = 0.0
-    for i, corr in enumerate(loop_series_marginals(res, report)):
+    for i, corr in enumerate(corrections):
         before = abs(res.node_beliefs[i][1] - exact.marginals[i][1])
         after = abs(corr.corrected_marginal[1] - exact.marginals[i][1])
         worst = max(worst, after)
         marg_rows.append((i, f"{before:.6g}", f"{after:.6g}"))
     _emit_rows(marg_rows, ["node", "belief_error", "corrected_error"], args.format)
     if rel_err > args.check_tol or worst > args.check_tol:
-        sys.stderr.write(
-            f"exactness check failed: rel_err={rel_err:.3e} worst_marginal={worst:.3e}\n"
+        # a verdict on the printed tables, so it comes after them
+        raise IdentityError(
+            f"exactness check failed: rel_err={rel_err:.3e} worst_marginal={worst:.3e}"
         )
-        return EXIT_IDENTITY
     return EXIT_OK
 
 
@@ -188,12 +182,13 @@ def cmd_theta(args) -> int:
     theta = (
         theta_contraction_deletion(g) if args.method == "cd" else theta_direct(g)
     )
-    sys.stdout.write(f"theta = {theta.poly}\n")
     if args.check:
         other = theta_direct(g) if args.method == "cd" else theta_contraction_deletion(g)
         if theta.poly != other.poly:
             raise IdentityError("direct and contraction-deletion theta disagree")
         bound = loop_count_bound(g, theta)
+    sys.stdout.write(f"theta = {theta.poly}\n")
+    if args.check:
         sys.stdout.write(
             f"loop_count = {bound.count}  bound = {bound.bound:.9g}  "
             f"attained = {bound.attained}\n"
@@ -204,9 +199,10 @@ def cmd_theta(args) -> int:
 def cmd_omega(args) -> int:
     g = _load_graph(args.graph)
     w = omega(g)
-    sys.stdout.write(f"omega = {w.poly}\n")
     if args.check:
         omega_determinant_form(g, w)
+    sys.stdout.write(f"omega = {w.poly}\n")
+    if args.check:
         sys.stdout.write("determinant-sum identity holds\n")
     return EXIT_OK
 

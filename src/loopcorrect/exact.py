@@ -24,7 +24,7 @@ from .model import FactorModel, PairwiseModel, edge_tables
 from .poly import f_values, g_values
 
 _CHUNK_BITS = 16
-# Most variables brute_force enumerates (2^25 states).
+# Most variables any state sum here enumerates (2^25 states).
 BRUTE_FORCE_CAP = 25
 
 
@@ -142,28 +142,20 @@ def belief_ratio_state_sum(model, res) -> float:
 
 def belief_ratio_state_sum_from_beliefs(model, node_beliefs, local_beliefs) -> float:
     """belief_ratio_state_sum on raw belief tables: local_beliefs holds one
-    table per edge of a pairwise model (2x2 or flat) or per factor (flat)."""
+    table per edge of a pairwise model (2x2 or flat) or per factor (flat).
+
+    The sum is the partition function of a factor model, so brute_force
+    evaluates it: each local belief table over its scope, and b_i^(1 - d_i)
+    on each variable i of degree d_i.
+    """
     n, _, factors = _scoped_tables(model)
-    groups = [(scope, np.ravel(local_beliefs[f])) for f, (scope, _) in enumerate(factors)]
     nb = np.asarray(node_beliefs, dtype=float)
     if nb.min() <= 0.0:
         raise ValueError("beliefs must be strictly positive")
-    for _, tab in groups:
-        if tab.min() <= 0.0:
-            raise ValueError("beliefs must be strictly positive")
-
-    log_nb = np.log(nb)
-    log_groups = [(scope, np.log(tab)) for scope, tab in groups]
-    deg = np.bincount([i for scope, _ in groups for i in scope], minlength=n)
-    parts = []
-    for bits in _state_chunks(n):
-        logterm = np.zeros(bits.shape[0])
-        for scope, lt in log_groups:
-            logterm += lt[_state_index(bits, scope)]
-        for i in range(n):
-            logterm += (1 - deg[i]) * log_nb[i][bits[:, i]]
-        parts.append(float(np.exp(logterm).sum()))
-    return math.fsum(parts)
+    deg = np.bincount([i for scope, _ in factors for i in scope], minlength=n)
+    tables = [(scope, np.ravel(local_beliefs[f])) for f, (scope, _) in enumerate(factors)]
+    tables += [((i,), nb[i] ** (1 - deg[i])) for i in range(n)]
+    return math.exp(brute_force(FactorModel(n, tuple(tables))).log_z)
 
 
 def loop_identity_state_sum(
@@ -179,8 +171,8 @@ def loop_identity_state_sum(
     spin of weight_node.  Terms may be negative, so accumulation uses fsum.
     """
     n = g.node_count
-    if n > 20:
-        raise SizeError("identity evaluation capped at 20 nodes")
+    if n > BRUTE_FORCE_CAP:
+        raise SizeError(f"{n} nodes exceed the enumeration cap {BRUTE_FORCE_CAP}")
     xi = np.array([float(x) for x in xi])
     if (xi <= 0).any():
         raise ValueError("xi values must be positive")

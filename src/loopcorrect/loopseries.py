@@ -219,16 +219,13 @@ class MarginalCorrection:
         return self.weights.terms(free_node=self.target)
 
 
-def _target_weights(z_report: SeriesReport, target: int, g_table) -> SubsetWeights:
-    """The Z series' weights with the target's f table swapped for g_table."""
+def _target_weights(z_report: SeriesReport, target: int) -> SubsetWeights:
+    """The Z series' weights with the target's f table swapped for its g
+    table (g_1 = -2, so the target escapes degree-one pruning; every other
+    node still kills subsets through f_1 = 0)."""
     tables = list(z_report.weights.node_tables)
-    tables[target] = g_table
+    tables[target] = g_values(float(z_report.coefficients.gamma[target]), len(tables[target]) - 1)
     return replace(z_report.weights, node_tables=tables)
-
-
-def _g_table(z_report: SeriesReport, target: int) -> list:
-    top = len(z_report.weights.node_tables[target]) - 1
-    return g_values(float(z_report.coefficients.gamma[target]), top)
 
 
 def _correction(res, target, z_report, bias, weights) -> MarginalCorrection:
@@ -239,20 +236,6 @@ def _correction(res, target, z_report, bias, weights) -> MarginalCorrection:
         corrected_marginal=_corrected_marginal(res.node_beliefs[target], bias, z_report.total),
         weights=weights,
     )
-
-
-def _marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCorrection:
-    """The bias series: the Z series' weights with the target's f table
-    swapped for its g table (g_1 = -2, so the target escapes degree-one
-    pruning; every other node still kills subsets through f_1 = 0).
-
-    A single target stays a scalar sum rather than a one-world
-    loop_series_marginals: a float state costs a fraction of a numpy
-    vector's, so on the 3x4 grid the scalar sum takes about a third of
-    the one-world vector sum's time."""
-    weights = _target_weights(z_report, target, _g_table(z_report, target))
-    bias, _ = weights.frontier_sum()
-    return _correction(res, target, z_report, bias, weights)
 
 
 def _corrected_marginal(node_belief, bias, total) -> np.ndarray:
@@ -266,11 +249,18 @@ def loop_series_marginal(res: LbpResult, target: int, z_report: SeriesReport) ->
     z_report must be the loop_series_z output for the same fixed point; its
     coefficients and weights are reused.  On a factor model the factor
     nodes still prune at degree one, because singleton betas vanish.
+
+    A single target stays a scalar sum rather than a one-world
+    loop_series_marginals: a float state costs a fraction of a numpy
+    vector's, so on the 3x4 grid the scalar sum takes about a third of
+    the one-world vector sum's time.
     """
     _require_converged(res)
     if not (0 <= target < len(res.node_beliefs)):
         raise ValueError(f"target node {target} out of range")
-    return _marginal(res, target, z_report)
+    weights = _target_weights(z_report, target)
+    bias, _ = weights.frontier_sum()
+    return _correction(res, target, z_report, bias, weights)
 
 
 def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[MarginalCorrection]:
@@ -290,18 +280,15 @@ def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[Margin
     _require_converged(res)
     n = len(res.node_beliefs)
     node_tables = z_report.weights.node_tables
-    g_tables = [_g_table(z_report, v) for v in range(n)]
+    targets = [_target_weights(z_report, v) for v in range(n)]
     worlds = []
     for v in range(n):
         entries = np.repeat(np.array(node_tables[v], dtype=float)[:, None], n, axis=1)
-        entries[:, v] = g_tables[v]
+        entries[:, v] = targets[v].node_tables[v]
         worlds.append(list(entries))
     vector_weights = replace(z_report.weights, node_tables=worlds + node_tables[n:])
     bias, _ = vector_weights.frontier_sum(one=np.ones(n))
-    return [
-        _correction(res, v, z_report, float(bias[v]), _target_weights(z_report, v, g_tables[v]))
-        for v in range(n)
-    ]
+    return [_correction(res, v, z_report, float(bias[v]), targets[v]) for v in range(n)]
 
 
 def single_cycle_sign_check(res: LbpResult, target: int) -> bool:
@@ -351,10 +338,10 @@ def single_cycle_sign_check(res: LbpResult, target: int) -> bool:
     return sp == 0 or sb == 0 or sp == sb
 
 
-def _sign(x: float, tol: float = 0.0) -> int:
-    if x > tol:
+def _sign(x: float) -> int:
+    if x > 0.0:
         return 1
-    if x < -tol:
+    if x < 0.0:
         return -1
     return 0
 

@@ -23,6 +23,7 @@ from loopcorrect.graph import (
     render_edge_list,
     two_triangles_graph,
 )
+from loopcorrect.graphpoly import theta_direct
 from loopcorrect.lbp import run_lbp
 from loopcorrect.loopseries import loop_series_z
 from loopcorrect.model import PairwiseModel, model_from_json, pairwise_to_json
@@ -169,14 +170,52 @@ def test_compare_command_ok(model_file, capsys):
         assert needle in out
 
 
-def test_compare_identity_failure_exit_code(model_file):
-    # an absurdly tight tolerance forces the identity-check exit path
+def test_compare_identity_failure_exit_code(model_file, capsys):
+    # an absurdly tight tolerance forces the identity-check exit path; the
+    # verdict follows the tables it judges
     assert main(["compare", "--model", str(model_file), "--check-tol", "1e-30"]) == 3
+    cap = capsys.readouterr()
+    assert "corrected_rel_error" in cap.out
+    assert cap.err.startswith("error: exactness check failed") and cap.err.count("\n") == 1
 
 
-def test_non_convergence_exit_code(model_file):
+def test_non_convergence_exit_code(model_file, monkeypatch, capsys):
+    import loopcorrect.cli as cli
+
     assert main(["lbp", "--model", str(model_file), "--max-iters", "2"]) == 2
-    assert main(["loopseries", "--model", str(model_file), "--max-iters", "2"]) == 2
+    capsys.readouterr()
+    # the series refuses the run before compare starts the 2^N oracle
+    calls = []
+    monkeypatch.setattr(cli, "brute_force", lambda model: calls.append(model))
+    for command in ("loopseries", "compare"):
+        assert main([command, "--model", str(model_file), "--max-iters", "2"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: LBP did not converge") and cap.err.count("\n") == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["target", "omega", "theta"])
+def test_refusal_prints_nothing_on_stdout(case, model_file, graph_file, tmp_path,
+                                          monkeypatch, capsys):
+    # every check runs before the first line is printed
+    if case == "target":
+        argv, code = ["loopseries", "--model", str(model_file), "--target", "99"], 1
+    elif case == "omega":
+        # K11's theta route outgrows STATE_CAP
+        path = tmp_path / "k11.txt"
+        path.write_text(render_edge_list(complete_graph(11)))
+        argv, code = ["omega", "--graph", str(path), "--check"], 1
+    else:
+        import loopcorrect.cli as cli
+
+        monkeypatch.setattr(cli, "theta_contraction_deletion",
+                            lambda g: theta_direct(cycle_graph(3)))
+        argv, code = ["theta", "--graph", str(graph_file), "--check"], 3
+    assert main(argv) == code
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,12 @@ from loopcorrect.exact import (
     loop_identity_subset_sum,
 )
 from loopcorrect.exceptions import SizeError
-from loopcorrect.generate import ising_model, random_connected_graph, random_tree
+from loopcorrect.generate import (
+    ising_model,
+    random_connected_graph,
+    random_factor_model,
+    random_tree,
+)
 from loopcorrect.graph import Multigraph, cycle_graph, two_triangles_graph
 from loopcorrect.lbp import run_lbp, run_lbp_factor
 from loopcorrect.model import FactorModel, PairwiseModel, to_factor_model, uniform_phi
@@ -111,15 +116,21 @@ def test_belief_ratio_tree_fixed_point(rng):
 
 
 def test_belief_ratio_equals_z_ratio(rng):
-    for _ in range(4):
-        g = random_connected_graph(6, 9, rng)
-        m = ising_model(g, rng, coupling=0.8, field=0.5)
-        res = run_lbp(m)
+    models = [
+        (ising_model(random_connected_graph(6, 9, rng), rng, coupling=0.8, field=0.5), run_lbp)
+        for _ in range(4)
+    ] + [(random_factor_model(rng, max_vars=6, max_incidences=12), run_lbp_factor)
+         for _ in range(4)]
+    factor_runs = 0
+    for m, run in models:
+        res = run(m)
         if not res.converged:
             continue
         z = math.exp(brute_force(m).log_z)
         zb = math.exp(res.log_z_b)
         assert belief_ratio_state_sum(res.model, res) == pytest.approx(z / zb, rel=1e-8)
+        factor_runs += isinstance(m, FactorModel)
+    assert factor_runs > 0
 
 
 def test_belief_ratio_independent_model():
