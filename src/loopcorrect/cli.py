@@ -113,9 +113,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_loopseries(args) -> int:
     model = _load_model(args.model)
+    if args.target is not None:
+        n = model.node_count if isinstance(model, PairwiseModel) else model.variable_count
+        if not 0 <= args.target < n:
+            raise ValueError(f"target node {args.target} out of range")
     res = _run_model_lbp(model, _lbp_opts(args))
     report = loop_series_z(res)
-    # a bad --max-size or --target fails here, before anything is printed
+    # a bad --max-size fails here, before anything is printed
     partials = [] if args.max_size is None else truncated_series(report, args.max_size)
     corr = None if args.target is None else loop_series_marginal(res, args.target, report)
     if args.terms:
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.set_defaults(func=cmd_lbp)
 
-    p = sub.add_parser("oracle", help="exact brute-force log Z and marginals")
+    p = sub.add_parser("oracle", help="exact log Z and marginals by variable elimination")
     p.add_argument("--model", required=True)
     _add_format_flag(p)
     p.set_defaults(func=cmd_oracle)

@@ -1,57 +1,78 @@
-"""Brute-force oracles: exact partition function and marginals by state
-enumeration, plus direct two-sided evaluation of the subset-sum identities.
+"""Exact oracles: the partition function and marginals of a model, plus
+direct two-sided evaluation of the subset-sum identities.
 
-Everything here is the ground truth the fast paths are tested against, so
-the code favours numerical care over speed: log-domain weights, chunked
-vectorized enumeration, and compensated cross-chunk accumulation.
+Everything here is the ground truth the loop series is checked against.
+Every state sum runs on one engine, _eliminate: variable (bucket)
+elimination in id order.  It keeps a table over the spins of the frontier
+variables.  A variable joins the frontier with its first table and is
+summed out after its last, and a table is multiplied in when its highest-id
+variable arrives.  Each table is first scaled by the exact power of two of
+its largest |entry|, and each step reads the frontier table's largest
+|entry| and rescales by its exact power of two once that leaves 2^-64 to
+2^64.  So signed tables work, and log Z is an integer exponent plus the log
+of one float, with no rounding from the scaling.  With w the most variables
+the frontier holds at once, a sum visits O(N 2^w) frontier states;
+graph.STATE_CAP bounds 2^w and is checked from the plan before any frontier
+table is allocated.
 
-Both model kinds are enumerated as one list of flat tables over scopes: a
-pairwise model is its node potentials as unary tables and its edge tables
-as arity-2 factors, a factor model its factors.  _scoped_tables is the only
-place that tells the kinds apart.
+Node marginals come from the same forward pass, which carries one extra
+row per variable: a copy of the weight that loses its -1 half when the
+variable is summed out, so that it ends as the weight with the variable at
++1.  The table holds N + 1 values per frontier state, as
+loop_series_marginals' world vectors do.  Rows that join only as their
+variables are summed out would about halve the work on large grids, but
+joining them costs more than that saves on small models.  Edge and factor
+marginals take a second pass, with one row per nonempty subset of each
+scope, run only when they are first read.
+
+Both model kinds are one list of flat tables over scopes: a pairwise model
+is its node potentials as unary tables and its edge tables as arity-2
+factors, a factor model its factors.  _scoped_tables is the only place that
+tells the kinds apart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .exceptions import SizeError
-from .graph import Multigraph, SubsetWeights
+from .graph import STATE_CAP, Multigraph, SubsetWeights
 from .model import FactorModel, PairwiseModel, edge_tables
 from .poly import f_values, g_values
 
-_CHUNK_BITS = 16
-# Most variables any state sum here enumerates (2^25 states).
-BRUTE_FORCE_CAP = 25
+_ALL = slice(None)  # an axis whole
 
 
 @dataclass
 class ExactResult:
     """Exact log partition function and marginals.
 
-    marginals[i] = [p_i(-1), p_i(+1)].  pair_marginals is per edge for
-    pairwise models; factor_marginals is per factor (flat tables) for
-    factor models.
+    marginals[i] = [p_i(-1), p_i(+1)].  pair_marginals (per edge, 2x2) for a
+    pairwise model and factor_marginals (per factor, flat tables) for a
+    factor model are computed from model when first read; without a model
+    they are None and [].
     """
 
     log_z: float
     marginals: np.ndarray
-    pair_marginals: np.ndarray | None = None
-    factor_marginals: list = field(default_factory=list)
+    model: object = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def pair_marginals(self) -> np.ndarray | None:
+        if not isinstance(self.model, PairwiseModel):
+            return None
+        return np.reshape(_local_marginals(self.model), (-1, 2, 2))
 
-def _state_chunks(n: int):
-    """Yield bit matrices of shape (chunk, n); bit i of the state index is
-    variable i."""
-    total = 1 << n
-    chunk = min(total, 1 << _CHUNK_BITS)
-    shifts = np.arange(n, dtype=np.uint32)
-    for off in range(0, total, chunk):
-        idx = np.arange(off, min(off + chunk, total), dtype=np.uint32)
-        yield (idx[:, None] >> shifts[None, :]) & 1
+    @cached_property
+    def factor_marginals(self) -> list:
+        if not isinstance(self.model, FactorModel):
+            return []
+        return _local_marginals(self.model)
 
 
 def _scoped_tables(model):
@@ -67,67 +88,138 @@ def _scoped_tables(model):
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def _state_index(bits: np.ndarray, scope) -> np.ndarray:
-    """Each state's entry in a flat table over scope, first variable most
-    significant."""
-    if not scope:
-        return np.zeros(bits.shape[0], dtype=np.intp)
-    idx = bits[:, scope[0]]
-    for i in scope[1:]:
-        idx = (idx << 1) | bits[:, i]
-    return idx
+def _layout(table, slots, width: int) -> np.ndarray:
+    """A flat table over len(slots) spins laid out to broadcast against a
+    frontier of width slots: the spin of its q-th variable on axis slots[q]
+    after the rows axis, size-1 axes elsewhere."""
+    up = sorted(slots)
+    if up != slots:
+        table = table.reshape((2,) * len(slots)).transpose([slots.index(s) for s in up])
+    shape = [1] * width
+    for s in up:
+        shape[s] = 2
+    return table.reshape(shape)
+
+
+def _eliminate(n: int, tables, marks=()):
+    """Sum over all 2^n spin states of the product of tables, each a
+    (scope, flat table) pair with entries of any sign, first scope variable
+    most significant; every variable must lie in some table's scope.
+
+    Returns (rows, exponent).  rows[0] * 2^exponent is the sum.  Each mark
+    scope S, in order, adds 2^|S| - 1 rows on the same scale: for each
+    nonempty subset T of S, in the order of its bitmask (first variable most
+    significant), the sum with every variable of T at +1.  A row starts as a
+    copy of row 0 and loses the -1 half of each of its variables as that
+    variable is summed out.
+    """
+    sizes = [len(t) for _, t in tables]
+    starts = list(accumulate(sizes, initial=0))
+    flat = np.fromiter(chain.from_iterable(t for _, t in tables), float, starts[-1])
+    # each table scaled by the power of two of its largest |entry|, so the
+    # product of one step's tables stays within float range
+    _, shifts = np.frexp(flat)
+    if sizes:
+        shifts = np.maximum.reduceat(shifts, starts[:-1])
+    flat = np.ldexp(flat, -np.repeat(shifts, sizes))
+    exponent = int(shifts.sum())
+    signed = flat.min(initial=0.0) < 0.0
+
+    first, last = [n] * n, [-1] * n
+    arriving, retiring, by_top, cleared = ([[] for _ in range(n)] for _ in range(4))
+    head = 1.0  # the product of the empty-scope tables
+    for f, (scope, _) in enumerate(tables):
+        if not scope:
+            head *= float(flat[starts[f]])
+            continue
+        t = max(scope)
+        by_top[t].append(f)
+        for v in scope:
+            if t < first[v]:
+                first[v] = t
+            if t > last[v]:
+                last[v] = t
+    for v in range(n):
+        arriving[first[v]].append(v)
+        retiring[last[v]].append(v)
+    rows = 1
+    for scope in marks:
+        for t in range(1, 1 << len(scope)):
+            for q, v in enumerate(scope):
+                if t >> len(scope) - 1 - q & 1:
+                    cleared[last[v]].append((rows, v))
+            rows += 1
+
+    live = 0  # frontier variables, checked at every step before any table is built
+    for k in range(n):
+        live += len(arriving[k])
+        if 1 << live > STATE_CAP:
+            raise SizeError(
+                f"variable elimination holds {live} variables at once: "
+                f"2^{live} states exceed {STATE_CAP}"
+            )
+        live -= len(retiring[k])
+
+    # Each frontier variable holds a slot, freed when it is summed out and
+    # reused by a later arrival; slot s is axis 1 + s of the frontier table,
+    # whose axis 0 holds the rows.  Sums keep their axes (size 1 until the
+    # slot is reused).  Each step that sums variables out first multiplies
+    # in the tables whose highest variable arrived since the last one.
+    slot, free, factors = [0] * n, [], []
+    state = np.full(rows, head)
+    for k in range(n):
+        for v in arriving[k]:
+            if free:
+                slot[v] = free.pop()
+            else:
+                slot[v] = state.ndim - 1
+                state = state[..., None]
+        factors += by_top[k]
+        if not retiring[k]:
+            continue
+        for f in factors:
+            table = flat[starts[f]:starts[f + 1]]
+            state = state * _layout(table, [slot[v] for v in tables[f][0]], state.ndim - 1)
+        for r, v in cleared[k]:
+            state[(r,) + (_ALL,) * slot[v] + (0,)] = 0.0
+        state = state.sum(axis=tuple(1 + slot[v] for v in retiring[k]), keepdims=True)
+        free += [slot[v] for v in retiring[k]]
+        factors = []
+        peak = max(state.max(), -state.min()) if signed else state.max()
+        _, shift = math.frexp(peak)
+        if not -64 < shift < 64:
+            state = np.ldexp(state, -shift)
+            exponent += shift
+    return state.reshape(rows), exponent
 
 
 def brute_force(model) -> ExactResult:
-    """Exact enumeration over all 2^N states.
-
-    Weights are handled in the log domain; partial sums are taken per chunk
-    relative to a running maximum and combined with compensated summation,
-    so the result is trustworthy at the 1e-12 level the tests demand.
-    """
+    """Exact log Z and node marginals by variable elimination (see the
+    module docstring); edge or factor marginals are computed on first read.
+    Past STATE_CAP frontier states SizeError is raised."""
     n, node_tables, factors = _scoped_tables(model)
-    if n > BRUTE_FORCE_CAP:
-        raise SizeError(f"{n} variables exceed the enumeration cap {BRUTE_FORCE_CAP}")
-    tables = node_tables + factors  # node terms are added first
-    logs = [np.log(np.asarray(table)) for _, table in tables]
-    k = len(node_tables)
+    rows, exponent = _eliminate(n, node_tables + factors, [(v,) for v in range(n)])
+    on = rows[1:] / rows[0]
+    marginals = np.column_stack((1.0 - on, on))
+    return ExactResult(math.log(rows[0]) + exponent * math.log(2.0), marginals, model)
 
-    best = -math.inf  # running maximum of log weights
-    z_parts: list[float] = []
-    node_parts: list[np.ndarray] = []
-    local_parts: list[list[np.ndarray]] = []  # per chunk, per factor
 
-    for bits in _state_chunks(n):
-        index = [_state_index(bits, scope) for scope, _ in tables]
-        logw = np.zeros(bits.shape[0])
-        for idx, lt in zip(index, logs):
-            logw += lt[idx]
-        chunk_max = float(logw.max())
-        if chunk_max > best:
-            scale = math.exp(best - chunk_max) if best > -math.inf else 0.0
-            z_parts = [p * scale for p in z_parts]
-            node_parts = [p * scale for p in node_parts]
-            local_parts = [[t * scale for t in p] for p in local_parts]
-            best = chunk_max
-        w = np.exp(logw - best)
-        wsum = float(w.sum())
-        z_parts.append(wsum)
-        node = np.empty((n, 2))
-        for i in range(n):
-            on = float(w[bits[:, i] == 1].sum())
-            node[i] = (wsum - on, on)
-        node_parts.append(node)
-        local_parts.append([
-            np.bincount(idx, weights=w, minlength=len(lt)) for idx, lt in zip(index[k:], logs[k:])
-        ])
-
-    z = math.fsum(z_parts)
-    log_z = best + math.log(z)
-    marginals = sum(node_parts) / z
-    local = [sum(parts) / z for parts in zip(*local_parts)]
-    if node_tables:  # only a pairwise model has node tables; its factors are its edges
-        return ExactResult(log_z, marginals, pair_marginals=np.reshape(local, (-1, 2, 2)))
-    return ExactResult(log_z, marginals, factor_marginals=local)
+def _local_marginals(model) -> list:
+    """The flat marginal table of each factor (each edge of a pairwise
+    model): the weights with each subset of its scope at +1, turned into the
+    weights of each assignment by inclusion-exclusion over the variables."""
+    n, node_tables, factors = _scoped_tables(model)
+    scopes = [scope for scope, _ in factors]
+    rows, _ = _eliminate(n, node_tables + factors, scopes)
+    out, at = [], 1
+    for scope in scopes:
+        table = np.concatenate((rows[:1], rows[at:at + (1 << len(scope)) - 1])) / rows[0]
+        at += len(table) - 1
+        cube = table.reshape((2,) * len(scope))
+        for q in range(len(scope)):  # p(x_q = -1, rest) = p(rest) - p(x_q = +1, rest)
+            cube[(_ALL,) * q + (0,)] -= cube[(_ALL,) * q + (1,)]
+        out.append(table)
+    return out
 
 
 def belief_ratio_state_sum(model, res) -> float:
@@ -164,29 +256,31 @@ def loop_identity_state_sum(
     xi,
     weight_node: int | None = None,
 ) -> float:
-    """Direct 2^N evaluation of the edge-product state sum.
-
-    Per state: prod_{ij in E} (1 + x_i x_j beta_ij xi_i^{-x_i} xi_j^{-x_j})
-    times prod_i xi_i^{x_i} / (xi_i + 1/xi_i), optionally weighted by the
-    spin of weight_node.  Terms may be negative, so accumulation uses fsum.
+    """State side of the identity: the sum over all 2^N spin states of
+    prod_{ij in E} (1 + x_i x_j beta_ij xi_i^{-x_i} xi_j^{-x_j}) times
+    prod_i xi_i^{x_i} / (xi_i + 1/xi_i), optionally weighted by the spin of
+    weight_node.  Each factor is a table of the elimination engine; its
+    entries may be negative.
     """
     n = g.node_count
-    if n > BRUTE_FORCE_CAP:
-        raise SizeError(f"{n} nodes exceed the enumeration cap {BRUTE_FORCE_CAP}")
-    xi = np.array([float(x) for x in xi])
-    if (xi <= 0).any():
+    if weight_node is not None and not 0 <= weight_node < n:
+        raise ValueError(f"weight node {weight_node} out of range")
+    xi = [float(x) for x in xi]
+    if min(xi, default=1.0) <= 0:
         raise ValueError("xi values must be positive")
-    parts = []
-    for bits in _state_chunks(n):
-        spin = 2.0 * bits - 1.0
-        v = (xi**spin / (xi + 1 / xi)).prod(axis=1)
-        for e, (a, b) in enumerate(g.edges):
-            sa, sb = spin[:, a], spin[:, b]
-            v *= 1.0 + sa * sb * float(beta[e]) * xi[a] ** -sa * xi[b] ** -sb
-        if weight_node is not None:
-            v *= spin[:, weight_node]
-        parts.append(math.fsum(v))
-    return math.fsum(parts)
+    tables = [((i,), (1 / (x * (x + 1 / x)), x / (x + 1 / x))) for i, x in enumerate(xi)]
+    for (a, b), w in zip(g.edges, beta, strict=True):
+        w = float(w)
+        if a == b:  # x_a^2 = 1
+            tables.append(((a,), (1 + w * xi[a] ** 2, 1 + w / xi[a] ** 2)))
+        else:
+            tables.append(((a, b), tuple(
+                1 + sa * sb * w * xi[a] ** -sa * xi[b] ** -sb for sa in (-1, 1) for sb in (-1, 1)
+            )))
+    if weight_node is not None:
+        tables.append(((weight_node,), (-1.0, 1.0)))
+    rows, exponent = _eliminate(n, tables)
+    return math.ldexp(float(rows[0]), exponent)
 
 
 def loop_identity_subset_sum(

@@ -114,6 +114,9 @@ def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
 # Their width grows with the edge count, so on long, thin graphs they take
 # more memory than coefficient dicts would (the 80x2 ladder: 6.2 MB against
 # 5.4 MB).  With n-world vector values memory grows as states times n floats.
+# The exact oracle's variable elimination (exact.py) holds 2^w states for a
+# frontier of w variables, so STATE_CAP bounds 2^w there, checked from its
+# plan; its table holds N + 1 values per state.
 STATE_CAP = 1 << 17
 # Most generalized loops SubsetWeights.terms lists (the 4x4 grid has 16372).
 TERMS_CAP = 1 << 17

@@ -1,18 +1,18 @@
-"""Slow reference oracles that only the tests call: a per-state Python
-loop for the exact partition function and marginals, a filter of all
-2^|E| edge subsets for the generalized loops, edge contraction and
-deletion for omega's deletion-contraction recurrence, the LBP engine as
-it was when it kept unscaled tables and restarted in the log domain when
-a message left float's safe range, the random connected graph sampler as
-it was when it listed all n(n-1)/2 pairs, the determinant sum over
-disjoint cycle sets as omega --check once computed it, and the frontier
-subset sum as it was before its step loop was unrolled."""
+"""Slow reference oracles that only the tests call: the one 2^N state
+enumeration, for the exact partition function and marginals and for signed
+state sums, a filter of all 2^|E| edge subsets for the generalized loops,
+edge contraction and deletion for omega's deletion-contraction recurrence,
+the LBP engine as it was when it kept unscaled tables and restarted in the
+log domain when a message left float's safe range, the random connected
+graph sampler as it was when it listed all n(n-1)/2 pairs, the determinant
+sum over disjoint cycle sets as omega --check once computed it, and the
+frontier subset sum as it was before its step loop was unrolled."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from loopcorrect.exact import ExactResult
 from loopcorrect.exceptions import DivisibilityError, GenerationError, NumericError, SizeError
 from loopcorrect.generate import CONNECTED_DRAWS
 from loopcorrect import graph
@@ -21,39 +21,113 @@ from loopcorrect.model import PairwiseModel
 from loopcorrect.poly import UniPoly, unpack
 
 
-def brute_force_reference(model) -> ExactResult:
-    """Plain per-state Python loop; the slow reference the vectorized
-    enumeration is tested against.  Practical only for small N."""
+def model_tables(model):
+    """(variable count, tables) of a model as (scope, flat table) pairs: a
+    pairwise model's node potentials as unary tables, then its edge tables;
+    a factor model's factors."""
     if isinstance(model, PairwiseModel):
-        n = model.node_count
-    else:
-        n = model.variable_count
-    if n > 16:
-        raise SizeError("reference oracle capped at 16 variables")
-    logs = []
-    for state in range(1 << n):
-        bits = [(state >> i) & 1 for i in range(n)]
-        lw = 0.0
-        if isinstance(model, PairwiseModel):
-            for i in range(n):
-                lw += math.log(model.node_potentials[i][bits[i]])
-            for e, (a, b) in enumerate(model.graph.edges):
-                lw += math.log(model.edge_potentials[e][bits[a]][bits[b]])
+        nodes = [((i,), phi) for i, phi in enumerate(model.node_potentials)]
+        edges = [(e, psi[0] + psi[1]) for e, psi in zip(model.graph.edges, model.edge_potentials)]
+        return model.node_count, nodes + edges
+    return model.variable_count, list(model.factors)
+
+
+@dataclass
+class StateSums:
+    """Sums over all 2^n states of the weight prod_t t[x_scope(t)], each
+    relative to exp(scale): total, on[i] with variable i at +1, and local[t]
+    per entry of tables[t] with its scope at that assignment."""
+
+    scale: float
+    total: float
+    on: np.ndarray
+    local: list
+
+    @property
+    def value(self) -> float:
+        return math.exp(self.scale) * self.total
+
+    @property
+    def log_z(self) -> float:
+        return self.scale + math.log(self.total)
+
+    @property
+    def marginals(self) -> np.ndarray:
+        return np.column_stack((self.total - self.on, self.on)) / self.total
+
+
+def brute_force_reference(n: int, tables) -> StateSums:
+    """The one 2^n reference: enumerate every state of n binary variables,
+    2^16 at a time, for the state sum of flat tables whose entries may have
+    any sign (first scope variable most significant).
+
+    Each state's weight is a sign times the exponential of a sum of log
+    magnitudes.  Each chunk sums its weights relative to the running maximum
+    log magnitude, earlier chunks' sums are rescaled when the maximum grows,
+    and the chunk sums are combined with fsum."""
+    if n > 20:
+        raise SizeError("reference oracle capped at 20 variables")
+    with np.errstate(divide="ignore"):  # a zero entry has log magnitude -inf
+        logs = [np.log(np.abs(np.asarray(t, dtype=float))) for _, t in tables]
+    signs = [np.sign(np.asarray(t, dtype=float)) for _, t in tables]
+    shifts = np.arange(n, dtype=np.int64)
+    best = -math.inf
+    totals, ons, locals_ = [], [], []
+    for off in range(0, 1 << n, 1 << 16):
+        states = np.arange(off, min(off + (1 << 16), 1 << n), dtype=np.int64)
+        bits = (states[:, None] >> shifts) & 1  # bit i of the state is variable i
+        logw = np.zeros(len(states))
+        sign = np.ones(len(states))
+        index = []
+        for (scope, _), lt, st in zip(tables, logs, signs):
+            idx = np.zeros(len(states), dtype=np.int64)
+            for i in scope:
+                idx = (idx << 1) | bits[:, i]
+            index.append(idx)
+            logw += lt[idx]
+            sign *= st[idx]
+        top = logw.max()
+        if top == -math.inf:
+            continue  # every weight of the chunk is zero
+        if top > best:
+            scale = math.exp(best - top)
+            totals = [s * scale for s in totals]
+            ons = [s * scale for s in ons]
+            locals_ = [[s * scale for s in part] for part in locals_]
+            best = top
+        w = sign * np.exp(logw - best)
+        totals.append(math.fsum(w))
+        ons.append(np.array([math.fsum(w[bits[:, i] == 1]) for i in range(n)]))
+        locals_.append([
+            np.bincount(idx, weights=w, minlength=len(lt)) for idx, lt in zip(index, logs)
+        ])
+    if not totals:
+        return StateSums(0.0, 0.0, np.zeros(n), [np.zeros(len(lt)) for lt in logs])
+    return StateSums(
+        best,
+        math.fsum(totals),
+        np.array([math.fsum(col) for col in zip(*ons)]).reshape(n),
+        [np.sum(parts, axis=0) for parts in zip(*locals_)],
+    )
+
+
+def loop_identity_tables(g: Multigraph, beta, xi, weight_node=None):
+    """The edge-product state sum of exact.loop_identity_state_sum as
+    tables: per node xi^x / (xi + 1/xi), per edge
+    1 + x_i x_j beta xi_i^-x_i xi_j^-x_j (a self-loop on one variable), and
+    the spin of weight_node."""
+    spins = (-1.0, 1.0)
+    tables = [((i,), [x**s / (x + 1 / x) for s in spins]) for i, x in enumerate(xi)]
+    for (a, b), w in zip(g.edges, beta):
+        if a == b:
+            tables.append(((a,), [1 + w * xi[a] ** (-2 * s) for s in spins]))
         else:
-            for scope, table in model.factors:
-                idx = 0
-                for i in scope:
-                    idx = (idx << 1) | bits[i]
-                lw += math.log(table[idx])
-        logs.append(lw)
-    best = max(logs)
-    weights = [math.exp(lw - best) for lw in logs]
-    z = math.fsum(weights)
-    marg = np.zeros((n, 2))
-    for state, w in enumerate(weights):
-        for i in range(n):
-            marg[i][(state >> i) & 1] += w
-    return ExactResult(best + math.log(z), marg / z)
+            tables.append(((a, b), [
+                1 + sa * sb * w * xi[a] ** -sa * xi[b] ** -sb for sa in spins for sb in spins
+            ]))
+    if weight_node is not None:
+        tables.append(((weight_node,), list(spins)))
+    return tables
 
 
 def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = None):

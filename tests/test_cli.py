@@ -26,7 +26,13 @@ from loopcorrect.graph import (
 from loopcorrect.graphpoly import theta_direct
 from loopcorrect.lbp import run_lbp
 from loopcorrect.loopseries import loop_series_z
-from loopcorrect.model import PairwiseModel, model_from_json, pairwise_to_json
+from loopcorrect.model import (
+    PairwiseModel,
+    factor_to_json,
+    model_from_json,
+    pairwise_to_json,
+    to_factor_model,
+)
 from tests.conftest import circular_ladder
 
 
@@ -216,6 +222,35 @@ def test_refusal_prints_nothing_on_stdout(case, model_file, graph_file, tmp_path
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["pairwise", "factor"])
+@pytest.mark.parametrize("target", ["99", "-1"])
+def test_target_is_checked_before_lbp(kind, target, model_file, tmp_path, monkeypatch, capsys):
+    import loopcorrect.cli as cli
+
+    def no_lbp(*args):
+        raise AssertionError("LBP ran for an out-of-range target")
+
+    monkeypatch.setattr(cli, "run_lbp", no_lbp)
+    monkeypatch.setattr(cli, "run_lbp_factor", no_lbp)
+    path = model_file
+    if kind == "factor":
+        path = tmp_path / "factor.json"
+        path.write_text(factor_to_json(to_factor_model(model_from_json(model_file.read_text()))))
+    assert main(["loopseries", "--model", str(path), "--target", target]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: target node {target} out of range\n"
+
+
+def test_compare_past_25_variables(tmp_path, capsys):
+    # 36 variables: the oracle's frontier holds 7 of them
+    path = tmp_path / "grid.json"
+    assert main(["gen", "grid", "6", "6", "--seed", "3", "-o", str(path)]) == 0
+    assert main(["compare", "--model", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"^corrected_rel_error\s+(\S+)", out, re.M).group(1)) < 1e-8
 
 
 @pytest.mark.parametrize("argv", [

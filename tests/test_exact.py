@@ -1,11 +1,17 @@
-"""The brute-force oracle and the two-sided subset-sum identities."""
+"""The exact oracle (variable elimination) against the 2^N reference, and
+the two-sided subset-sum identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopcorrect.cli import main
 from loopcorrect.exact import (
+    _eliminate,
     brute_force,
     belief_ratio_state_sum,
     belief_ratio_state_sum_from_beliefs,
@@ -19,10 +25,16 @@ from loopcorrect.generate import (
     random_factor_model,
     random_tree,
 )
-from loopcorrect.graph import Multigraph, cycle_graph, two_triangles_graph
+from loopcorrect.graph import Multigraph, cycle_graph, grid_graph, two_triangles_graph
 from loopcorrect.lbp import run_lbp, run_lbp_factor
-from loopcorrect.model import FactorModel, PairwiseModel, to_factor_model, uniform_phi
-from oracles import brute_force_reference
+from loopcorrect.model import (
+    FactorModel,
+    PairwiseModel,
+    pairwise_to_json,
+    to_factor_model,
+    uniform_phi,
+)
+from oracles import brute_force_reference, loop_identity_tables, model_tables
 
 
 def test_single_edge_uniform():
@@ -57,14 +69,121 @@ def test_factor_model_all_ones():
     assert res.factor_marginals[1].sum() == pytest.approx(1.0, abs=1e-14)
 
 
+def _assert_matches_reference(model):
+    """brute_force agrees with the 2^N reference to 1e-12 in log Z, in
+    every node marginal and in every edge or factor marginal."""
+    n, tables = model_tables(model)
+    ref = brute_force_reference(n, tables)
+    res = brute_force(model)
+    assert abs(res.log_z - ref.log_z) < 1e-12
+    assert abs(res.marginals - ref.marginals).max(initial=0.0) < 1e-12
+    if isinstance(model, PairwiseModel):
+        local = np.reshape(res.pair_marginals, (-1, 4))
+        ref_local = ref.local[n:]
+    else:
+        local, ref_local = res.factor_marginals, ref.local
+    assert len(local) == len(ref_local)
+    for got, want in zip(local, ref_local):
+        assert abs(np.asarray(got) - want / ref.total).max() < 1e-12
+
+
 def test_vectorized_matches_reference(rng):
     for _ in range(5):
         g = random_connected_graph(5, 7, rng)
-        m = ising_model(g, rng, coupling=1.5, field=1.0)
-        fast = brute_force(m)
-        slow = brute_force_reference(m)
-        assert fast.log_z == pytest.approx(slow.log_z, abs=1e-12)
-        assert abs(fast.marginals - slow.marginals).max() < 1e-12
+        _assert_matches_reference(ising_model(g, rng, coupling=1.5, field=1.0))
+    # 17 variables: the reference sums two chunks of 2^16 states
+    tree = random_tree(17, rng)
+    _assert_matches_reference(ising_model(tree, rng, coupling=1.5, field=1.0))
+
+
+def _weights(draw, count, signed):
+    """count table entries: exp of a draw from [-3, 3], or with signed a
+    draw from [-2, 2], zero included."""
+    if signed:
+        return tuple(draw(st.floats(-2.0, 2.0)) for _ in range(count))
+    return tuple(math.exp(draw(st.floats(-3.0, 3.0))) for _ in range(count))
+
+
+@st.composite
+def scoped_tables(draw, signed=False):
+    """(n, tables): up to 8 tables on at most 6 variables, scopes of arity
+    0 to 3 in any order, and a unary table on each variable no scope
+    names."""
+    n = draw(st.integers(1, 6))
+    scopes = draw(st.lists(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=3).map(tuple), max_size=8
+    ))
+    named = {v for scope in scopes for v in scope}
+    scopes += [(v,) for v in range(n) if v not in named]
+    return n, [(scope, _weights(draw, 1 << len(scope), signed)) for scope in scopes]
+
+
+@st.composite
+def pairwise_models(draw):
+    """A connected pairwise model on 1 to 6 nodes: a random tree plus
+    random extra edges, each edge's endpoints in either order."""
+    n = draw(st.integers(1, 6))
+    edges = {frozenset((v, draw(st.integers(0, v - 1)))) for v in range(1, n)}
+    if n > 1:
+        node = st.integers(0, n - 1)
+        pairs = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+        edges |= {frozenset(p) for p in draw(st.lists(pairs, max_size=6))}
+    oriented = tuple(tuple(draw(st.permutations(sorted(e)))) for e in sorted(edges, key=sorted))
+    psi = tuple((_weights(draw, 2, False), _weights(draw, 2, False)) for _ in oriented)
+    phi = tuple(_weights(draw, 2, False) for _ in range(n))
+    return PairwiseModel(Multigraph(n, oriented), psi, phi)
+
+
+@given(st.one_of(pairwise_models(), scoped_tables().map(lambda nt: FactorModel(*nt))))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference(model):
+    _assert_matches_reference(model)
+
+
+@given(scoped_tables(signed=True))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_on_signed_tables(n_tables):
+    # the sum of |weight| over all states bounds the rounding of both sums
+    n, tables = n_tables
+    rows, exponent = _eliminate(n, tables)
+    want = brute_force_reference(n, tables).value
+    scale = brute_force_reference(n, [(s, np.abs(t)) for s, t in tables]).value
+    assert abs(math.ldexp(rows[0], exponent) - want) <= 1e-12 * scale
+
+
+def test_signed_sum_below_float_range():
+    # a chain whose every state but one weighs zero: the frontier table
+    # holds a zero and a shrinking negative entry, and the rescaling must
+    # follow the negative one to reach the sum -2^-1200
+    n = 1200
+    tables = [((0,), (0.0, -0.5))] + [((v,), (0.0, 0.5)) for v in range(1, n)]
+    tables += [((v, v + 1), (1.0,) * 4) for v in range(n - 1)]
+    rows, exponent = _eliminate(n, tables)
+    mantissa, power = math.frexp(rows[0])
+    assert (mantissa, power + exponent) == (-0.5, -1199)
+
+
+@st.composite
+def loop_identity_inputs(draw):
+    """A multigraph on 1 to 6 nodes (self-loops and parallel edges
+    included), beta from [-3, 3], xi from [0.2, 4], and a weight node or
+    None."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    edges = tuple(draw(st.lists(st.tuples(node, node), max_size=9)))
+    beta = [draw(st.floats(-3.0, 3.0)) for _ in edges]
+    xi = [draw(st.floats(0.2, 4.0)) for _ in range(n)]
+    return Multigraph(n, edges), beta, xi, draw(st.none() | st.integers(0, n - 1))
+
+
+@given(loop_identity_inputs())
+@settings(max_examples=150, deadline=None)
+def test_loop_identity_state_sum_matches_reference(inputs):
+    g, beta, xi, weight_node = inputs
+    tables = loop_identity_tables(g, beta, xi, weight_node)
+    scale = brute_force_reference(g.node_count, [(s, np.abs(t)) for s, t in tables]).value
+    want = brute_force_reference(g.node_count, tables).value
+    assert abs(loop_identity_state_sum(g, beta, xi, weight_node) - want) <= 1e-12 * scale
 
 
 def test_marginal_consistency(rng):
@@ -78,20 +197,37 @@ def test_marginal_consistency(rng):
         assert abs(tab.sum(axis=0) - res.marginals[b]).max() < 1e-12
 
 
-def test_size_cap():
+def test_size_cap(tmp_path, capsys):
     def chain(n):
         g = Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
         return PairwiseModel(g, (((1.0,) * 2,) * 2,) * (n - 1), uniform_phi(n))
 
-    with pytest.raises(SizeError):
-        brute_force(chain(26))
-    assert brute_force(chain(18)).log_z == pytest.approx(18 * math.log(2), rel=1e-12)
+    # a chain's frontier holds two variables at most, whatever its length
+    assert brute_force(chain(200)).log_z == pytest.approx(200 * math.log(2), rel=1e-12)
+    # the 2x17 grid's frontier holds 18 variables: 2^18 states pass
+    # STATE_CAP, and the plan refuses before any frontier table is built
+    model = ising_model(grid_graph(2, 17), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError) as info:
+            brute_force(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(info.value)
+    assert peak < 1 << 20
+    path = tmp_path / "wide.json"
+    path.write_text(pairwise_to_json(model))
+    for command in ("oracle", "compare"):
+        assert main([command, "--model", str(path)]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", [17, 19, 20])
 def test_chunked_oracle_matches_lbp_on_trees(n):
-    # past 16 variables the states come in several chunks, so the running
-    # maximum rescales earlier chunks' sums; LBP is exact on a tree
+    # a tree's frontier stays narrow at any size, and LBP is exact on a tree
     rng = np.random.default_rng(n)
     m = ising_model(random_tree(n, rng), rng, coupling=1.5, field=1.0)
     for model, run, local in (
