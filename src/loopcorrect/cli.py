@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import brute_force
+from .exact import brute_force, check_oracle_size
 from .exceptions import IdentityError, LoopcorrectError, NotConvergedError
 from .generate import ising_model, make_topology
 from .graph import parse_edge_list
@@ -147,8 +147,10 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.check_tol) and args.check_tol >= 0.0):
         raise ValueError(f"--check-tol must be finite and non-negative, got {args.check_tol}")
     model = _load_model(args.model)
+    # a model too wide for the oracle is refused before LBP runs, and an
+    # unconverged run by the series before the oracle starts
+    check_oracle_size(model)
     res = _run_model_lbp(model, _lbp_opts(args))
-    # the series refuses an unconverged run before the 2^N oracle starts
     report = loop_series_z(res)
     exact = brute_force(model)
     corrections = loop_series_marginals(res, report)

@@ -10,7 +10,10 @@ variable arrives.  Each table is first scaled by the exact power of two of
 its largest |entry|, and each step reads the frontier table's largest
 |entry| and rescales by its exact power of two once that leaves 2^-64 to
 2^64.  So signed tables work, and log Z is an integer exponent plus the log
-of one float, with no rounding from the scaling.  With w the most variables
+of one float, with no rounding from the scaling.  If a product or rescaling
+underflows on that one exponent, the sum is redone with a mantissa and an
+exponent per entry, since a later table may leave only the lost entries.
+With w the most variables
 the frontier holds at once, a sum visits O(N 2^w) frontier states;
 graph.STATE_CAP bounds 2^w and is checked from the plan before any frontier
 table is allocated.
@@ -101,6 +104,46 @@ def _layout(table, slots, width: int) -> np.ndarray:
     return table.reshape(shape)
 
 
+def _plan(n: int, scopes):
+    """The elimination order over scopes on n variables, each of which
+    lies in some scope: (first, last), where variable v joins the frontier
+    at step first[v] and is summed out at step last[v].  A table arrives at
+    its highest variable, so v joins at the lowest and leaves at the highest
+    top variable of the scopes that hold it.  Raises SizeError when the
+    frontier would hold more than STATE_CAP states, before anything of that
+    size is built."""
+    first, last = [n] * n, [-1] * n
+    for scope in scopes:
+        if scope:
+            t = max(scope)
+            for v in scope:
+                if t < first[v]:
+                    first[v] = t
+                if t > last[v]:
+                    last[v] = t
+    joins = [0] * (n + 1)  # at step k: arrivals less the departures of step k - 1
+    for v in range(n):
+        joins[first[v]] += 1
+        joins[last[v] + 1] -= 1
+    live = 0
+    for k in range(n):
+        live += joins[k]
+        if 1 << live > STATE_CAP:
+            raise SizeError(
+                f"variable elimination holds {live} variables at once: "
+                f"2^{live} states exceed {STATE_CAP}"
+            )
+    return first, last
+
+
+def check_oracle_size(model) -> None:
+    """Raise the SizeError that brute_force would raise on model, from its
+    scopes alone: callers that run something costly before the oracle
+    refuse a model too wide for it first."""
+    n, node_tables, factors = _scoped_tables(model)
+    _plan(n, [scope for scope, _ in node_tables + factors])
+
+
 def _eliminate(n: int, tables, marks=()):
     """Sum over all 2^n spin states of the product of tables, each a
     (scope, flat table) pair with entries of any sign, first scope variable
@@ -112,33 +155,36 @@ def _eliminate(n: int, tables, marks=()):
     significant), the sum with every variable of T at +1.  A row starts as a
     copy of row 0 and loses the -1 half of each of its variables as that
     variable is summed out.
-    """
-    sizes = [len(t) for _, t in tables]
-    starts = list(accumulate(sizes, initial=0))
-    flat = np.fromiter(chain.from_iterable(t for _, t in tables), float, starts[-1])
-    # each table scaled by the power of two of its largest |entry|, so the
-    # product of one step's tables stays within float range
-    _, shifts = np.frexp(flat)
-    if sizes:
-        shifts = np.maximum.reduceat(shifts, starts[:-1])
-    flat = np.ldexp(flat, -np.repeat(shifts, sizes))
-    exponent = int(shifts.sum())
-    signed = flat.min(initial=0.0) < 0.0
 
-    first, last = [n] * n, [-1] * n
+    The sum runs on one shared exponent, and again with an exponent per
+    entry if a product or rescaling underflowed: an entry lost to
+    underflow can be all that a later table leaves of the sum.
+    """
+    steps, rows = _schedule(n, tables, marks)
+    try:
+        with np.errstate(under="raise"):
+            return _sum_scaled(tables, steps, rows)
+    except FloatingPointError:
+        return _sum_split(tables, steps, rows)
+
+
+def _schedule(n: int, tables, marks):
+    """The steps of the elimination and the row count.  Each step that sums
+    variables out is (width, factors, cleared, axes): the frontier's slot
+    count, each table multiplied in as (index, slot of each scope variable),
+    each (row, slot) whose -1 half is cleared, and the axes summed.
+
+    Each frontier variable holds a slot, freed when it is summed out and
+    reused by a later arrival; slot s is axis 1 + s of the frontier table,
+    whose axis 0 holds the rows.  Sums keep their axes (size 1 until the
+    slot is reused).  Each step that sums variables out first multiplies in
+    the tables whose highest variable arrived since the last one.
+    """
+    first, last = _plan(n, [scope for scope, _ in tables])
     arriving, retiring, by_top, cleared = ([[] for _ in range(n)] for _ in range(4))
-    head = 1.0  # the product of the empty-scope tables
     for f, (scope, _) in enumerate(tables):
-        if not scope:
-            head *= float(flat[starts[f]])
-            continue
-        t = max(scope)
-        by_top[t].append(f)
-        for v in scope:
-            if t < first[v]:
-                first[v] = t
-            if t > last[v]:
-                last[v] = t
+        if scope:
+            by_top[max(scope)].append(f)
     for v in range(n):
         arriving[first[v]].append(v)
         retiring[last[v]].append(v)
@@ -150,47 +196,98 @@ def _eliminate(n: int, tables, marks=()):
                     cleared[last[v]].append((rows, v))
             rows += 1
 
-    live = 0  # frontier variables, checked at every step before any table is built
-    for k in range(n):
-        live += len(arriving[k])
-        if 1 << live > STATE_CAP:
-            raise SizeError(
-                f"variable elimination holds {live} variables at once: "
-                f"2^{live} states exceed {STATE_CAP}"
-            )
-        live -= len(retiring[k])
-
-    # Each frontier variable holds a slot, freed when it is summed out and
-    # reused by a later arrival; slot s is axis 1 + s of the frontier table,
-    # whose axis 0 holds the rows.  Sums keep their axes (size 1 until the
-    # slot is reused).  Each step that sums variables out first multiplies
-    # in the tables whose highest variable arrived since the last one.
-    slot, free, factors = [0] * n, [], []
-    state = np.full(rows, head)
+    slot, free, factors, width, steps = [0] * n, [], [], 0, []
     for k in range(n):
         for v in arriving[k]:
             if free:
                 slot[v] = free.pop()
             else:
-                slot[v] = state.ndim - 1
-                state = state[..., None]
+                slot[v] = width
+                width += 1
         factors += by_top[k]
-        if not retiring[k]:
-            continue
-        for f in factors:
-            table = flat[starts[f]:starts[f + 1]]
-            state = state * _layout(table, [slot[v] for v in tables[f][0]], state.ndim - 1)
-        for r, v in cleared[k]:
-            state[(r,) + (_ALL,) * slot[v] + (0,)] = 0.0
-        state = state.sum(axis=tuple(1 + slot[v] for v in retiring[k]), keepdims=True)
-        free += [slot[v] for v in retiring[k]]
-        factors = []
+        if retiring[k]:
+            steps.append((
+                width,
+                [(f, [slot[v] for v in tables[f][0]]) for f in factors],
+                [(r, slot[v]) for r, v in cleared[k]],
+                tuple(1 + slot[v] for v in retiring[k]),
+            ))
+            free += [slot[v] for v in retiring[k]]
+            factors = []
+    return steps, rows
+
+
+def _widen(a, width: int):
+    """a with size-1 axes appended up to the rows axis and width slots."""
+    return a.reshape(a.shape + (1,) * (1 + width - a.ndim))
+
+
+def _sum_scaled(tables, steps, rows: int):
+    """_eliminate on one shared exponent, exact unless a product or
+    rescaling underflows."""
+    sizes = [len(t) for _, t in tables]
+    starts = list(accumulate(sizes, initial=0))
+    flat = np.fromiter(chain.from_iterable(t for _, t in tables), float, starts[-1])
+    # each table scaled by the power of two of its largest |entry|, so the
+    # product of one step's tables stays within float range (a zero entry's
+    # exponent, 0, must not stand in for a table's tiny nonzero ones)
+    peaks = np.maximum.reduceat(np.abs(flat), starts[:-1]) if sizes else flat
+    _, shifts = np.frexp(peaks)
+    flat = np.ldexp(flat, -np.repeat(shifts, sizes))
+    exponent = int(shifts.sum())
+    signed = flat.min(initial=0.0) < 0.0
+
+    head = 1.0  # the product of the empty-scope tables
+    for f, (scope, _) in enumerate(tables):
+        if not scope:
+            head *= float(flat[starts[f]])
+    state = np.full(rows, head)
+    for width, factors, cleared, axes in steps:
+        if state.ndim <= width:
+            state = _widen(state, width)
+        for f, slots in factors:
+            state = state * _layout(flat[starts[f]:starts[f + 1]], slots, width)
+        for r, s in cleared:
+            state[(r,) + (_ALL,) * s + (0,)] = 0.0
+        state = state.sum(axis=axes, keepdims=True)
         peak = max(state.max(), -state.min()) if signed else state.max()
         _, shift = math.frexp(peak)
         if not -64 < shift < 64:
             state = np.ldexp(state, -shift)
             exponent += shift
     return state.reshape(rows), exponent
+
+
+_DEAD = -(1 << 40)  # the exponent that stands for a zero entry in a maximum
+_DEEP = -1100  # a shift past which every float is zero
+
+
+def _sum_split(tables, steps, rows: int):
+    """_eliminate with a mantissa in [0.5, 1) (or 0) and an integer exponent
+    per entry, so no product underflows; a sum loses only terms below
+    2^-1074 of its largest term."""
+    parts = [np.frexp(np.asarray(t, dtype=float)) for _, t in tables]
+    mant, expo = np.ones(rows), np.zeros(rows, dtype=np.int64)
+    for (scope, _), (tm, te) in zip(tables, parts):
+        if not scope:
+            mant, expo = mant * tm[0], expo + te[0]
+    for width, factors, cleared, axes in steps:
+        if mant.ndim <= width:
+            mant, expo = _widen(mant, width), _widen(expo, width)
+        for f, slots in factors:
+            tm, te = parts[f]
+            mant, shift = np.frexp(mant * _layout(tm, slots, width))
+            expo = expo + _layout(te, slots, width) + shift
+        for r, s in cleared:
+            mant[(r,) + (_ALL,) * s + (0,)] = 0.0
+        top = np.where(mant != 0.0, expo, _DEAD).max(axis=axes, keepdims=True)
+        terms = np.ldexp(mant, np.clip(expo - top, _DEEP, 0))
+        mant, shift = np.frexp(terms.sum(axis=axes, keepdims=True))
+        expo = top + shift
+    mant, expo = mant.reshape(rows), expo.reshape(rows)
+    live = mant != 0.0
+    exponent = int(expo[live].max()) if live.any() else 0
+    return np.ldexp(mant, np.clip(expo - exponent, _DEEP, 0)), exponent
 
 
 def brute_force(model) -> ExactResult:

@@ -19,9 +19,15 @@ scale can no longer carry an unnormalized message out of float range.
 Beliefs are formed from the tables as given.  A message or belief whose
 entries sum to zero or to a non-finite value raises NumericError.
 
-A run keeps every message in one (slot_count + 1) x 2 buffer that the sweeps
-update in place.  Its last row is the pad slot, a unit message that the
-gathers of variables with fewer than the most slots point at.
+A run keeps every message in one flat buffer that the sweeps update in
+place (see _FactorGraph).  A sweep's cost is its count of numpy calls, on
+arrays of tens of entries: one gather and one product form every
+variable-to-factor message, then each group of factors of one arity takes
+its terms' messages with one more gather and sums each message's table
+entries along a contiguous axis, up to four entries as a chain of adds and
+eight or more by numpy's pairwise reduction.  Those are the orders in which
+a reduction over each message's own row adds them, so no message bit
+depends on the layout.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ from .model import (
 # The sweep calls the reductions as ufunc methods: the ndarray methods
 # (min, max, sum) add a Python-level call per use, which tells on the small
 # arrays of a sweep, and compute the same values.
-_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+_min, _max, _sum, _prod = (
+    np.minimum.reduce, np.maximum.reduce, np.add.reduce, np.multiply.reduce
+)
 
 
 @dataclass
@@ -86,123 +94,155 @@ class LbpResult:
 
 @dataclass
 class _Group:
-    """Gathers for the factors `ids`, which share arity k.
+    """The factors `ids`, which share arity k, and their gathers.
 
-    Entries index the block's variable-to-factor messages flattened to
-    2 * (block slot) + spin.  Factor f's belief entry e is tables[f, e]
-    times v2f[index[f, e]] for each index in belief_index.  The message to
-    scope position pos of f is row f * k + pos of message_tables and
-    message_index, with the entries for spin 0 in column 0 and those for
-    spin 1 in column 1, each in ascending table order.  Beliefs take the
-    tables as given, messages each row scaled by a power of two.
+    A message row is a (factor, scope position) pair, R = F * k rows in
+    factor order, each with E = 2^(k-1) table entries per spin.
+    message_tables holds the tables, each scaled by a power of two, laid
+    out entry-major (E, 2, R) when E <= 4 and spin-major (2, R, E) when
+    E >= 8; entry_axis is the entry axis.  Indices point into v2f, the
+    block's variable-to-factor messages flattened to 2 * (block slot) +
+    spin.  message_index (k - 1,) + that shape holds, for each of the k - 1
+    other scope positions in order, the message each term multiplies.
+    Beliefs take the tables as given: factor f's entry e is tables[f, e]
+    times v2f[i[f, e]] for each i in belief_index.
     """
 
     ids: list
     tables: np.ndarray  # (F, 2^k)
-    belief_index: list  # k arrays (F, 2^k)
-    message_tables: np.ndarray  # (F * k, 2, 2^(k-1))
-    message_index: list  # k - 1 arrays (F * k, 2, 2^(k-1))
+    belief_index: np.ndarray  # (k, F, 2^k)
+    message_tables: np.ndarray
+    message_index: np.ndarray
+    entry_axis: int
 
 
 class _FactorGraph:
     """Slot arrays of a binary factor graph and the sweep over them.
 
-    The block updates every factor at once: slots index the message slots
-    grouped by factor arity (a slice when they are one ascending run),
-    gather[b] lists the slots whose product is the variable-to-factor
-    message of the block's b-th slot, and groups hold one _Group per arity.
+    Slots are (factor, scope position) incidences in factor-major order;
+    the block lists them grouped by factor arity, factors in id order
+    within a group, and slots[b] is the slot of block slot b.  A run keeps
+    every message in one flat buffer, spin-major in block order: entry
+    s * slot_count + b is block slot b's message at spin s, so each group's
+    messages are two contiguous runs.  The last entry is the pad, a unit
+    message that the gathers of variables with fewer than the most slots,
+    w, point at.  node_index (w, n, 2) and v2f_index (w - 1, slot_count, 2)
+    hold the buffer positions of each variable's messages and of the other
+    messages of each block slot's variable, both in ascending slot order:
+    the products over their first axis are the node beliefs and v2f.
     """
 
     def __init__(self, variable_count: int, factors):
         self.scopes = [tuple(scope) for scope, _ in factors]
-        offsets = np.cumsum([0] + [len(s) for s in self.scopes])
-        var = np.array([i for scope in self.scopes for i in scope], dtype=np.intp)
-        self.slot_count = pad = len(var)
-        slots_of = [[] for _ in range(variable_count)]
-        for k, i in enumerate(var):
-            slots_of[i].append(k)
-        width = max(map(len, slots_of), default=0)
-        # Index rows padded with slot `pad`, which sweep() and beliefs()
-        # point at a unit message: var_slots[i] lists variable i's slots,
-        # others[k] the slots of k's variable other than k.
-        self.var_slots = np.array(
-            [s + [pad] * (width - len(s)) for s in slots_of], dtype=np.intp
-        ).reshape(variable_count, width)
-        rows = self.var_slots[var]
-        others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
         by_arity: dict[int, list[int]] = {}
         for f, scope in enumerate(self.scopes):
             by_arity.setdefault(len(scope), []).append(f)
-        self.groups, slots, start = [], [], 0
+        sizes = np.array([len(scope) for scope in self.scopes], dtype=np.intp)
+        self.slots = np.argsort(sizes.repeat(sizes), kind="stable")
+        self.slot_count = pad = len(self.slots)
+        var = np.array([i for scope in self.scopes for i in scope], dtype=np.intp)
+        # var_slots[i]: variable i's slots, padded with the pad slot
+        counts = np.bincount(var, minlength=variable_count)
+        width = int(_max(counts, initial=0))
+        by_var = np.argsort(var, kind="stable")
+        sorted_var = var[by_var]
+        var_slots = np.full((variable_count, width), pad)
+        var_slots[sorted_var, np.arange(pad) - (np.cumsum(counts) - counts)[sorted_var]] = by_var
+        rows = var_slots[var]
+        others = rows[rows != np.arange(pad)[:, None]].reshape(pad, max(width - 1, 0))
+        # where[slot]: the buffer positions of its two spins
+        where = np.full((pad + 1, 2), 2 * pad)
+        where[self.slots] = np.arange(2 * pad).reshape(2, pad).T
+        self.node_index = where[var_slots.T]
+        self.v2f_index = where[others[self.slots].T]
+        self.groups, start = [], 0
         for k, ids in sorted(by_arity.items()):
-            n = len(ids)
-            slots.append((offsets[ids][:, None] + np.arange(k)).ravel())
-            local = 2 * (start + np.arange(n * k).reshape(n, k))
+            n, entries = len(ids), 1 << k >> 1
+            block = start + np.arange(n * k).reshape(n, k)
             start += n * k
             tables = np.array([factors[f][1] for f in ids], dtype=float).reshape(n, 1 << k)
             _, hi = np.frexp(_max(tables, axis=1, keepdims=True))
             _, lo = np.frexp(_min(tables, axis=1, keepdims=True))
             centred = np.ldexp(tables, -((hi + lo) >> 1))
             bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-            order = np.argsort(bits, axis=0, kind="stable").T  # (k, 2^k)
-            rest = np.array(
-                [[q for q in range(k) if q != pos] for pos in range(k)], dtype=np.intp
-            ).reshape(k, max(k - 1, 0))
-            shape = (n * k, 2, (1 << k) // 2)
+            # order[pos]: the entries at pos's spin 0, then at its spin 1, in
+            # table order; rest[j, pos]: the j-th scope position other than pos
+            order = np.argsort(bits.T, axis=1, kind="stable")
+            rest = np.arange(k - 1)[:, None] + (np.arange(k - 1)[:, None] >= np.arange(k))
+            # each term's j-th other message: its block slot and spin, as
+            # its v2f entry, (k - 1, F, k, 2, E)
+            other = block[:, rest].swapaxes(0, 1)[..., None]
+            spin = bits[order, rest[..., None]][:, None]
+            index = (2 * other + spin).reshape(max(k - 1, 0), n, k, 2, entries)
+            # (F, k, 2, E) to the layout, message row f * k + pos
+            if entries <= 4:
+                axes, shape, entry_axis = (3, 2, 0, 1), (entries, 2, n * k), 0
+            else:
+                axes, shape, entry_axis = (2, 0, 1, 3), (2, n * k, entries), 2
             self.groups.append(_Group(
                 ids=ids,
                 tables=tables,
-                belief_index=[local[:, q, None] + bits[:, q] for q in range(k)],
-                message_tables=centred[:, order].reshape(shape),
-                message_index=[
-                    (local[:, rest[:, j], None] + bits[order, rest[:, j, None]]).reshape(shape)
-                    for j in range(k - 1)
-                ],
+                belief_index=2 * block.T[:, :, None] + bits.T[:, None, :],
+                message_tables=centred[:, order].reshape(n, k, 2, entries)
+                .transpose(axes).reshape(shape),
+                message_index=index.transpose(0, *(1 + q for q in axes))
+                .reshape((max(k - 1, 0),) + shape),
+                entry_axis=entry_axis,
             ))
-        slots = np.concatenate([np.zeros(0, dtype=np.intp), *slots])
-        self.gather = others[slots]
-        if slots.size and (np.diff(slots) == 1).all():
-            slots = slice(int(slots[0]), int(slots[-1]) + 1)
-        self.slots = slots
 
-    def sweep(self, ext, damping: float) -> float:
-        """Update the message buffer ext ((slot_count + 1) x 2, its last row
-        the unit pad message) in place; returns the largest change of a
-        message entry, 0 when there is no slot."""
+    def buffer(self, messages=None) -> np.ndarray:
+        """A message buffer laid out as sweep() takes it: every message
+        uniform, or `messages` (slot_count x 2, in slot order)."""
+        buf = np.ones(2 * self.slot_count + 1)
+        buf[:-1] = 0.5 if messages is None else np.transpose(messages)[:, self.slots].ravel()
+        return buf
+
+    def messages(self, buf) -> np.ndarray:
+        """The messages of a buffer as a slot_count x 2 array in slot order."""
+        out = np.empty((self.slot_count, 2))
+        out[self.slots] = buf[:-1].reshape(2, -1).T
+        return out
+
+    def sweep(self, buf, damping: float) -> float:
+        """Update the message buffer buf in place; returns the largest
+        change of a message entry, 0 when there is no slot."""
         if not self.slot_count:
             return 0.0
-        v2f = np.multiply.reduce(ext.take(self.gather, axis=0), axis=1).ravel()
+        v2f = _prod(buf.take(self.v2f_index), axis=0).ravel()
         parts = []
         for group in self.groups:
             terms = group.message_tables
-            for index in group.message_index:
-                terms = terms * v2f.take(index)
-            parts.append(_sum(terms, axis=2))
-        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        total = _sum(u, axis=1, keepdims=True)
-        if not (_min(total, axis=None) > 0.0 and _max(total, axis=None) < math.inf):
+            for incoming in v2f.take(group.message_index):
+                terms = terms * incoming
+            if len(terms) == 2 and not group.entry_axis:  # one add beats a reduction call
+                parts.append(terms[0] + terms[1])
+            else:
+                parts.append(_sum(terms, axis=group.entry_axis))
+        u = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        total = u[0] + u[1]
+        if not (_min(total) > 0.0 and _max(total) < math.inf):
             raise NumericError("a message update summed to zero or a non-finite value")
-        old = ext[self.slots]  # a view when slots is a slice
+        old = buf[:-1].reshape(2, -1)
         new = (1 - damping) * (u / total) + damping * old
         change = _max(np.abs(new - old), axis=None)
-        ext[self.slots] = new
+        old[...] = new
         return float(change)
 
-    def beliefs(self, ext):
+    def beliefs(self, buf):
         """Normalized node beliefs (n x 2) and flat factor beliefs from a
         message buffer laid out as sweep() takes it."""
-        node = ext[self.var_slots].prod(axis=1)
-        total = node.sum(axis=1, keepdims=True)
-        if not ((total > 0.0).all() and np.isfinite(total).all()):
+        node = _prod(buf.take(self.node_index), axis=0)
+        total = _sum(node, axis=1, keepdims=True)
+        if not (_min(total, axis=None) > 0.0 and _max(total, axis=None) < math.inf):
             raise NumericError("belief normalization failed")
-        v2f = ext[self.gather].prod(axis=1).ravel()
+        v2f = _prod(buf.take(self.v2f_index), axis=0).ravel()
         factor = [None] * len(self.scopes)
         for group in self.groups:
             joint = group.tables
             for index in group.belief_index:
                 joint = joint * v2f[index]
-            norm = joint.sum(axis=1, keepdims=True)
-            if not ((norm > 0.0).all() and np.isfinite(norm).all()):
+            norm = _sum(joint, axis=1, keepdims=True)
+            if not (_min(norm, axis=None) > 0.0 and _max(norm, axis=None) < math.inf):
                 raise NumericError("factor belief normalization failed")
             for f, row in zip(group.ids, joint / norm):
                 factor[f] = row
@@ -214,38 +254,34 @@ def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
     caller fills in log_z_b and model."""
     opts = opts or LbpOptions()
     graph = _FactorGraph(variable_count, factors)
-    ext = np.full((graph.slot_count + 1, 2), 0.5)
-    ext[-1] = 1.0
+    buf = graph.buffer()
     residual = math.inf
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        residual = graph.sweep(ext, opts.damping)
+        residual = graph.sweep(buf, opts.damping)
         if residual < opts.tol:
             break
-    node_beliefs, factor_beliefs = graph.beliefs(ext)
+    node_beliefs, factor_beliefs = graph.beliefs(buf)
     return LbpResult(
         node_beliefs=node_beliefs,
         log_z_b=math.nan,
         iterations=iterations,
         converged=residual < opts.tol,
         residual=residual,
-        messages=ext[:-1],
+        messages=graph.messages(buf),
         factor_beliefs=factor_beliefs,
     )
 
 
-def _bethe(scopes, tables, local_beliefs, node_beliefs) -> float:
+def _bethe(degrees, tables, local, node_beliefs) -> float:
     """sum_f <log psi_f - log b_f>_{b_f} + sum_i (d_i - 1) <log b_i>_{b_i};
-    tables and local_beliefs hold every factor's entries in the same order,
-    and d_i counts the scopes containing i."""
+    tables and local hold every factor's entries, flat and in the same
+    order, and degrees[i] counts the scopes containing i."""
     nb = np.asarray(node_beliefs, dtype=float)
-    tables = np.ravel(np.asarray(tables, dtype=float))
-    local = np.ravel(np.asarray(local_beliefs, dtype=float))
     if (nb <= 0.0).any() or (local <= 0.0).any():
         raise ValueError("Bethe expression needs strictly positive beliefs")
-    degrees = np.bincount([i for scope in scopes for i in scope], minlength=len(nb))
     total = float((local * np.log(tables)).sum()) - float((local * np.log(local)).sum())
-    return total + float(((degrees - 1) * (nb * np.log(nb)).sum(axis=1)).sum())
+    return total + float((np.subtract(degrees, 1) * (nb * np.log(nb)).sum(axis=1)).sum())
 
 
 def bethe_log_z(m: PairwiseModel, node_beliefs, edge_beliefs) -> float:
@@ -255,16 +291,20 @@ def bethe_log_z(m: PairwiseModel, node_beliefs, edge_beliefs) -> float:
     before iterating).  Exposed separately so it can be evaluated away from
     fixed points in tests.
     """
-    return _bethe(m.graph.edges, m.edge_potentials, edge_beliefs, node_beliefs)
+    tables = np.ravel(np.asarray(m.edge_potentials, dtype=float))
+    local = np.ravel(np.asarray(edge_beliefs, dtype=float))
+    return _bethe(m.graph.degrees(), tables, local, node_beliefs)
 
 
 def bethe_log_z_factor(fm: FactorModel, node_beliefs, factor_beliefs) -> float:
     """Factor-graph Bethe expression; d_i is the number of factors
     containing variable i."""
-    scopes = [scope for scope, _ in fm.factors]
-    tables = np.concatenate([table for _, table in fm.factors])
+    degrees = np.bincount(
+        [i for scope, _ in fm.factors for i in scope], minlength=fm.variable_count
+    )
+    tables = np.array([v for _, table in fm.factors for v in table], dtype=float)
     local = np.concatenate([np.ravel(b) for b in factor_beliefs])
-    return _bethe(scopes, tables, local, node_beliefs)
+    return _bethe(degrees, tables, local, node_beliefs)
 
 
 def run_lbp(m: PairwiseModel, opts: LbpOptions | None = None) -> LbpResult:

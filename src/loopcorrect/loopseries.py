@@ -139,27 +139,33 @@ def _factor_betas(res: LbpResult, xi: np.ndarray, nb: np.ndarray) -> list:
     to 0 (they vanish at a fixed point by margin consistency); the expansion
     is then verified by reconstructing every b_f, and a failure beyond
     tolerance is a hard error because it would invalidate the inversion.
+    The factors of one arity share one (F, 2^k, 2^k) basis and one
+    batched product.
     """
-    factor_beta = []
-    worst = 0.0
+    by_arity: dict[int, list[int]] = {}
     for f, (scope, _) in enumerate(res.model.factors):
-        bf = np.asarray(res.factor_beliefs[f], dtype=float)
+        by_arity.setdefault(len(scope), []).append(f)
+    factor_beta = [None] * len(res.model.factors)
+    worst = 0.0
+    for k, ids in by_arity.items():
+        bf = np.array([res.factor_beliefs[f] for f in ids], dtype=float).reshape(len(ids), 1 << k)
         _check_floor(bf)
-        k, at = len(scope), np.array(scope, dtype=int)
+        at = np.array([res.model.factors[f][0] for f in ids], dtype=int).reshape(len(ids), k)
         idx = np.arange(1 << k)
         bits = (idx[:, None] >> np.arange(k - 1, -1, -1)) & 1  # (state, q)
         spin = 2.0 * bits - 1.0
-        phi = spin * xi[at] ** -spin
+        phi = spin * xi[at][:, None, :] ** -spin  # (F, state, q)
         members = ((idx[:, None] >> np.arange(k)) & 1).astype(bool)  # (mask, q)
-        # basis[mask, state] = prod over q in mask of x_q xi_q^{-x_q}
-        basis = np.where(members[:, None, :], phi[None, :, :], 1.0).prod(axis=2)
-        betas = basis @ bf
-        betas[members.sum(axis=1) == 1] = 0.0
-        betas[0] = 1.0
+        # basis[f, mask, state] = prod over q in mask of x_q xi_q^{-x_q}
+        basis = np.where(members[:, None, :], phi[:, None, :, :], 1.0).prod(axis=3)
+        betas = (basis @ bf[:, :, None])[:, :, 0]
+        betas[:, members.sum(axis=1) == 1] = 0.0
+        betas[:, 0] = 1.0
         # reconstruction check: the expansion must reproduce b_f
-        recon = (betas @ basis) * nb[at, bits].prod(axis=1)
+        recon = (betas[:, None, :] @ basis)[:, 0, :] * nb[at[:, None, :], bits].prod(axis=2)
         worst = max(worst, float(np.abs(recon - bf).max()))
-        factor_beta.append(betas.tolist())
+        for f, row in zip(ids, betas.tolist()):
+            factor_beta[f] = row
     if worst > 1e-10:
         raise IdentityError(
             f"factor belief reconstruction off by {worst:.3e}; "

@@ -78,7 +78,9 @@ def absorb_node_potentials(m: PairwiseModel) -> PairwiseModel:
 
     The joint distribution is unchanged; the returned model has all node
     potentials identically one, which is the form the series formulas
-    assume.
+    assume.  m's graph and float tables passed PairwiseModel's checks, so
+    only the multiplied tables, which can leave float range, are checked
+    again.
     """
     psi = [
         [[tab[0][0], tab[0][1]], [tab[1][0], tab[1][1]]]
@@ -87,6 +89,7 @@ def absorb_node_potentials(m: PairwiseModel) -> PairwiseModel:
     first = [-1] * m.node_count  # lowest-id incident edge per node
     for e, (a, b) in reversed(list(enumerate(m.graph.edges))):
         first[a] = first[b] = e
+    changed = set()
     for i, phi in enumerate(m.node_potentials):
         if phi == (1.0, 1.0):
             continue
@@ -97,11 +100,16 @@ def absorb_node_potentials(m: PairwiseModel) -> PairwiseModel:
         for xa in (0, 1):
             for xb in (0, 1):
                 psi[e][xa][xb] *= phi[xa if i == a else xb]
-    return PairwiseModel(
-        m.graph,
-        tuple(tuple(tuple(row) for row in tab) for tab in psi),
-        uniform_phi(m.node_count),
-    )
+        changed.add(e)
+    for e in sorted(changed):
+        _check_positive(psi[e][0] + psi[e][1], "edge potential")
+    out = object.__new__(PairwiseModel)
+    object.__setattr__(out, "graph", m.graph)
+    object.__setattr__(out, "edge_potentials", tuple(
+        tuple(tuple(row) for row in tab) for tab in psi
+    ))
+    object.__setattr__(out, "node_potentials", uniform_phi(m.node_count))
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,27 @@ the LBP engine as it was when it kept unscaled tables and restarted in the
 log domain when a message left float's safe range, the random connected
 graph sampler as it was when it listed all n(n-1)/2 pairs, the determinant
 sum over disjoint cycle sets as omega --check once computed it, and the
-frontier subset sum as it was before its step loop was unrolled."""
+frontier subset sum as it was before its step loop was unrolled, an
+exact rational state sum, and the factor betas as they were computed one
+factor at a time."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from loopcorrect.exceptions import DivisibilityError, GenerationError, NumericError, SizeError
+from loopcorrect.exceptions import (
+    DivisibilityError,
+    GenerationError,
+    IdentityError,
+    NumericError,
+    SizeError,
+)
 from loopcorrect.generate import CONNECTED_DRAWS
 from loopcorrect import graph
 from loopcorrect.graph import Multigraph, enumerate_disjoint_cycles, is_connected
+from loopcorrect.loopseries import _check_floor
 from loopcorrect.model import PairwiseModel
 from loopcorrect.poly import UniPoly, unpack
 
@@ -109,6 +119,23 @@ def brute_force_reference(n: int, tables) -> StateSums:
         np.array([math.fsum(col) for col in zip(*ons)]).reshape(n),
         [np.sum(parts, axis=0) for parts in zip(*locals_)],
     )
+
+
+def exact_state_sum(n: int, tables) -> Fraction:
+    """The sum over all 2^n states of prod_t t[x_scope(t)] in exact
+    rational arithmetic, each entry the Fraction of its float; for small n
+    only (64 states at n = 6)."""
+    exact = [(scope, [Fraction(float(v)) for v in table]) for scope, table in tables]
+    total = Fraction(0)
+    for state in range(1 << n):
+        weight = Fraction(1)
+        for scope, table in exact:
+            entry = 0
+            for v in scope:  # first scope variable most significant
+                entry = 2 * entry + (state >> v & 1)
+            weight *= table[entry]
+        total += weight
+    return total
 
 
 def loop_identity_tables(g: Multigraph, beta, xi, weight_node=None):
@@ -309,7 +336,9 @@ class FactorGraphReference:
                 ids,
                 tables,
                 [local[:, q, None] + bits[:, q] for q in range(k)],
-                tables[:, order].reshape(shape),
+                # contiguous, as the engine's: numpy sums a contiguous axis
+                # of 8 or more entries pairwise and a strided one in a chain
+                np.ascontiguousarray(tables[:, order]).reshape(shape),
                 [
                     (local[:, rest[:, j], None] + bits[order, rest[:, j, None]]).reshape(shape)
                     for j in range(k - 1)
@@ -474,3 +503,35 @@ def determinant_sum_reference(g: Multigraph) -> UniPoly:
     for size, k, keep in cycle_sets:
         total += bareiss_det([[full[r][c] for c in keep] for r in keep]) << (k + size * bits)
     return UniPoly(unpack(total, bits), "u")
+
+
+def factor_betas_reference(res, xi: np.ndarray, nb: np.ndarray) -> list:
+    """loopseries' factor betas as they were computed, one factor at a
+    time: a 2^k x 2^k basis per factor, its betas with the empty mask
+    pinned to 1 and singletons to 0, and the reconstruction check over all
+    factors."""
+    factor_beta = []
+    worst = 0.0
+    for f, (scope, _) in enumerate(res.model.factors):
+        bf = np.asarray(res.factor_beliefs[f], dtype=float)
+        _check_floor(bf)
+        k, at = len(scope), np.array(scope, dtype=int)
+        idx = np.arange(1 << k)
+        bits = (idx[:, None] >> np.arange(k - 1, -1, -1)) & 1  # (state, q)
+        spin = 2.0 * bits - 1.0
+        phi = spin * xi[at] ** -spin
+        members = ((idx[:, None] >> np.arange(k)) & 1).astype(bool)  # (mask, q)
+        # basis[mask, state] = prod over q in mask of x_q xi_q^{-x_q}
+        basis = np.where(members[:, None, :], phi[None, :, :], 1.0).prod(axis=2)
+        betas = basis @ bf
+        betas[members.sum(axis=1) == 1] = 0.0
+        betas[0] = 1.0
+        recon = (betas @ basis) * nb[at, bits].prod(axis=1)
+        worst = max(worst, float(np.abs(recon - bf).max()))
+        factor_beta.append(betas.tolist())
+    if worst > 1e-10:
+        raise IdentityError(
+            f"factor belief reconstruction off by {worst:.3e}; "
+            "coefficient inversion is invalid"
+        )
+    return factor_beta

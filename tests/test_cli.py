@@ -244,6 +244,31 @@ def test_target_is_checked_before_lbp(kind, target, model_file, tmp_path, monkey
     assert cap.err == f"error: target node {target} out of range\n"
 
 
+@pytest.mark.parametrize("kind", ["pairwise", "factor"])
+@pytest.mark.parametrize("max_iters", ["10000", "1"])
+def test_compare_checks_the_oracle_size_before_lbp(kind, max_iters, tmp_path, monkeypatch,
+                                                    capsys):
+    # the 2x17 grid's frontier holds 18 variables: compare refuses it from
+    # the oracle's plan before LBP runs, so a run that would not converge
+    # in --max-iters exits 1, not 2
+    import loopcorrect.cli as cli
+
+    def no_lbp(*args):
+        raise AssertionError("LBP ran on a model too wide for the oracle")
+
+    monkeypatch.setattr(cli, "run_lbp", no_lbp)
+    monkeypatch.setattr(cli, "run_lbp_factor", no_lbp)
+    model = ising_model(grid_graph(2, 17), np.random.default_rng(0))
+    text = pairwise_to_json(model) if kind == "pairwise" else factor_to_json(to_factor_model(model))
+    path = tmp_path / "wide.json"
+    path.write_text(text)
+    assert main(["compare", "--model", str(path), "--max-iters", max_iters]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: variable elimination holds ")
+    assert cap.err.count("\n") == 1
+
+
 def test_compare_past_25_variables(tmp_path, capsys):
     # 36 variables: the oracle's frontier holds 7 of them
     path = tmp_path / "grid.json"

@@ -3,10 +3,11 @@ the two-sided subset-sum identities."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcorrect.cli import main
@@ -34,7 +35,12 @@ from loopcorrect.model import (
     to_factor_model,
     uniform_phi,
 )
-from oracles import brute_force_reference, loop_identity_tables, model_tables
+from oracles import (
+    brute_force_reference,
+    exact_state_sum,
+    loop_identity_tables,
+    model_tables,
+)
 
 
 def test_single_edge_uniform():
@@ -142,13 +148,25 @@ def test_engine_matches_reference(model):
 
 @given(scoped_tables(signed=True))
 @settings(max_examples=150, deadline=None)
+# a sum of 2e-313: in float range one subnormal step is wider than the bound
+@example((3, [((0, 1), (0.0, 0.0, 0.0, 1.0)), ((), (1e-13,)), ((), (1e-300,)), ((2,), (1.0, 1.0))]))
+# a sum of 1.5e-337, below the float range: each table must be scaled by
+# its largest |entry|, not by the exponent 0 of its zero entry
+@example((1, [((0,), (1.2141415681834188e-79, 0.0)), ((0,), (1.2134150319117627e-258, 0.0))]))
+# a sum of 1.6e-452: the product of the first two tables underflows at
+# x0 = -1, the only state that the third table leaves
+@example((2, [((0,), (1.3994230226264554e-144, 1.0)), ((0,), (1.1125369292536007e-308, 1.0)),
+              ((0,), (1.0, 0.0)), ((1,), (0.0, 1.0))]))
 def test_engine_matches_reference_on_signed_tables(n_tables):
-    # the sum of |weight| over all states bounds the rounding of both sums
+    # Compared at the engine's scale, where rows[0] is a normal float: the
+    # exact state sum times 2^-exponent, and the sum of |weight| over all
+    # states, which bounds the rounding, on the same scale.
     n, tables = n_tables
     rows, exponent = _eliminate(n, tables)
-    want = brute_force_reference(n, tables).value
-    scale = brute_force_reference(n, [(s, np.abs(t)) for s, t in tables]).value
-    assert abs(math.ldexp(rows[0], exponent) - want) <= 1e-12 * scale
+    scale = Fraction(2) ** -exponent
+    want = exact_state_sum(n, tables) * scale
+    bound = exact_state_sum(n, [(s, np.abs(t)) for s, t in tables]) * scale
+    assert abs(Fraction(float(rows[0])) - want) <= Fraction(1e-12) * bound
 
 
 def test_signed_sum_below_float_range():
@@ -163,6 +181,16 @@ def test_signed_sum_below_float_range():
     assert (mantissa, power + exponent) == (-0.5, -1199)
 
 
+
+def test_sum_that_underflows_a_shared_exponent():
+    # Once x1 is summed out, x0 = -1 weighs 1e-400 against 1 for x0 = +1,
+    # past the float range under one shared exponent; the (0, 2) tables then
+    # leave x0 = +1 only 1e-900, so x0 = -1 holds nearly all of Z.
+    tables = [((0, 1), (1e-200, 1e-200, 1.0, 1.0))] * 2 + [((0, 2), (1.0, 1.0, 1e-300, 1e-300))] * 3
+    res = brute_force(FactorModel(3, tuple(tables)))
+    assert res.log_z == pytest.approx(math.log(4.0) - 400 * math.log(10.0), rel=1e-12)
+    np.testing.assert_allclose(res.marginals, [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+    np.testing.assert_allclose(res.factor_marginals[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 @st.composite
 def loop_identity_inputs(draw):
     """A multigraph on 1 to 6 nodes (self-loops and parallel edges

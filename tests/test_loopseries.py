@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopcorrect.exact import brute_force, belief_ratio_state_sum
-from loopcorrect.exceptions import NotConvergedError
+from loopcorrect.exceptions import IdentityError, NotConvergedError
 from loopcorrect.generate import (
     ising_model,
     random_connected_graph,
@@ -19,6 +19,7 @@ from loopcorrect.generate import (
 from loopcorrect.graph import Multigraph, cycle_graph, grid_graph, two_triangles_graph
 from loopcorrect.lbp import LbpOptions, LbpResult, run_lbp, run_lbp_factor
 from loopcorrect.loopseries import (
+    _factor_betas,
     coefficients_from_beliefs,
     factor_coefficients,
     loop_series_marginal,
@@ -36,6 +37,7 @@ from loopcorrect.model import (
     uniform_phi,
 )
 from loopcorrect.poly import f_values
+from oracles import factor_betas_reference
 from tests.test_lbp import HYPERTREE
 
 
@@ -331,6 +333,33 @@ def test_factor_beta_matches_pairwise(rng):
     cf = coefficients_from_beliefs(res_f)
     for e in range(len(g.edges)):
         assert cf.factor_beta[e][0b11] == pytest.approx(cp.beta[e], abs=1e-9)
+
+
+def _betas_or_refusal(betas, res, xi, nb):
+    try:
+        return betas(res, xi, nb)
+    except (IdentityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), unary=st.integers(0, 3))
+def test_grouped_factor_betas_match_per_factor_loop(seed, unary):
+    # one batched basis product per arity group against one product per
+    # factor, bit for bit, on scopes of arity 1 to 5
+    rng = np.random.default_rng(seed)
+    fm = random_factor_model(rng, max_vars=8, max_arity=5, max_incidences=18)
+    tables = np.exp(rng.uniform(-1.0, 1.0, (unary, 2)))
+    fm = FactorModel(fm.variable_count, fm.factors + tuple(
+        ((int(v),), tuple(map(float, t)))
+        for v, t in zip(rng.integers(0, fm.variable_count, unary), tables)
+    ))
+    res = run_lbp_factor(fm)
+    assume(res.converged)
+    nb = np.asarray(res.node_beliefs)
+    xi = np.sqrt(nb[:, 1] / nb[:, 0])
+    got = _betas_or_refusal(_factor_betas, res, xi, nb)
+    assert got == _betas_or_refusal(factor_betas_reference, res, xi, nb)
 
 
 def test_factor_beta_uniform_beliefs_vanish():

@@ -61,6 +61,18 @@ def test_absorb_single_edge_by_hand():
             )
 
 
+def test_absorb_checks_the_multiplied_tables():
+    # each table passed PairwiseModel's checks, but a product can leave the
+    # float range: below POSITIVITY_FLOOR, to zero or to infinity
+    for scale in (1e-160, 1e-200, 1e200):
+        m = simple_model(psi=(((scale, 1.0), (1.0, 1.0)),), phi=((scale, 1.0), (1.0, 1.0)))
+        with pytest.raises(ValueError, match="edge potential must be strictly positive"):
+            absorb_node_potentials(m)
+    out = absorb_node_potentials(simple_model(phi=((1e-150, 1.0), (1.0, 1.0))))
+    assert out.edge_potentials == (((1e-150, 1e-150), (1.0, 1.0)),)
+    assert isinstance(out, PairwiseModel) and out.graph is EDGE
+
+
 def test_absorb_preserves_partition_function(rng):
     m = ising_model(two_triangles_graph(), rng, coupling=1.2, field=0.8)
     before = brute_force(m)
