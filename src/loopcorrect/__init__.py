@@ -38,7 +38,6 @@ from .lbp import (
     LbpOptions,
     LbpResult,
     bethe_log_z,
-    bethe_log_z_factor,
     run_lbp,
     run_lbp_factor,
 )

@@ -55,10 +55,9 @@ _ALL = slice(None)  # an axis whole
 class ExactResult:
     """Exact log partition function and marginals.
 
-    marginals[i] = [p_i(-1), p_i(+1)].  pair_marginals (per edge, 2x2) for a
-    pairwise model and factor_marginals (per factor, flat tables) for a
-    factor model are computed from model when first read; without a model
-    they are None and [].
+    marginals[i] = [p_i(-1), p_i(+1)].  factor_marginals holds one flat
+    table per factor (per edge of a pairwise model, in endpoint order),
+    computed from model when first read; without a model it is [].
     """
 
     log_z: float
@@ -66,16 +65,8 @@ class ExactResult:
     model: object = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def pair_marginals(self) -> np.ndarray | None:
-        if not isinstance(self.model, PairwiseModel):
-            return None
-        return np.reshape(_local_marginals(self.model), (-1, 2, 2))
-
-    @cached_property
     def factor_marginals(self) -> list:
-        if not isinstance(self.model, FactorModel):
-            return []
-        return _local_marginals(self.model)
+        return [] if self.model is None else _local_marginals(self.model)
 
 
 def _scoped_tables(model):
@@ -319,30 +310,22 @@ def _local_marginals(model) -> list:
     return out
 
 
-def belief_ratio_state_sum(model, res) -> float:
-    """State sum of prod_local [b_local / prod b_i] * prod_i b_i over beliefs.
-
-    res is an LBP result (or anything with node_beliefs and factor_beliefs,
-    which pairwise runs fill with the flat edge beliefs).  At a fixed point
-    this equals Z / Z_B; away from one it is just the quantity itself.
-    """
-    return belief_ratio_state_sum_from_beliefs(model, res.node_beliefs, res.factor_beliefs)
-
-
-def belief_ratio_state_sum_from_beliefs(model, node_beliefs, local_beliefs) -> float:
-    """belief_ratio_state_sum on raw belief tables: local_beliefs holds one
-    table per edge of a pairwise model (2x2 or flat) or per factor (flat).
+def belief_ratio_state_sum(model, node_beliefs, factor_beliefs) -> float:
+    """State sum of prod_f [b_f / prod_{i in f} b_i] * prod_i b_i over
+    beliefs, factor_beliefs holding one flat table per factor (per edge of
+    a pairwise model).  At an LBP fixed point this equals Z / Z_B; away
+    from one it is just the quantity itself.
 
     The sum is the partition function of a factor model, so brute_force
-    evaluates it: each local belief table over its scope, and b_i^(1 - d_i)
-    on each variable i of degree d_i.
+    evaluates it: each factor belief table over its scope, and
+    b_i^(1 - d_i) on each variable i of degree d_i.
     """
     n, _, factors = _scoped_tables(model)
     nb = np.asarray(node_beliefs, dtype=float)
     if nb.min() <= 0.0:
         raise ValueError("beliefs must be strictly positive")
     deg = np.bincount([i for scope, _ in factors for i in scope], minlength=n)
-    tables = [(scope, np.ravel(local_beliefs[f])) for f, (scope, _) in enumerate(factors)]
+    tables = [(scope, np.ravel(factor_beliefs[f])) for f, (scope, _) in enumerate(factors)]
     tables += [((i,), nb[i] ** (1 - deg[i])) for i in range(n)]
     return math.exp(brute_force(FactorModel(n, tuple(tables))).log_z)
 

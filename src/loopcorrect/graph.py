@@ -104,7 +104,7 @@ def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
     marginal series needs that variant because the target node's weight is
     a g value and g_1 != 0.  Past TERMS_CAP loops SizeError is raised.
     """
-    return _listed(g, free_node)
+    return _listed(g, _loop_tables(g, free_node), "generalized loops")
 
 
 # Most frontier states held at once; past it frontier_sum raises SizeError
@@ -277,14 +277,10 @@ class SubsetWeights:
         return out
 
 
-def _loop_tables(g: Multigraph, free_node=None, max_degree=None) -> list:
+def _loop_tables(g: Multigraph, free_node=None) -> list:
     """0/1 node tables of the generalized loops, for counting and listing: a
-    degree weighs one unless it is 1 (free_node exempt) or above max_degree."""
-    return [
-        [int((x != 1 or v == free_node) and (max_degree is None or x <= max_degree))
-         for x in range(d + 1)]
-        for v, d in enumerate(g.degrees())
-    ]
+    degree weighs one unless it is 1 (free_node exempt)."""
+    return [[int(x != 1 or v == free_node) for x in range(d + 1)] for v, d in enumerate(g.degrees())]
 
 
 def count_generalized_loops(g: Multigraph, by_size: bool = False):
@@ -309,13 +305,13 @@ class _Subsets(list):
         return _Subsets([a for a in self if a not in other])
 
 
-def _listed(g: Multigraph, free_node=None, max_degree=None, what="generalized loops") -> list:
-    """The subsets _loop_tables accepts, as frozensets in lexicographic order
-    on the edge-id bitmask (empty set first).  They are counted first, and
-    past TERMS_CAP SizeError is raised before any is listed; then a frontier
-    sum in which edge e weighs its bit m-1-e lists them, and a sort orders them.
+def _listed(g: Multigraph, tables, what: str) -> list:
+    """The edge subsets whose node degrees the 0/1 node tables all accept,
+    as frozensets in lexicographic order on the edge-id bitmask (empty set
+    first).  They are counted first, and past TERMS_CAP SizeError (naming
+    them as `what`) is raised before any is listed; then a frontier sum in
+    which edge e weighs its bit m-1-e lists them, and a sort orders them.
     """
-    tables = _loop_tables(g, free_node, max_degree)
     count = SubsetWeights(g, tables).frontier_sum(one=1)[0]
     if count > TERMS_CAP:
         raise SizeError(f"{count} {what} exceed the listing cap {TERMS_CAP}")
@@ -331,10 +327,11 @@ def enumerate_disjoint_cycles(g: Multigraph):
     number of connected components of C; the empty set has k = 0.  Past
     TERMS_CAP sets SizeError is raised."""
     n = g.node_count
+    tables = [[int(x in (0, 2)) for x in range(d + 1)] for d in g.degrees()]
     # C touches |C| nodes, so the graph C spans has k(C) + n - |C| components
     return [
         (c, is_connected(Multigraph(n, tuple(g.edges[e] for e in c)))[1] - n + len(c))
-        for c in _listed(g, None, 2, "disjoint cycle sets")
+        for c in _listed(g, tables, "disjoint cycle sets")
     ]
 
 

@@ -75,10 +75,10 @@ class LbpResult:
     messages[k] is the normalized factor-to-variable message of slot k, a
     2-vector over the recipient's spin; for pairwise runs messages[2e + 0]
     goes to endpoint a of edge e (sent by b) and messages[2e + 1] to b.
-    node_beliefs[i], factor_beliefs[f] (flat, first scope variable most
-    significant) and, for pairwise runs, edge_beliefs[e] (2x2, endpoint
-    order) are normalized.  model is the model the run iterated on, with
-    node potentials absorbed for pairwise runs.
+    node_beliefs[i] and factor_beliefs[f] (flat, first scope variable most
+    significant; per edge of a pairwise model, in endpoint order) are
+    normalized.  model is the model the run iterated on, with node
+    potentials absorbed for pairwise runs.
     """
 
     node_beliefs: np.ndarray
@@ -87,7 +87,6 @@ class LbpResult:
     converged: bool
     residual: float
     messages: np.ndarray | None = None
-    edge_beliefs: np.ndarray | None = None
     factor_beliefs: list = field(default_factory=list)
     model: object = None
 
@@ -249,11 +248,19 @@ class _FactorGraph:
         return node / total, factor
 
 
-def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
-    """Sweep from uniform messages until the residual drops below tol; the
-    caller fills in log_z_b and model."""
+def _factors(model):
+    """(variable count, factors) of either model kind, a pairwise model's
+    edges as arity-2 factors."""
+    if isinstance(model, PairwiseModel):
+        return model.node_count, edge_tables(model)
+    return model.variable_count, model.factors
+
+
+def _run(model, opts: LbpOptions | None) -> LbpResult:
+    """Sweep model from uniform messages until the residual drops below
+    tol, then form its beliefs and Bethe value."""
     opts = opts or LbpOptions()
-    graph = _FactorGraph(variable_count, factors)
+    graph = _FactorGraph(*_factors(model))
     buf = graph.buffer()
     residual = math.inf
     iterations = 0
@@ -264,47 +271,39 @@ def _run(variable_count: int, factors, opts: LbpOptions | None) -> LbpResult:
     node_beliefs, factor_beliefs = graph.beliefs(buf)
     return LbpResult(
         node_beliefs=node_beliefs,
-        log_z_b=math.nan,
+        log_z_b=bethe_log_z(model, node_beliefs, factor_beliefs),
         iterations=iterations,
         converged=residual < opts.tol,
         residual=residual,
         messages=graph.messages(buf),
         factor_beliefs=factor_beliefs,
+        model=model,
     )
 
 
-def _bethe(degrees, tables, local, node_beliefs) -> float:
-    """sum_f <log psi_f - log b_f>_{b_f} + sum_i (d_i - 1) <log b_i>_{b_i};
-    tables and local hold every factor's entries, flat and in the same
-    order, and degrees[i] counts the scopes containing i."""
+def bethe_log_z(model, node_beliefs, factor_beliefs) -> float:
+    """The Bethe expression at arbitrary normalized beliefs,
+    sum_f <log psi_f - log b_f>_{b_f} + sum_i (d_i - 1) <log b_i>_{b_i},
+    with d_i the number of factors containing variable i.
+
+    factor_beliefs holds one flat table per factor, per edge of a pairwise
+    model.  A pairwise model's node potentials must be uniform (run_lbp
+    absorbs them before iterating).  Exposed separately so it can be
+    evaluated away from fixed points in tests.
+    """
+    n, factors = _factors(model)
+    degrees = np.bincount([i for scope, _ in factors for i in scope], minlength=n)
+    tables = np.array([v for _, table in factors for v in table], dtype=float)
+    local = np.concatenate([np.empty(0), *map(np.ravel, factor_beliefs)])
     nb = np.asarray(node_beliefs, dtype=float)
     if (nb <= 0.0).any() or (local <= 0.0).any():
         raise ValueError("Bethe expression needs strictly positive beliefs")
     total = float((local * np.log(tables)).sum()) - float((local * np.log(local)).sum())
-    return total + float((np.subtract(degrees, 1) * (nb * np.log(nb)).sum(axis=1)).sum())
+    return total + float(((degrees - 1) * (nb * np.log(nb)).sum(axis=1)).sum())
 
 
-def bethe_log_z(m: PairwiseModel, node_beliefs, edge_beliefs) -> float:
-    """The three-term Bethe expression at arbitrary normalized beliefs.
-
-    Expects a model whose node potentials are uniform (run_lbp absorbs them
-    before iterating).  Exposed separately so it can be evaluated away from
-    fixed points in tests.
-    """
-    tables = np.ravel(np.asarray(m.edge_potentials, dtype=float))
-    local = np.ravel(np.asarray(edge_beliefs, dtype=float))
-    return _bethe(m.graph.degrees(), tables, local, node_beliefs)
-
-
-def bethe_log_z_factor(fm: FactorModel, node_beliefs, factor_beliefs) -> float:
-    """Factor-graph Bethe expression; d_i is the number of factors
-    containing variable i."""
-    degrees = np.bincount(
-        [i for scope, _ in fm.factors for i in scope], minlength=fm.variable_count
-    )
-    tables = np.array([v for _, table in fm.factors for v in table], dtype=float)
-    local = np.concatenate([np.ravel(b) for b in factor_beliefs])
-    return _bethe(degrees, tables, local, node_beliefs)
+# The benchmark tracer (bench/spans.py) looks up the factor-model name.
+bethe_log_z_factor = bethe_log_z
 
 
 def run_lbp(m: PairwiseModel, opts: LbpOptions | None = None) -> LbpResult:
@@ -315,17 +314,9 @@ def run_lbp(m: PairwiseModel, opts: LbpOptions | None = None) -> LbpResult:
     which is also what the loop-series operations expect.  Non-convergence
     is reported via the converged flag, not raised.
     """
-    absorbed = absorb_node_potentials(m)
-    res = _run(absorbed.node_count, edge_tables(absorbed), opts)
-    res.edge_beliefs = np.reshape(res.factor_beliefs, (-1, 2, 2))
-    res.log_z_b = bethe_log_z(absorbed, res.node_beliefs, res.edge_beliefs)
-    res.model = absorbed
-    return res
+    return _run(absorb_node_potentials(m), opts)
 
 
 def run_lbp_factor(fm: FactorModel, opts: LbpOptions | None = None) -> LbpResult:
     """Factor-graph LBP; beliefs per variable and per factor (flat tables)."""
-    res = _run(fm.variable_count, fm.factors, opts)
-    res.log_z_b = bethe_log_z_factor(fm, res.node_beliefs, res.factor_beliefs)
-    res.model = fm
-    return res
+    return _run(fm, opts)

@@ -120,7 +120,7 @@ def coefficients_from_beliefs(res: LbpResult) -> SeriesCoefficients:
     xi, gamma = _xi_gamma(nb)
     if not isinstance(res.model, PairwiseModel):
         return SeriesCoefficients(xi=xi, gamma=gamma, factor_beta=_factor_betas(res, xi, nb))
-    eb = np.asarray(res.edge_beliefs)
+    eb = np.reshape(res.factor_beliefs, (-1, 2, 2))
     _check_floor(eb)
     ends = np.array(res.model.graph.edges, dtype=int).reshape(-1, 2)
     root = np.sqrt(nb[:, 1] * nb[:, 0])
@@ -235,18 +235,15 @@ def _target_weights(z_report: SeriesReport, target: int) -> SubsetWeights:
 
 
 def _correction(res, target, z_report, bias, weights) -> MarginalCorrection:
+    b = res.node_beliefs[target]
+    diff = math.sqrt(b[1] * b[0]) * bias / z_report.total
     return MarginalCorrection(
         target=target,
         bias_series=bias,
         series_total=z_report.total,
-        corrected_marginal=_corrected_marginal(res.node_beliefs[target], bias, z_report.total),
+        corrected_marginal=np.array([(1.0 - diff) / 2.0, (1.0 + diff) / 2.0]),
         weights=weights,
     )
-
-
-def _corrected_marginal(node_belief, bias, total) -> np.ndarray:
-    diff = math.sqrt(node_belief[1] * node_belief[0]) * bias / total
-    return np.array([(1.0 - diff) / 2.0, (1.0 + diff) / 2.0])
 
 
 def loop_series_marginal(res: LbpResult, target: int, z_report: SeriesReport) -> MarginalCorrection:

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from loopcorrect.cli import main
 from loopcorrect.exact import (
+    ExactResult,
     _eliminate,
     brute_force,
     belief_ratio_state_sum,
-    belief_ratio_state_sum_from_beliefs,
     loop_identity_state_sum,
     loop_identity_subset_sum,
 )
@@ -48,7 +48,8 @@ def test_single_edge_uniform():
     res = brute_force(m)
     assert math.exp(res.log_z) == pytest.approx(4.0, rel=1e-14)
     assert abs(res.marginals - 0.5).max() < 1e-14
-    assert abs(res.pair_marginals[0] - 0.25).max() < 1e-14
+    assert abs(res.factor_marginals[0] - 0.25).max() < 1e-14
+    assert ExactResult(res.log_z, res.marginals).factor_marginals == []
 
 
 def test_single_edge_closed_form():
@@ -83,13 +84,9 @@ def _assert_matches_reference(model):
     res = brute_force(model)
     assert abs(res.log_z - ref.log_z) < 1e-12
     assert abs(res.marginals - ref.marginals).max(initial=0.0) < 1e-12
-    if isinstance(model, PairwiseModel):
-        local = np.reshape(res.pair_marginals, (-1, 4))
-        ref_local = ref.local[n:]
-    else:
-        local, ref_local = res.factor_marginals, ref.local
-    assert len(local) == len(ref_local)
-    for got, want in zip(local, ref_local):
+    ref_local = ref.local[n:] if isinstance(model, PairwiseModel) else ref.local
+    assert len(res.factor_marginals) == len(ref_local)
+    for got, want in zip(res.factor_marginals, ref_local):
         assert abs(np.asarray(got) - want / ref.total).max() < 1e-12
 
 
@@ -219,7 +216,7 @@ def test_marginal_consistency(rng):
     res = brute_force(m)
     assert abs(res.marginals.sum(axis=1) - 1.0).max() < 1e-12
     for e, (a, b) in enumerate(m.graph.edges):
-        tab = res.pair_marginals[e]
+        tab = np.reshape(res.factor_marginals[e], (2, 2))
         assert tab.sum() == pytest.approx(1.0, abs=1e-12)
         assert abs(tab.sum(axis=1) - res.marginals[a]).max() < 1e-12
         assert abs(tab.sum(axis=0) - res.marginals[b]).max() < 1e-12
@@ -258,25 +255,24 @@ def test_chunked_oracle_matches_lbp_on_trees(n):
     # a tree's frontier stays narrow at any size, and LBP is exact on a tree
     rng = np.random.default_rng(n)
     m = ising_model(random_tree(n, rng), rng, coupling=1.5, field=1.0)
-    for model, run, local in (
-        (m, run_lbp, lambda ex, res: (ex.pair_marginals, res.edge_beliefs)),
-        (to_factor_model(m), run_lbp_factor,
-         lambda ex, res: (ex.factor_marginals, res.factor_beliefs)),
-    ):
+    for model, run in ((m, run_lbp), (to_factor_model(m), run_lbp_factor)):
         exact, res = brute_force(model), run(model)
         assert res.converged
         assert abs(exact.log_z - res.log_z_b) < 1e-10
         assert abs(exact.marginals - res.node_beliefs).max() < 1e-10
-        ex_local, lbp_local = local(exact, res)
-        assert len(ex_local) == n - 1
-        assert max(abs(np.asarray(a) - b).max() for a, b in zip(ex_local, lbp_local)) < 1e-10
+        assert len(exact.factor_marginals) == n - 1
+        assert max(
+            abs(a - b).max() for a, b in zip(exact.factor_marginals, res.factor_beliefs)
+        ) < 1e-10
 
 
 def test_belief_ratio_tree_fixed_point(rng):
     m = ising_model(random_tree(6, rng), rng)
     res = run_lbp(m)
     assert res.converged
-    assert belief_ratio_state_sum(res.model, res) == pytest.approx(1.0, abs=1e-9)
+    assert belief_ratio_state_sum(
+        res.model, res.node_beliefs, res.factor_beliefs
+    ) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_belief_ratio_equals_z_ratio(rng):
@@ -292,7 +288,8 @@ def test_belief_ratio_equals_z_ratio(rng):
             continue
         z = math.exp(brute_force(m).log_z)
         zb = math.exp(res.log_z_b)
-        assert belief_ratio_state_sum(res.model, res) == pytest.approx(z / zb, rel=1e-8)
+        ratio = belief_ratio_state_sum(res.model, res.node_beliefs, res.factor_beliefs)
+        assert ratio == pytest.approx(z / zb, rel=1e-8)
         factor_runs += isinstance(m, FactorModel)
     assert factor_runs > 0
 
@@ -301,16 +298,16 @@ def test_belief_ratio_independent_model():
     # psi identically 1: edge beliefs factorize, so the sum is exactly 1
     g = cycle_graph(3)
     node_b = np.full((3, 2), 0.5)
-    edge_b = [np.full((2, 2), 0.25)] * 3
+    edge_b = [np.full(4, 0.25)] * 3
     m = PairwiseModel(g, (((1.0,) * 2,) * 2,) * 3, uniform_phi(3))
-    assert belief_ratio_state_sum_from_beliefs(m, node_b, edge_b) == pytest.approx(1.0, abs=1e-12)
+    assert belief_ratio_state_sum(m, node_b, edge_b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_belief_ratio_rejects_zero_beliefs():
     g = Multigraph(2, ((0, 1),))
     m = PairwiseModel(g, (((1.0,) * 2,) * 2,), uniform_phi(2))
     with pytest.raises(ValueError):
-        belief_ratio_state_sum_from_beliefs(m, np.array([[0.0, 1.0], [0.5, 0.5]]), [np.full((2, 2), 0.25)])
+        belief_ratio_state_sum(m, np.array([[0.0, 1.0], [0.5, 0.5]]), [np.full(4, 0.25)])
 
 
 def test_loop_identity_zero_beta():

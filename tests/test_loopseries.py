@@ -41,14 +41,16 @@ from oracles import factor_betas_reference
 from tests.test_lbp import HYPERTREE
 
 
-def fake_result(model, node_beliefs, edge_beliefs):
+def fake_result(model, node_beliefs, pair_tables):
+    """A converged LbpResult of a pairwise model; pair_tables holds each
+    edge's belief as a 2x2 table, stored flat as its factor belief."""
     return LbpResult(
         node_beliefs=np.asarray(node_beliefs, dtype=float),
         log_z_b=0.0,
         iterations=1,
         converged=True,
         residual=0.0,
-        edge_beliefs=np.asarray(edge_beliefs, dtype=float),
+        factor_beliefs=list(np.reshape(np.asarray(pair_tables, dtype=float), (-1, 4))),
         model=model,
     )
 
@@ -148,7 +150,8 @@ def test_series_exact_on_random_model(rng):
     rep = loop_series_z(res)
     z = math.exp(brute_force(m).log_z)
     assert rep.z_estimate == pytest.approx(z, rel=1e-8)
-    assert belief_ratio_state_sum(res.model, res) == pytest.approx(rep.total, abs=1e-9)
+    ratio = belief_ratio_state_sum(res.model, res.node_beliefs, res.factor_beliefs)
+    assert ratio == pytest.approx(rep.total, abs=1e-9)
 
 
 def test_series_exact_on_4x5_grid(rng):
