@@ -4,14 +4,14 @@ Commands: lbp, loopseries, oracle, compare, theta, omega, matching, gen.
 Exit codes: 0 success, 1 usage or I/O trouble, 2 LBP non-convergence,
 3 identity-check failure.  Every computation runs serially in one process.
 A command computes and checks everything before it prints; a refusal is an
-exception that main reports as one "error: " line on stderr.
+exception that main reports as one "error: " line on stderr.  A usage error
+(a missing or unknown argument or command) is one too: it exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -70,8 +70,6 @@ def _emit_rows(rows, header, fmt):
         sys.stdout.write(",".join(header) + "\n")
         for row in rows:
             sys.stdout.write(",".join(str(c) for c in row) + "\n")
-    elif fmt == "json":
-        sys.stdout.write(json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n")
     else:
         widths = [
             max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
@@ -241,7 +239,15 @@ def _add_lbp_flags(p):
 
 
 def _add_format_flag(p):
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+    p.add_argument("--format", choices=["table", "csv"], default="table")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError for main to
+    report; add_subparsers builds its subparsers of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 @functools.cache
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
     later one, so in-process callers of main() parse without rebuilding it.
     parse_args leaves it unchanged, so callers must not change it either."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopcorrect",
         description=(
             "Exact loop-series corrections to loopy belief propagation, plus "

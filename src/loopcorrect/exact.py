@@ -57,16 +57,16 @@ class ExactResult:
 
     marginals[i] = [p_i(-1), p_i(+1)].  factor_marginals holds one flat
     table per factor (per edge of a pairwise model, in endpoint order),
-    computed from model when first read; without a model it is [].
+    computed from model when first read.
     """
 
     log_z: float
     marginals: np.ndarray
-    model: object = field(default=None, repr=False, compare=False)
+    model: object = field(repr=False, compare=False)
 
     @cached_property
     def factor_marginals(self) -> list:
-        return [] if self.model is None else _local_marginals(self.model)
+        return _local_marginals(self.model)
 
 
 def _scoped_tables(model):
@@ -138,7 +138,9 @@ def check_oracle_size(model) -> None:
 def _eliminate(n: int, tables, marks=()):
     """Sum over all 2^n spin states of the product of tables, each a
     (scope, flat table) pair with entries of any sign, first scope variable
-    most significant; every variable must lie in some table's scope.
+    most significant; every variable must lie in some table's scope.  A
+    table is multiplied in when its highest variable arrives, an empty-scope
+    table with the first step.
 
     Returns (rows, exponent).  rows[0] * 2^exponent is the sum.  Each mark
     scope S, in order, adds 2^|S| - 1 rows on the same scale: for each
@@ -169,13 +171,14 @@ def _schedule(n: int, tables, marks):
     reused by a later arrival; slot s is axis 1 + s of the frontier table,
     whose axis 0 holds the rows.  Sums keep their axes (size 1 until the
     slot is reused).  Each step that sums variables out first multiplies in
-    the tables whose highest variable arrived since the last one.
+    the tables whose highest variable arrived since the last one; the first
+    step takes the empty-scope tables, in index order, before its others.
     """
     first, last = _plan(n, [scope for scope, _ in tables])
     arriving, retiring, by_top, cleared = ([[] for _ in range(n)] for _ in range(4))
+    factors = []  # the tables still to multiply in
     for f, (scope, _) in enumerate(tables):
-        if scope:
-            by_top[max(scope)].append(f)
+        (by_top[max(scope)] if scope else factors).append(f)
     for v in range(n):
         arriving[first[v]].append(v)
         retiring[last[v]].append(v)
@@ -187,7 +190,7 @@ def _schedule(n: int, tables, marks):
                     cleared[last[v]].append((rows, v))
             rows += 1
 
-    slot, free, factors, width, steps = [0] * n, [], [], 0, []
+    slot, free, width, steps = [0] * n, [], 0, []
     for k in range(n):
         for v in arriving[k]:
             if free:
@@ -222,17 +225,13 @@ def _sum_scaled(tables, steps, rows: int):
     # each table scaled by the power of two of its largest |entry|, so the
     # product of one step's tables stays within float range (a zero entry's
     # exponent, 0, must not stand in for a table's tiny nonzero ones)
-    peaks = np.maximum.reduceat(np.abs(flat), starts[:-1]) if sizes else flat
+    peaks = np.maximum.reduceat(np.abs(flat), starts[:-1])
     _, shifts = np.frexp(peaks)
     flat = np.ldexp(flat, -np.repeat(shifts, sizes))
     exponent = int(shifts.sum())
     signed = flat.min(initial=0.0) < 0.0
 
-    head = 1.0  # the product of the empty-scope tables
-    for f, (scope, _) in enumerate(tables):
-        if not scope:
-            head *= float(flat[starts[f]])
-    state = np.full(rows, head)
+    state = np.ones(rows)
     for width, factors, cleared, axes in steps:
         if state.ndim <= width:
             state = _widen(state, width)
@@ -259,9 +258,6 @@ def _sum_split(tables, steps, rows: int):
     2^-1074 of its largest term."""
     parts = [np.frexp(np.asarray(t, dtype=float)) for _, t in tables]
     mant, expo = np.ones(rows), np.zeros(rows, dtype=np.int64)
-    for (scope, _), (tm, te) in zip(tables, parts):
-        if not scope:
-            mant, expo = mant * tm[0], expo + te[0]
     for width, factors, cleared, axes in steps:
         if mant.ndim <= width:
             mant, expo = _widen(mant, width), _widen(expo, width)

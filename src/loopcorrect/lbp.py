@@ -250,8 +250,15 @@ class _FactorGraph:
 
 def _factors(model):
     """(variable count, factors) of either model kind, a pairwise model's
-    edges as arity-2 factors."""
+    edges as arity-2 factors.  A pairwise model's node potentials must be
+    uniform, since the edge tables alone would drop them."""
     if isinstance(model, PairwiseModel):
+        for i, phi in enumerate(model.node_potentials):
+            if phi != (1.0, 1.0):
+                raise ValueError(
+                    f"node {i}'s potential {phi} is not uniform; "
+                    "run_lbp absorbs node potentials into the edge tables"
+                )
         return model.node_count, edge_tables(model)
     return model.variable_count, model.factors
 

@@ -242,7 +242,8 @@ def model_from_json(text: str):
             tuple(tuple(float(v) for v in row) for row in e["psi"]) for e in doc["edges"]
         ))
         phi = _field("phi", lambda: tuple(
-            tuple(float(v) for v in tab) for tab in doc.get("phi") or uniform_phi(n)
+            tuple(float(v) for v in tab)
+            for tab in (uniform_phi(n) if doc.get("phi") is None else doc["phi"])
         ))
         return PairwiseModel(Multigraph(n, edges), psi, phi)
     if "vars" in doc:

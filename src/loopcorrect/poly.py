@@ -84,8 +84,6 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return UniPoly({}, self.var)
             return UniPoly({e: c * other for e, c in self.coeffs.items()}, self.var)
         out: dict = {}
         for e1, c1 in self.coeffs.items():

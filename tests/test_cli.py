@@ -59,15 +59,12 @@ def test_parser_reuse_leaks_no_state(model_file, capsys):
         (["loopseries", "--model", m, "--target", "1"], 0),
         (["loopseries", "--model", m], 0),
         (["compare", "--model", m, "--check-tol", "1e-30"], 3),
-        (["compare", "--model", m, "--no-such-flag"], 2),
+        (["compare", "--model", m, "--no-such-flag"], 1),
         (["compare", "--model", m], 0),
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(loopcorrect.__file__).parents[1])}
     for argv, code in calls:
-        try:
-            rc = main(argv)
-        except SystemExit as exc:  # argparse usage error
-            rc = exc.code
+        rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == code
         fresh = subprocess.run([sys.executable, "-m", "loopcorrect.cli", *argv],
@@ -190,7 +187,8 @@ def test_non_convergence_exit_code(model_file, monkeypatch, capsys):
 
     assert main(["lbp", "--model", str(model_file), "--max-iters", "2"]) == 2
     capsys.readouterr()
-    # the series refuses the run before compare starts the 2^N oracle
+    # the series refuses an unconverged run before compare starts the
+    # oracle, on wide models its most costly stage
     calls = []
     monkeypatch.setattr(cli, "brute_force", lambda model: calls.append(model))
     for command in ("loopseries", "compare"):
@@ -395,6 +393,77 @@ def test_usage_errors(tmp_path):
     assert main(["theta", "--graph", str(bad)]) == 1
 
 
+_EDGE = {"i": 0, "j": 1, "psi": [[1.0, 2.0], [2.0, 1.0]]}
+_GRAPH_FILES = {
+    "empty.txt": "",
+    "short.txt": "2 3\n0 1\n",
+    "nodeless.txt": "0 0\n",
+    "split.txt": "4 2\n0 1\n2 3\n",
+}
+_MODEL_FILES = {
+    "list.json": [1, 2],
+    "psi3.json": {"nodes": 2, "edges": [{**_EDGE, "psi": [[1, 2], [2, 1], [1, 1]]}]},
+    "phi3.json": {"nodes": 2, "edges": [_EDGE], "phi": [[1, 2, 3], [1, 1]]},
+    "phi_empty.json": {"nodes": 2, "edges": [_EDGE], "phi": []},
+    "vars0.json": {"vars": 0, "factors": []},
+    "scope5.json": {"vars": 2, "factors": [{"scope": [0, 5], "table": [1, 1, 1, 1]}]},
+    "isolated.json": {"nodes": 1, "edges": [], "phi": [[1, 2]]},
+    "ok.json": {"nodes": 2, "edges": [_EDGE]},
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare"], "the following arguments are required: --model"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["compare", "--model", "ok.json", "--format", "json"], "invalid choice: 'json'"),
+    (["compare", "--model", "ok.json", "--format", "xml"], "invalid choice: 'xml'"),
+    (["gen", "bogus", "3"], "unknown topology 'bogus'"),
+    (["gen", "cycle", "2"], "cycle needs at least 3 nodes"),
+    (["theta", "--graph", "empty.txt"], "empty edge-list input"),
+    (["theta", "--graph", "short.txt"], "expected 3 edge lines, got 1"),
+    (["theta", "--graph", "nodeless.txt"], "node_count must be positive"),
+    (["omega", "--graph", "split.txt"], "omega needs a connected graph"),
+    (["oracle", "--model", "list.json"], "model JSON must be an object"),
+    (["oracle", "--model", "psi3.json"], "edge potentials must be 2x2"),
+    (["oracle", "--model", "phi3.json"], "node potentials must have 2 entries"),
+    (["oracle", "--model", "phi_empty.json"], "one node potential table per node required"),
+    (["oracle", "--model", "vars0.json"], "variable_count must be positive"),
+    (["oracle", "--model", "scope5.json"], "variable id 5 out of range"),
+    (["lbp", "--model", "isolated.json"], "node 0 is isolated"),
+    (["lbp", "--model", "ok.json", "--damping", "1"], "damping must be in [0, 1)"),
+])
+def test_refusals_exit_1_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    # usage errors included: each leaves stdout empty and writes one line
+    for name, text in _GRAPH_FILES.items():
+        (tmp_path / name).write_text(text)
+    for name, doc in _MODEL_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert message in cap.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["compare", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: loopcorrect")
+
+
+def test_gen_writes_to_stdout(tmp_path, capsys):
+    # without -o the model goes to stdout, byte for byte what -o writes
+    assert main(["gen", "example1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert model_from_json(out).graph == two_triangles_graph()
+    path = tmp_path / "m.json"
+    assert main(["gen", "example1", "--seed", "1", "-o", str(path)]) == 0
+    assert path.read_text() == out
+
+
 @pytest.mark.parametrize("topology, message", [
     (["grid", "3"], "grid needs R C"),
     (["grid", "3", "x"], "grid needs R C"),
@@ -409,15 +478,13 @@ def test_gen_argument_errors(tmp_path, capsys, topology, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-_EDGE = {"i": 0, "j": 1, "psi": [[1.0, 2.0], [2.0, 1.0]]}
-
-
 @pytest.mark.parametrize("doc, field", [
     ({"nodes": 2, "edges": [{"i": 0, "j": 1}]}, "psi"),
     ({"vars": 2, "factors": [{"scope": [0, 1]}]}, "table"),
     ({"nodes": "x", "edges": [_EDGE]}, "nodes"),
     ({"nodes": 2.5, "edges": [_EDGE]}, "nodes"),
     ({"nodes": 2, "edges": [_EDGE], "phi": 3}, "phi"),
+    ({"nodes": 2, "edges": [_EDGE], "phi": 0}, "phi"),
 ])
 def test_malformed_model_json(tmp_path, capsys, doc, field):
     path = tmp_path / "model.json"

@@ -17,7 +17,13 @@ from loopcorrect.generate import (
     random_factor_model,
     random_tree,
 )
-from loopcorrect.graph import cycle_graph, path_graph, star_graph, two_triangles_graph
+from loopcorrect.graph import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    two_triangles_graph,
+)
 from loopcorrect.lbp import (
     LbpOptions,
     _FactorGraph,
@@ -197,6 +203,19 @@ def test_bethe_rejects_zero_beliefs():
     m = PairwiseModel(path_graph(2), (((1.0,) * 2,) * 2,), uniform_phi(2))
     with pytest.raises(ValueError):
         bethe_log_z(m, np.array([[1.0, 0.0], [0.5, 0.5]]), np.full((1, 4), 0.25))
+
+
+def test_pairwise_node_potentials_are_never_dropped():
+    # the edge tables alone lose node potentials: at run_lbp's beliefs the
+    # Bethe value would read 3.908 for 5.233, and the factor engine would
+    # give node 0 the belief [0.5, 0.5] for [0.352, 0.648]
+    m = ising_model(grid_graph(2, 3), np.random.default_rng(0), coupling=0.5, field=0.8)
+    res = run_lbp(m)
+    assert bethe_log_z(res.model, res.node_beliefs, res.factor_beliefs) == res.log_z_b
+    with pytest.raises(ValueError, match="run_lbp absorbs node potentials"):
+        bethe_log_z(m, res.node_beliefs, res.factor_beliefs)
+    with pytest.raises(ValueError, match="run_lbp absorbs node potentials"):
+        run_lbp_factor(m)
 
 
 HYPERTREE = FactorModel(
