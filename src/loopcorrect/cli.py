@@ -110,6 +110,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_loopseries(args) -> int:
+    if args.format is not None and not args.terms:
+        raise ValueError("--format needs --terms: only the per-term table has a format")
     model = _load_model(args.model)
     if args.target is not None:
         n = model.node_count if isinstance(model, PairwiseModel) else model.variable_count
@@ -127,7 +129,7 @@ def cmd_loopseries(args) -> int:
             running += Fraction(r)
             mask = sum(1 << e for e in s)
             rows.append((mask, len(s), f"{r:.12g}", f"{float(running):.12g}"))
-        _emit_rows(rows, ["subset", "size", "r", "partial_sum"], args.format)
+        _emit_rows(rows, ["subset", "size", "r", "partial_sum"], args.format or "table")
     for size, partial in partials:
         sys.stdout.write(f"partial_sum(size<={size}) = {partial:.12g}\n")
     sys.stdout.write(f"series_total = {report.total:.12g}\n")
@@ -238,8 +240,8 @@ def _add_lbp_flags(p):
     p.add_argument("--max-iters", type=int, default=10_000)
 
 
-def _add_format_flag(p):
-    p.add_argument("--format", choices=["table", "csv"], default="table")
+def _add_format_flag(p, default="table"):
+    p.add_argument("--format", choices=["table", "csv"], default=default)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=None, help="truncation report")
     p.add_argument("--terms", action="store_true", help="dump the per-term table")
     _add_lbp_flags(p)
-    _add_format_flag(p)
+    _add_format_flag(p, default=None)
     p.set_defaults(func=cmd_loopseries)
 
     p = sub.add_parser("compare", help="oracle vs Bethe vs corrected values")

@@ -19,15 +19,25 @@ scale can no longer carry an unnormalized message out of float range.
 Beliefs are formed from the tables as given.  A message or belief whose
 entries sum to zero or to a non-finite value raises NumericError.
 
-A run keeps every message in one flat buffer that the sweeps update in
-place (see _FactorGraph).  A sweep's cost is its count of numpy calls, on
-arrays of tens of entries: one gather and one product form every
-variable-to-factor message, then each group of factors of one arity takes
-its terms' messages with one more gather and sums each message's table
-entries along a contiguous axis, up to four entries as a chain of adds and
-eight or more by numpy's pairwise reduction.  Those are the orders in which
-a reduction over each message's own row adds them, so no message bit
-depends on the layout.
+A run sweeps in blocks with no test for a stop between two sweeps (see
+_FactorGraph.iterate).  Each sweep reads one row of a small history array
+of message buffers and writes the next row and its message totals; after
+the block, one pass over the rows applies to each sweep, in order, the test
+a sweep-by-sweep run makes after it: its totals must be positive and
+finite, and its residual, the largest change of a message entry from the
+row before, must be below tol for the run to stop.  The run ends at the first
+sweep that fails or stops, so its messages, sweep count and residual are
+those of testing after every sweep, bit for bit; the block's later sweeps
+are dropped.  A block runs the sweeps that the last two residuals, falling
+geometrically, predict before a stop, at most _BLOCK_SWEEPS.
+
+A sweep's cost is its count of numpy calls, on arrays of tens of entries:
+one gather and one product form every variable-to-factor message, then
+each group of factors of one arity takes its terms' messages with one more
+gather and sums each message's table entries along a contiguous axis, up
+to four entries as a chain of adds and eight or more by numpy's pairwise
+reduction.  Those are the orders in which a reduction over each message's
+own row adds them, so no message bit depends on the layout.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from .model import (
 _min, _max, _sum, _prod = (
     np.minimum.reduce, np.maximum.reduce, np.add.reduce, np.multiply.reduce
 )
+_BLOCK_SWEEPS = 16  # the most sweeps between two tests for a stop
 
 
 @dataclass
@@ -116,12 +127,12 @@ class _Group:
 
 
 class _FactorGraph:
-    """Slot arrays of a binary factor graph and the sweep over them.
+    """Slot arrays of a binary factor graph and the sweeps over them.
 
     Slots are (factor, scope position) incidences in factor-major order;
     the block lists them grouped by factor arity, factors in id order
-    within a group, and slots[b] is the slot of block slot b.  A run keeps
-    every message in one flat buffer, spin-major in block order: entry
+    within a group, and slots[b] is the slot of block slot b.  A message
+    buffer holds every message, spin-major in block order: entry
     s * slot_count + b is block slot b's message at spin s, so each group's
     messages are two contiguous runs.  The last entry is the pad, a unit
     message that the gathers of variables with fewer than the most slots,
@@ -190,7 +201,7 @@ class _FactorGraph:
             ))
 
     def buffer(self, messages=None) -> np.ndarray:
-        """A message buffer laid out as sweep() takes it: every message
+        """A message buffer laid out as iterate() takes it: every message
         uniform, or `messages` (slot_count x 2, in slot order)."""
         buf = np.ones(2 * self.slot_count + 1)
         buf[:-1] = 0.5 if messages is None else np.transpose(messages)[:, self.slots].ravel()
@@ -202,34 +213,73 @@ class _FactorGraph:
         out[self.slots] = buf[:-1].reshape(2, -1).T
         return out
 
-    def sweep(self, buf, damping: float) -> float:
-        """Update the message buffer buf in place; returns the largest
-        change of a message entry, 0 when there is no slot."""
+    def iterate(self, buf, opts: LbpOptions):
+        """Sweep from the message buffer buf until a sweep changes no
+        message entry by opts.tol or more, or opts.max_iters times; returns
+        the last sweep's buffer, the sweep count and the sweep's largest
+        change of a message entry, 0 when there is no slot.
+
+        A block of sweeps runs in hist, whose row t + 1 holds the buffer
+        after the block's sweep t and row 0 the one before the block, each
+        ending in the pad; totals[t] holds that sweep's message totals.
+        Each sweep computes (1 - damping) * (u / total) + damping * old
+        with out arguments, the same operations on the same values as one
+        sweep at a time.  Division by a zero or non-finite total is
+        silenced in the block: the sweep's test refuses it, and no later
+        sweep of the block is returned."""
         if not self.slot_count:
-            return 0.0
-        v2f = _prod(buf.take(self.v2f_index), axis=0).ravel()
-        parts = []
-        for group in self.groups:
-            terms = group.message_tables
-            for incoming in v2f.take(group.message_index):
-                terms = terms * incoming
-            if len(terms) == 2 and not group.entry_axis:  # one add beats a reduction call
-                parts.append(terms[0] + terms[1])
-            else:
-                parts.append(_sum(terms, axis=group.entry_axis))
-        u = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        total = u[0] + u[1]
-        if not (_min(total) > 0.0 and _max(total) < math.inf):
-            raise NumericError("a message update summed to zero or a non-finite value")
-        old = buf[:-1].reshape(2, -1)
-        new = (1 - damping) * (u / total) + damping * old
-        change = _max(np.abs(new - old), axis=None)
-        old[...] = new
-        return float(change)
+            return buf, 1, 0.0
+        fresh, keep = 1 - opts.damping, opts.damping
+        hist = np.empty((_BLOCK_SWEEPS + 1, len(buf)))
+        hist[0] = buf
+        hist[1:, -1] = 1.0
+        msgs = hist[:, :-1].reshape(_BLOCK_SWEEPS + 1, 2, -1)
+        totals = np.empty((_BLOCK_SWEEPS, self.slot_count))
+        done, planned, last = 0, _BLOCK_SWEEPS, math.inf
+        with np.errstate(invalid="ignore", divide="ignore"):
+            while True:
+                sweeps = min(planned, opts.max_iters - done)
+                for row, old, new, total in zip(hist[:sweeps], msgs, msgs[1:], totals):
+                    v2f = _prod(row.take(self.v2f_index), axis=0).ravel()
+                    parts = []
+                    for group in self.groups:
+                        terms = group.message_tables
+                        for incoming in v2f.take(group.message_index):
+                            terms = terms * incoming
+                        if len(terms) == 2 and not group.entry_axis:  # one add beats a reduction call
+                            parts.append(terms[0] + terms[1])
+                        else:
+                            parts.append(_sum(terms, axis=group.entry_axis))
+                    u = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+                    np.add(u[0], u[1], total)
+                    np.divide(u, total, u)
+                    np.multiply(u, fresh, u)
+                    np.multiply(old, keep, new)
+                    np.add(u, new, new)
+                residuals = _max(np.abs(hist[1:sweeps + 1] - hist[:sweeps]), axis=1)
+                failed = ~((_min(totals[:sweeps], axis=1) > 0.0)
+                           & (_max(totals[:sweeps], axis=1) < math.inf))
+                stop = failed | (residuals < opts.tol)
+                t = int(stop.argmax())
+                if failed[t]:
+                    raise NumericError("a message update summed to zero or a non-finite value")
+                if stop[t] or done + sweeps == opts.max_iters:
+                    t = t if stop[t] else sweeps - 1
+                    return hist[t + 1], done + t + 1, float(residuals[t])
+                done += sweeps
+                hist[0] = hist[sweeps]
+                # the sweeps a residual falling by last / before per sweep
+                # takes to drop below tol; a first block of one sweep is the
+                # run's last, so before is a residual
+                before, last = (residuals[-2] if sweeps > 1 else last), residuals[-1]
+                planned = _BLOCK_SWEEPS
+                if last < before:
+                    left = math.log(opts.tol / last) / math.log(last / before)
+                    planned = min(_BLOCK_SWEEPS, 1 + int(left))
 
     def beliefs(self, buf):
         """Normalized node beliefs (n x 2) and flat factor beliefs from a
-        message buffer laid out as sweep() takes it."""
+        message buffer laid out as iterate() takes it."""
         node = _prod(buf.take(self.node_index), axis=0)
         total = _sum(node, axis=1, keepdims=True)
         if not (_min(total, axis=None) > 0.0 and _max(total, axis=None) < math.inf):
@@ -268,13 +318,7 @@ def _run(model, opts: LbpOptions | None) -> LbpResult:
     tol, then form its beliefs and Bethe value."""
     opts = opts or LbpOptions()
     graph = _FactorGraph(*_factors(model))
-    buf = graph.buffer()
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        residual = graph.sweep(buf, opts.damping)
-        if residual < opts.tol:
-            break
+    buf, iterations, residual = graph.iterate(graph.buffer(), opts)
     node_beliefs, factor_beliefs = graph.beliefs(buf)
     return LbpResult(
         node_beliefs=node_beliefs,

@@ -14,7 +14,7 @@ import pytest
 import loopcorrect
 from loopcorrect.cli import main
 from loopcorrect.exact import brute_force
-from loopcorrect.generate import ising_model
+from loopcorrect.generate import ising_model, random_factor_model
 from loopcorrect.graph import (
     complete_graph,
     cycle_graph,
@@ -409,6 +409,10 @@ _MODEL_FILES = {
     "scope5.json": {"vars": 2, "factors": [{"scope": [0, 5], "table": [1, 1, 1, 1]}]},
     "isolated.json": {"nodes": 1, "edges": [], "phi": [[1, 2]]},
     "ok.json": {"nodes": 2, "edges": [_EDGE]},
+    # an undamped message update of this arity-5 model sums to zero
+    "zero_sum.json": json.loads(factor_to_json(random_factor_model(
+        np.random.default_rng(11), max_vars=8, max_arity=5, max_incidences=18, strength=300.0
+    ))),
 }
 
 
@@ -431,6 +435,9 @@ _MODEL_FILES = {
     (["oracle", "--model", "scope5.json"], "variable id 5 out of range"),
     (["lbp", "--model", "isolated.json"], "node 0 is isolated"),
     (["lbp", "--model", "ok.json", "--damping", "1"], "damping must be in [0, 1)"),
+    (["lbp", "--model", "zero_sum.json", "--damping", "0"],
+     "a message update summed to zero or a non-finite value"),
+    (["loopseries", "--model", "ok.json", "--format", "csv"], "--format needs --terms"),
 ])
 def test_refusals_exit_1_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
     # usage errors included: each leaves stdout empty and writes one line

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcorrect.exact import brute_force, belief_ratio_state_sum
-from loopcorrect.exceptions import LoopcorrectError
+from loopcorrect.exceptions import LoopcorrectError, NumericError
 from loopcorrect.generate import (
     ising_model,
     random_connected_graph,
@@ -122,7 +122,7 @@ def test_damping_does_not_move_fixed_points(rng):
     res = run_lbp(m, opts)
     assert res.converged
     graph = _FactorGraph(m.node_count, edge_tables(res.model))
-    worst = graph.sweep(graph.buffer(res.messages), 0.0)
+    _, _, worst = graph.iterate(graph.buffer(res.messages), LbpOptions(max_iters=1, damping=0.0))
     assert worst < 10 * opts.tol
 
 
@@ -162,8 +162,11 @@ def test_power_of_two_table_scale_changes_no_message_bit():
 
     def sweeps(model, damping):
         graph = _FactorGraph(model.node_count, edge_tables(absorb_node_potentials(model)))
-        buf = graph.buffer()
-        return [graph.sweep(buf, damping) for _ in range(30)], graph.messages(buf)
+        buf, changes, opts = graph.buffer(), [], LbpOptions(max_iters=1, damping=damping)
+        for _ in range(30):
+            buf, _, change = graph.iterate(buf, opts)
+            changes.append(change)
+        return changes, graph.messages(buf)
 
     for damping in (0.0, 0.5):
         changes, msgs = sweeps(base, damping)
@@ -171,6 +174,14 @@ def test_power_of_two_table_scale_changes_no_message_bit():
             changes_scaled, msgs_scaled = sweeps(_scaled(base, 2.0**exponent), damping)
             assert changes_scaled == changes
             assert np.array_equal(msgs_scaled, msgs)
+
+
+def test_message_update_summing_to_zero_is_refused():
+    model = random_factor_model(
+        np.random.default_rng(11), max_vars=8, max_arity=5, max_incidences=18, strength=300.0
+    )
+    with pytest.raises(NumericError, match="^a message update summed to zero or a non-finite value$"):
+        run_lbp_factor(model, LbpOptions(damping=0.0))
 
 
 def test_bethe_log_z_values(rng):
@@ -321,7 +332,9 @@ def _belief_gap(res, node_beliefs, factor_beliefs):
         (1.0, 1.0), (1.0, 20.0), (1.0, 300.0),
         (1e-290, 1.0), (1e-290, 20.0), (1e290, 1.0), (1e290, 20.0),
     ]),
-    max_iters=st.sampled_from([3, 300]),
+    # 1, and either side of the first block's 16 sweeps and of twice that:
+    # budgets that end inside a block
+    max_iters=st.sampled_from([1, 3, 15, 16, 17, 31, 32, 33, 300]),
 )
 # tables spanning e^600 and a factor belief entry of about 5e-287
 @example(
