@@ -1,7 +1,7 @@
 """Exact loop-series corrections to loopy belief propagation on binary
 models, with the associated graph polynomials."""
 
-from .exact import ExactResult, brute_force, belief_ratio_state_sum, loop_identity_state_sum, loop_identity_subset_sum
+from .exact import ExactResult, brute_force
 from .exceptions import (
     DivisibilityError,
     GenerationError,
@@ -27,9 +27,7 @@ from .graphpoly import (
     loop_count_bound,
     matching_polynomial,
     omega,
-    omega_at_1_count,
     omega_determinant_form,
-    regular_graph_matching_check,
     theta_at_beta1,
     theta_contraction_deletion,
     theta_direct,
@@ -49,7 +47,6 @@ from .loopseries import (
     loop_series_marginal,
     loop_series_marginals,
     loop_series_z,
-    single_cycle_sign_check,
     truncated_series,
 )
 from .model import (
@@ -65,7 +62,6 @@ from .poly import (
     UniPoly,
     exact_divide,
     f_poly,
-    f_product_identity_check,
     g_poly,
 )
 

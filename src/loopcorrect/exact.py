@@ -1,8 +1,7 @@
-"""Exact oracles: the partition function and marginals of a model, plus
-direct two-sided evaluation of the subset-sum identities.
+"""The exact oracle: the partition function and node marginals of a
+model, the ground truth the loop series is checked against.
 
-Everything here is the ground truth the loop series is checked against.
-Every state sum runs on one engine, _eliminate: variable (bucket)
+The state sum runs on one engine, _eliminate: variable (bucket)
 elimination in id order.  It keeps a table over the spins of the frontier
 variables.  A variable joins the frontier with its first table and is
 summed out after its last, and a table is multiplied in when its highest-id
@@ -24,9 +23,7 @@ variable is summed out, so that it ends as the weight with the variable at
 +1.  The table holds N + 1 values per frontier state, as
 loop_series_marginals' world vectors do.  Rows that join only as their
 variables are summed out would about halve the work on large grids, but
-joining them costs more than that saves on small models.  Edge and factor
-marginals take a second pass, with one row per nonempty subset of each
-scope, run only when they are first read.
+joining them costs more than that saves on small models.
 
 Both model kinds are one list of flat tables over scopes: a pairwise model
 is its node potentials as unary tables and its edge tables as arity-2
@@ -37,36 +34,25 @@ tells the kinds apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate, chain
 
 import numpy as np
 
 from .exceptions import SizeError
-from .graph import STATE_CAP, Multigraph, SubsetWeights
+from .graph import STATE_CAP
 from .model import FactorModel, PairwiseModel, edge_tables
-from .poly import f_values, g_values
 
 _ALL = slice(None)  # an axis whole
 
 
 @dataclass
 class ExactResult:
-    """Exact log partition function and marginals.
-
-    marginals[i] = [p_i(-1), p_i(+1)].  factor_marginals holds one flat
-    table per factor (per edge of a pairwise model, in endpoint order),
-    computed from model when first read.
-    """
+    """Exact log partition function and node marginals, marginals[i] =
+    [p_i(-1), p_i(+1)]."""
 
     log_z: float
     marginals: np.ndarray
-    model: object = field(repr=False, compare=False)
-
-    @cached_property
-    def factor_marginals(self) -> list:
-        return _local_marginals(self.model)
 
 
 def _scoped_tables(model):
@@ -135,37 +121,34 @@ def check_oracle_size(model) -> None:
     _plan(n, [scope for scope, _ in node_tables + factors])
 
 
-def _eliminate(n: int, tables, marks=()):
+def _eliminate(n: int, tables):
     """Sum over all 2^n spin states of the product of tables, each a
     (scope, flat table) pair with entries of any sign, first scope variable
     most significant; every variable must lie in some table's scope.  A
     table is multiplied in when its highest variable arrives, an empty-scope
     table with the first step.
 
-    Returns (rows, exponent).  rows[0] * 2^exponent is the sum.  Each mark
-    scope S, in order, adds 2^|S| - 1 rows on the same scale: for each
-    nonempty subset T of S, in the order of its bitmask (first variable most
-    significant), the sum with every variable of T at +1.  A row starts as a
-    copy of row 0 and loses the -1 half of each of its variables as that
-    variable is summed out.
+    Returns (rows, exponent), n + 1 rows on one scale: rows[0] * 2^exponent
+    is the sum, and rows[1 + v] the sum with variable v at +1.  Row 1 + v
+    starts as a copy of row 0 and loses its -1 half when v is summed out.
 
     The sum runs on one shared exponent, and again with an exponent per
     entry if a product or rescaling underflowed: an entry lost to
     underflow can be all that a later table leaves of the sum.
     """
-    steps, rows = _schedule(n, tables, marks)
+    steps = _schedule(n, tables)
     try:
         with np.errstate(under="raise"):
-            return _sum_scaled(tables, steps, rows)
+            return _sum_scaled(tables, steps, n + 1)
     except FloatingPointError:
-        return _sum_split(tables, steps, rows)
+        return _sum_split(tables, steps, n + 1)
 
 
-def _schedule(n: int, tables, marks):
-    """The steps of the elimination and the row count.  Each step that sums
-    variables out is (width, factors, cleared, axes): the frontier's slot
-    count, each table multiplied in as (index, slot of each scope variable),
-    each (row, slot) whose -1 half is cleared, and the axes summed.
+def _schedule(n: int, tables):
+    """The steps of the elimination.  Each step that sums variables out is
+    (width, factors, cleared, axes): the frontier's slot count, each table
+    multiplied in as (index, slot of each scope variable), each (row, slot)
+    whose -1 half is cleared, and the axes summed.
 
     Each frontier variable holds a slot, freed when it is summed out and
     reused by a later arrival; slot s is axis 1 + s of the frontier table,
@@ -175,20 +158,13 @@ def _schedule(n: int, tables, marks):
     step takes the empty-scope tables, in index order, before its others.
     """
     first, last = _plan(n, [scope for scope, _ in tables])
-    arriving, retiring, by_top, cleared = ([[] for _ in range(n)] for _ in range(4))
+    arriving, retiring, by_top = ([[] for _ in range(n)] for _ in range(3))
     factors = []  # the tables still to multiply in
     for f, (scope, _) in enumerate(tables):
         (by_top[max(scope)] if scope else factors).append(f)
     for v in range(n):
         arriving[first[v]].append(v)
         retiring[last[v]].append(v)
-    rows = 1
-    for scope in marks:
-        for t in range(1, 1 << len(scope)):
-            for q, v in enumerate(scope):
-                if t >> len(scope) - 1 - q & 1:
-                    cleared[last[v]].append((rows, v))
-            rows += 1
 
     slot, free, width, steps = [0] * n, [], 0, []
     for k in range(n):
@@ -203,12 +179,12 @@ def _schedule(n: int, tables, marks):
             steps.append((
                 width,
                 [(f, [slot[v] for v in tables[f][0]]) for f in factors],
-                [(r, slot[v]) for r, v in cleared[k]],
+                [(1 + v, slot[v]) for v in retiring[k]],
                 tuple(1 + slot[v] for v in retiring[k]),
             ))
             free += [slot[v] for v in retiring[k]]
             factors = []
-    return steps, rows
+    return steps
 
 
 def _widen(a, width: int):
@@ -279,105 +255,10 @@ def _sum_split(tables, steps, rows: int):
 
 def brute_force(model) -> ExactResult:
     """Exact log Z and node marginals by variable elimination (see the
-    module docstring); edge or factor marginals are computed on first read.
-    Past STATE_CAP frontier states SizeError is raised."""
+    module docstring).  Past STATE_CAP frontier states SizeError is
+    raised."""
     n, node_tables, factors = _scoped_tables(model)
-    rows, exponent = _eliminate(n, node_tables + factors, [(v,) for v in range(n)])
+    rows, exponent = _eliminate(n, node_tables + factors)
     on = rows[1:] / rows[0]
     marginals = np.column_stack((1.0 - on, on))
-    return ExactResult(math.log(rows[0]) + exponent * math.log(2.0), marginals, model)
-
-
-def _local_marginals(model) -> list:
-    """The flat marginal table of each factor (each edge of a pairwise
-    model): the weights with each subset of its scope at +1, turned into the
-    weights of each assignment by inclusion-exclusion over the variables."""
-    n, node_tables, factors = _scoped_tables(model)
-    scopes = [scope for scope, _ in factors]
-    rows, _ = _eliminate(n, node_tables + factors, scopes)
-    out, at = [], 1
-    for scope in scopes:
-        table = np.concatenate((rows[:1], rows[at:at + (1 << len(scope)) - 1])) / rows[0]
-        at += len(table) - 1
-        cube = table.reshape((2,) * len(scope))
-        for q in range(len(scope)):  # p(x_q = -1, rest) = p(rest) - p(x_q = +1, rest)
-            cube[(_ALL,) * q + (0,)] -= cube[(_ALL,) * q + (1,)]
-        out.append(table)
-    return out
-
-
-def belief_ratio_state_sum(model, node_beliefs, factor_beliefs) -> float:
-    """State sum of prod_f [b_f / prod_{i in f} b_i] * prod_i b_i over
-    beliefs, factor_beliefs holding one flat table per factor (per edge of
-    a pairwise model).  At an LBP fixed point this equals Z / Z_B; away
-    from one it is just the quantity itself.
-
-    The sum is the partition function of a factor model, so brute_force
-    evaluates it: each factor belief table over its scope, and
-    b_i^(1 - d_i) on each variable i of degree d_i.
-    """
-    n, _, factors = _scoped_tables(model)
-    nb = np.asarray(node_beliefs, dtype=float)
-    if nb.min() <= 0.0:
-        raise ValueError("beliefs must be strictly positive")
-    deg = np.bincount([i for scope, _ in factors for i in scope], minlength=n)
-    tables = [(scope, np.ravel(factor_beliefs[f])) for f, (scope, _) in enumerate(factors)]
-    tables += [((i,), nb[i] ** (1 - deg[i])) for i in range(n)]
-    return math.exp(brute_force(FactorModel(n, tuple(tables))).log_z)
-
-
-def loop_identity_state_sum(
-    g: Multigraph,
-    beta,
-    xi,
-    weight_node: int | None = None,
-) -> float:
-    """State side of the identity: the sum over all 2^N spin states of
-    prod_{ij in E} (1 + x_i x_j beta_ij xi_i^{-x_i} xi_j^{-x_j}) times
-    prod_i xi_i^{x_i} / (xi_i + 1/xi_i), optionally weighted by the spin of
-    weight_node.  Each factor is a table of the elimination engine; its
-    entries may be negative.
-    """
-    n = g.node_count
-    if weight_node is not None and not 0 <= weight_node < n:
-        raise ValueError(f"weight node {weight_node} out of range")
-    xi = [float(x) for x in xi]
-    if min(xi, default=1.0) <= 0:
-        raise ValueError("xi values must be positive")
-    tables = [((i,), (1 / (x * (x + 1 / x)), x / (x + 1 / x))) for i, x in enumerate(xi)]
-    for (a, b), w in zip(g.edges, beta, strict=True):
-        w = float(w)
-        if a == b:  # x_a^2 = 1
-            tables.append(((a,), (1 + w * xi[a] ** 2, 1 + w / xi[a] ** 2)))
-        else:
-            tables.append(((a, b), tuple(
-                1 + sa * sb * w * xi[a] ** -sa * xi[b] ** -sb for sa in (-1, 1) for sb in (-1, 1)
-            )))
-    if weight_node is not None:
-        tables.append(((weight_node,), (-1.0, 1.0)))
-    rows, exponent = _eliminate(n, tables)
-    return math.ldexp(float(rows[0]), exponent)
-
-
-def loop_identity_subset_sum(
-    g: Multigraph,
-    beta,
-    xi,
-    weight_node: int | None = None,
-) -> float:
-    """Subset-sum side of the same identity.
-
-    Unweighted: sum over edge subsets of prod beta * prod_i f_{d_i}(gamma_i);
-    weighted: the weight node contributes g_{d}(gamma)/(xi + 1/xi) instead
-    of f_{d}(gamma).  Summed by the frontier engine, where subsets whose
-    other nodes retire at degree 1 vanish.
-    """
-    xi = [float(x) for x in xi]
-    gamma = [x - 1 / x for x in xi]
-    tables = [f_values(gamma[i], d) for i, d in enumerate(g.degrees())]
-    if weight_node is not None:
-        w = weight_node
-        scale = xi[w] + 1 / xi[w]
-        tables[w] = [v / scale for v in g_values(gamma[w], len(tables[w]) - 1)]
-    total, _ = SubsetWeights(g, tables, [float(b) for b in beta]).frontier_sum()
-    return total
+    return ExactResult(math.log(rows[0]) + exponent * math.log(2.0), marginals)

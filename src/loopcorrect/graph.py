@@ -350,21 +350,34 @@ def enumerate_matchings(g: Multigraph) -> list[int]:
 # Edge-list text format: first line "N M", then M lines "a b".
 # ---------------------------------------------------------------------------
 
+NODE_CAP = 1 << 16  # the most nodes an edge-list header may declare
+
+
 def parse_edge_list(text: str) -> Multigraph:
+    """The graph of an edge list.  A line that is not two integers, a
+    negative M, an M other than the number of edge lines, or an N above
+    NODE_CAP raises ValueError, before anything of size N is built."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'N M'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], "first line must be 'N M'")
+    if m < 0:
+        raise ValueError(f"the edge count M must be non-negative, got {m}")
+    if n > NODE_CAP:
+        raise ValueError(f"{n} nodes exceed the edge-list cap of {NODE_CAP}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        a, b = ln.split()
-        edges.append((int(a), int(b)))
-    return Multigraph(n, tuple(edges))
+    return Multigraph(n, tuple(
+        _int_pair(ln, f"edge line {k} must be 'a b'") for k, ln in enumerate(lines[1:], 1)
+    ))
+
+
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise ValueError(f"{what}, got {line!r}") from None
+    return a, b
 
 
 def render_edge_list(g: Multigraph) -> str:
@@ -374,7 +387,7 @@ def render_edge_list(g: Multigraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Stock constructions used by tests and the CLI generator.
+# Stock graph families.
 # ---------------------------------------------------------------------------
 
 def path_graph(n: int) -> Multigraph:
@@ -406,16 +419,6 @@ def grid_graph(rows: int, cols: int) -> Multigraph:
             if r + 1 < rows:
                 edges.append((v, v + cols))
     return Multigraph(rows * cols, tuple(edges))
-
-
-def bouquet_graph(loops: int) -> Multigraph:
-    """A single node with the given number of self-loops."""
-    return Multigraph(1, tuple((0, 0) for _ in range(loops)))
-
-
-def parallel_edges_graph(count: int = 2) -> Multigraph:
-    """Two nodes joined by `count` parallel edges."""
-    return Multigraph(2, tuple((0, 1) for _ in range(count)))
 
 
 def two_triangles_graph() -> Multigraph:

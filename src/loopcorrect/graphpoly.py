@@ -1,7 +1,7 @@
 """Graph polynomials attached to the loop series: the bivariate theta
 polynomial with its contraction-deletion recurrence, the omega polynomial
-obtained at the imaginary unit with its divisibility and counting
-interpretations, the matching polynomial, and the determinant-sum identity.
+obtained at the imaginary unit with its divisibility interpretation,
+the matching polynomial, and the determinant-sum identity.
 
 omega is computed by its matching form and checked against its
 definition, theta at xi = sqrt(-1) divided by (1-b)^(|E|-|V|).  Both are
@@ -246,8 +246,8 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     The loops without e are theta(G\\e).  Those with e weigh b^k times
     their weight in G\\e with f_{d_u + 1} f_{d_w + 1} in place of
     f_{d_u} f_{d_w}; in G/e the merged node weighs f_{d_u + d_w}, and
-    f_{n+m-2} = f_n f_m + f_{n-1} f_{m-1} (poly.f_product_identity_check)
-    at n = d_u + 1, m = d_w + 1 gives f_{d_u + 1} f_{d_w + 1} =
+    f_{n+m-2} = f_n f_m + f_{n-1} f_{m-1} (an identity of the f ladder for
+    n, m >= 1) at n = d_u + 1, m = d_w + 1 gives f_{d_u + 1} f_{d_w + 1} =
     f_{d_u + d_w} - f_{d_u} f_{d_w}, so they sum to
     b^k (theta(G/e) - theta(G\\e)).
 
@@ -410,32 +410,6 @@ def _omega_by_theta(g: Multigraph) -> OmegaPoly:
         ) from exc
 
 
-def omega_at_1_count(g: Multigraph) -> tuple[int, int]:
-    """(omega(1), count of injective incident-edge assignments).
-
-    Counts maps from nodes to edges where each node takes a distinct edge
-    incident to it, as one frontier count on g with every edge subdivided:
-    edge e = (a, b) becomes a - m_e - b, edges 2e and 2e + 1, and taking a
-    half gives e to the original end it touches.  The midpoint's table
-    [1, 1, 0] lets at most one end take e, and an original node weighs one
-    only at entry 1, taking exactly one edge.  Raises if the two numbers
-    disagree.
-    """
-    if g.has_self_loop():
-        raise ValueError("the counting interpretation needs a loop-free graph")
-    value = omega(g).poly.eval(1)
-    n, halves = g.node_count, []
-    for e, (a, b) in enumerate(g.edges):
-        halves += [(a, n + e), (n + e, b)]
-    tables = [[int(x == 1) for x in range(d + 1)] for d in g.degrees()]
-    tables += [[1, 1, 0]] * len(g.edges)
-    subdivided = Multigraph(n + len(g.edges), tuple(halves))
-    count, _ = SubsetWeights(subdivided, tables).frontier_sum(one=1)
-    if value != count:
-        raise IdentityError(f"omega(1) = {value} but assignment count = {count}")
-    return value, count
-
-
 def matching_polynomial(g: Multigraph) -> MatchingPoly:
     """alpha(x) = sum_k (-1)^k p(k) x^(n-2k) from the k-matching counts."""
     counts = enumerate_matchings(g)
@@ -491,29 +465,3 @@ def omega_determinant_form(g: Multigraph, w: OmegaPoly | None = None) -> UniPoly
             f"determinant sum {found} differs from omega(u^2) = {expected}"
         )
     return found
-
-
-def regular_graph_matching_check(g: Multigraph) -> bool:
-    """For a (q+1)-regular simple graph, whether
-    omega(u^2) == alpha(1/u + q u) * u^n as polynomials in u.
-
-    The left substitution doubles exponents; the right side expands through
-    (1/u + qu)^m u^m = (1 + q u^2)^m, so no negative powers ever appear.
-    """
-    if not g.is_simple():
-        raise ValueError("regularity check needs a simple graph")
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise ValueError(f"graph is not regular (degrees {sorted(degs)})")
-    q = degs.pop() - 1
-    n = g.node_count
-    alpha = matching_polynomial(g).poly
-    base = UniPoly({0: 1, 2: q}, "u")  # (1 + q u^2)
-    rhs = UniPoly({}, "u")
-    for e, c in alpha.coeffs.items():
-        # c * x^e at x = 1/u + qu, times u^n: c * (1+qu^2)^e * u^(n-e)
-        rhs = rhs + base**e * UniPoly({n - e: c}, "u")
-    # omega's matching form is this right side expanded, so the left side
-    # comes from the definition
-    lhs = _omega_by_theta(g).poly.map_exponents(2).with_var("u")
-    return lhs == rhs

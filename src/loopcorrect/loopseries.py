@@ -25,13 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import IdentityError, NotConvergedError
-from .graph import (
-    SubsetWeights,
-    count_generalized_loops,
-    cycle_rank,
-    enumerate_generalized_loops,
-    is_connected,
-)
+from .graph import SubsetWeights, count_generalized_loops
 from .lbp import LbpResult
 from .model import PairwiseModel, factor_incidence_graph
 from .poly import f_values, g_values
@@ -292,61 +286,6 @@ def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[Margin
     vector_weights = replace(z_report.weights, node_tables=worlds + node_tables[n:])
     bias, _ = vector_weights.frontier_sum(one=np.ones(n))
     return [_correction(res, v, z_report, float(bias[v]), targets[v]) for v in range(n)]
-
-
-def single_cycle_sign_check(res: LbpResult, target: int) -> bool:
-    """On a one-cycle pairwise model with the target on the cycle, check
-    that the exact and the belief marginal biases share a sign (zero
-    matches either).  The oracle runs on res.model, the absorbed model,
-    whose joint distribution is the original's.
-
-    Also verifies the structural claim that exactly two subsets survive
-    pruning and carry gamma and -(prod beta)*gamma respectively.
-    """
-    from .exact import brute_force
-
-    if not isinstance(res.model, PairwiseModel):
-        raise ValueError("sign check needs a pairwise model")
-    g = res.model.graph
-    ok, _ = is_connected(g)
-    if not ok or cycle_rank(g) != 1:
-        raise ValueError("sign check needs a connected graph with exactly one cycle")
-    # cycle rank 1: the generalized loops are the empty set and the cycle
-    _, cycle = enumerate_generalized_loops(g)
-    if not any(target in g.edges[e] for e in cycle):
-        raise ValueError(f"target {target} does not lie on the cycle")
-
-    z_report = loop_series_z(res)
-    correction = loop_series_marginal(res, target, z_report)
-    if len(correction.terms) != 2:
-        raise IdentityError(
-            f"expected exactly 2 contributing subsets, got {len(correction.terms)}"
-        )
-    coeff = z_report.coefficients
-    gamma_t = coeff.gamma[target]
-    (s0, r0), (s1, r1) = sorted(correction.terms, key=lambda t: len(t[0]))
-    prod_beta = math.prod(coeff.beta[e] for e in s1)
-    if not (
-        s0 == frozenset()
-        and math.isclose(r0, gamma_t, rel_tol=1e-12, abs_tol=1e-15)
-        and math.isclose(r1, -prod_beta * gamma_t, rel_tol=1e-9, abs_tol=1e-13)
-    ):
-        raise IdentityError("series terms do not match the gamma*(1 - prod beta) form")
-
-    exact = brute_force(res.model)
-    p = exact.marginals[target]
-    b = res.node_beliefs[target]
-    sp = _sign(p[1] - p[0])
-    sb = _sign(b[1] - b[0])
-    return sp == 0 or sb == 0 or sp == sb
-
-
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
 
 
 # The per-kind names of the unified functions.  The benchmark tracer

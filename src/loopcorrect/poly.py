@@ -262,15 +262,6 @@ def g_values(x: float, n_max: int) -> list[float]:
     return vals[: n_max + 1]
 
 
-def f_product_identity_check(n: int, m: int) -> bool:
-    """Whether f_{n+m-2} = f_n f_m + f_{n-1} f_{m-1} holds exactly."""
-    if n < 1 or m < 1:
-        raise ValueError("identity requires n, m >= 1")
-    lhs = f_poly(n + m - 2)
-    rhs = f_poly(n) * f_poly(m) + f_poly(n - 1) * f_poly(m - 1)
-    return lhs == rhs
-
-
 def unpack(value: int, bits: int) -> dict:
     """{exponent: coefficient} of the polynomial p with p(2^bits) = value
     and every |coefficient| below 2^(bits-1).

@@ -5,15 +5,23 @@ import pytest
 
 from loopcorrect.graph import (
     Multigraph,
-    bouquet_graph,
     complete_graph,
     cycle_graph,
     grid_graph,
-    parallel_edges_graph,
     path_graph,
     star_graph,
     two_triangles_graph,
 )
+
+
+def bouquet_graph(loops):
+    """A single node with the given number of self-loops."""
+    return Multigraph(1, ((0, 0),) * loops)
+
+
+def parallel_edges_graph(count=2):
+    """Two nodes joined by `count` parallel edges."""
+    return Multigraph(2, ((0, 1),) * count)
 
 
 def corpus_trees():

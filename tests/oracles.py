@@ -8,7 +8,14 @@ graph sampler as it was when it listed all n(n-1)/2 pairs, the determinant
 sum over disjoint cycle sets as omega --check once computed it, and the
 frontier subset sum as it was before its step loop was unrolled, an
 exact rational state sum, and the factor betas as they were computed one
-factor at a time."""
+factor at a time.
+
+Also the identities the paper's derivation rests on, each evaluated on its
+own so the tests can compare two sides: the belief-ratio state sum, the
+subset-sum side of the loop identity (its state side is
+loop_identity_tables under brute_force_reference), the sign agreement on
+one-cycle models, the f product identity, the omega(1) count and the
+regular-graph matching identity."""
 
 import math
 from dataclasses import dataclass
@@ -16,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from loopcorrect import graph, graphpoly
+from loopcorrect.exact import brute_force
 from loopcorrect.exceptions import (
     DivisibilityError,
     GenerationError,
@@ -24,11 +33,10 @@ from loopcorrect.exceptions import (
     SizeError,
 )
 from loopcorrect.generate import CONNECTED_DRAWS
-from loopcorrect import graph
-from loopcorrect.graph import Multigraph, enumerate_disjoint_cycles, is_connected
-from loopcorrect.loopseries import _check_floor
-from loopcorrect.model import PairwiseModel
-from loopcorrect.poly import UniPoly, unpack
+from loopcorrect.graph import Multigraph, SubsetWeights, enumerate_disjoint_cycles, is_connected
+from loopcorrect.loopseries import _check_floor, loop_series_marginal, loop_series_z
+from loopcorrect.model import FactorModel, PairwiseModel
+from loopcorrect.poly import UniPoly, f_poly, f_values, g_values, unpack
 
 
 def model_tables(model):
@@ -155,6 +163,116 @@ def loop_identity_tables(g: Multigraph, beta, xi, weight_node=None):
     if weight_node is not None:
         tables.append(((weight_node,), list(spins)))
     return tables
+
+
+def loop_identity_subset_sum(g: Multigraph, beta, xi, weight_node=None) -> float:
+    """Subset-sum side of the loop identity, by the frontier engine.
+
+    Unweighted: sum over edge subsets of prod beta * prod_i f_{d_i}(gamma_i),
+    gamma_i = xi_i - 1/xi_i; weighted: the weight node contributes
+    g_{d}(gamma)/(xi + 1/xi) instead of f_{d}(gamma).
+    """
+    xi = [float(x) for x in xi]
+    gamma = [x - 1 / x for x in xi]
+    tables = [f_values(gamma[i], d) for i, d in enumerate(g.degrees())]
+    if weight_node is not None:
+        w = weight_node
+        scale = xi[w] + 1 / xi[w]
+        tables[w] = [v / scale for v in g_values(gamma[w], len(tables[w]) - 1)]
+    total, _ = SubsetWeights(g, tables, [float(b) for b in beta]).frontier_sum()
+    return total
+
+
+def belief_ratio_state_sum(model, node_beliefs, factor_beliefs) -> float:
+    """State sum of prod_f [b_f / prod_{i in f} b_i] * prod_i b_i over
+    beliefs, factor_beliefs holding one flat table per factor (per edge of
+    a pairwise model); Z / Z_B at an LBP fixed point.  It is the partition
+    function of a factor model, each factor belief table over its scope and
+    b_i^(1 - d_i) on each variable i of degree d_i."""
+    n, tables = model_tables(model)
+    if isinstance(model, PairwiseModel):
+        tables = tables[n:]  # the edges, after the n node potentials
+    scopes = [scope for scope, _ in tables]
+    nb = np.asarray(node_beliefs, dtype=float)
+    deg = np.bincount([i for scope in scopes for i in scope], minlength=n)
+    beliefs = [(scope, np.ravel(b)) for scope, b in zip(scopes, factor_beliefs)]
+    beliefs += [((i,), nb[i] ** (1 - deg[i])) for i in range(n)]
+    return math.exp(brute_force(FactorModel(n, tuple(beliefs))).log_z)
+
+
+def single_cycle_sign_check(res, target: int) -> bool:
+    """On a converged one-cycle pairwise model with the target on the
+    cycle, whether the exact and the belief marginal biases share a sign
+    (zero matches either).  Raises IdentityError unless exactly two subsets
+    survive pruning, carrying gamma and -(prod beta) gamma."""
+    z_report = loop_series_z(res)
+    correction = loop_series_marginal(res, target, z_report)
+    if len(correction.terms) != 2:
+        raise IdentityError(
+            f"expected exactly 2 contributing subsets, got {len(correction.terms)}"
+        )
+    coeff = z_report.coefficients
+    gamma_t = coeff.gamma[target]
+    (s0, r0), (s1, r1) = sorted(correction.terms, key=lambda t: len(t[0]))
+    prod_beta = math.prod(coeff.beta[e] for e in s1)
+    if not (
+        s0 == frozenset()
+        and math.isclose(r0, gamma_t, rel_tol=1e-12, abs_tol=1e-15)
+        and math.isclose(r1, -prod_beta * gamma_t, rel_tol=1e-9, abs_tol=1e-13)
+    ):
+        raise IdentityError("series terms do not match the gamma*(1 - prod beta) form")
+    p = brute_force(res.model).marginals[target]
+    b = res.node_beliefs[target]
+    sp, sb = np.sign(p[1] - p[0]), np.sign(b[1] - b[0])
+    return sp == 0 or sb == 0 or sp == sb
+
+
+def f_product_identity_check(n: int, m: int) -> bool:
+    """Whether f_{n+m-2} = f_n f_m + f_{n-1} f_{m-1} holds exactly (n, m >= 1)."""
+    lhs = f_poly(n + m - 2)
+    rhs = f_poly(n) * f_poly(m) + f_poly(n - 1) * f_poly(m - 1)
+    return lhs == rhs
+
+
+def omega_at_1_count(g: Multigraph) -> tuple[int, int]:
+    """(omega(1), count of injective incident-edge assignments) of a
+    loop-free graph.
+
+    Counts maps from nodes to edges where each node takes a distinct edge
+    incident to it, as one frontier count on g with every edge subdivided:
+    edge e = (a, b) becomes a - m_e - b, edges 2e and 2e + 1, and taking a
+    half gives e to the original end it touches.  The midpoint's table
+    [1, 1, 0] lets at most one end take e, and an original node weighs one
+    only at entry 1, taking exactly one edge.
+    """
+    n, halves = g.node_count, []
+    for e, (a, b) in enumerate(g.edges):
+        halves += [(a, n + e), (n + e, b)]
+    tables = [[int(x == 1) for x in range(d + 1)] for d in g.degrees()]
+    tables += [[1, 1, 0]] * len(g.edges)
+    subdivided = Multigraph(n + len(g.edges), tuple(halves))
+    count, _ = SubsetWeights(subdivided, tables).frontier_sum(one=1)
+    return graphpoly.omega(g).poly.eval(1), count
+
+
+def regular_graph_matching_check(g: Multigraph) -> bool:
+    """For a (q+1)-regular simple graph, whether
+    omega(u^2) == alpha(1/u + q u) * u^n as polynomials in u.
+
+    The right side expands through (1/u + qu)^m u^m = (1 + q u^2)^m, so no
+    negative powers appear.  omega's matching form is that right side
+    expanded, so the left side comes from the definition, the theta route.
+    """
+    q = g.degrees()[0] - 1
+    n = g.node_count
+    alpha = graphpoly.matching_polynomial(g).poly
+    base = UniPoly({0: 1, 2: q}, "u")  # (1 + q u^2)
+    rhs = UniPoly({}, "u")
+    for e, c in alpha.coeffs.items():
+        # c * x^e at x = 1/u + qu, times u^n: c * (1+qu^2)^e * u^(n-e)
+        rhs = rhs + base**e * UniPoly({n - e: c}, "u")
+    lhs = graphpoly._omega_by_theta(g).poly.map_exponents(2).with_var("u")
+    return lhs == rhs
 
 
 def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = None):

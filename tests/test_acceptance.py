@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from loopcorrect.exact import brute_force, loop_identity_state_sum, loop_identity_subset_sum
+from loopcorrect.exact import brute_force
 from loopcorrect.generate import (
     ising_model,
     random_connected_graph,
@@ -18,19 +18,12 @@ from loopcorrect.generate import (
     random_tree,
     single_cycle_graph,
 )
-from loopcorrect.graph import (
-    bouquet_graph,
-    cycle_graph,
-    is_connected,
-    two_triangles_graph,
-)
+from loopcorrect.graph import cycle_graph, is_connected, two_triangles_graph
 from loopcorrect.graphpoly import (
     _omega_by_theta,
     loop_count_bound,
     omega,
-    omega_at_1_count,
     omega_determinant_form,
-    regular_graph_matching_check,
     theta_at_beta1,
     theta_contraction_deletion,
     theta_direct,
@@ -40,12 +33,26 @@ from loopcorrect.loopseries import (
     coefficients_from_beliefs,
     loop_series_marginal,
     loop_series_z,
-    single_cycle_sign_check,
 )
 from loopcorrect.model import to_factor_model
-from loopcorrect.poly import UniPoly, f_product_identity_check
-from tests.conftest import corpus_graphs, corpus_loop_free, corpus_simple_connected
-from tests.oracles import contract, delete
+from loopcorrect.poly import UniPoly
+from tests.conftest import (
+    bouquet_graph,
+    corpus_graphs,
+    corpus_loop_free,
+    corpus_simple_connected,
+)
+from tests.oracles import (
+    brute_force_reference,
+    contract,
+    delete,
+    f_product_identity_check,
+    loop_identity_subset_sum,
+    loop_identity_tables,
+    omega_at_1_count,
+    regular_graph_matching_check,
+    single_cycle_sign_check,
+)
 
 OPTS = LbpOptions(tol=1e-12)
 
@@ -209,10 +216,11 @@ def test_criterion_6_state_sum_identities():
         g = random_connected_graph(n, m_edges, rng)
         beta = rng.uniform(-1, 1, size=len(g.edges))
         xi = rng.uniform(0.5, 2.5, size=n)
-        lhs, rhs = loop_identity_state_sum(g, beta, xi), loop_identity_subset_sum(g, beta, xi)
+        lhs = brute_force_reference(n, loop_identity_tables(g, beta, xi)).value
+        rhs = loop_identity_subset_sum(g, beta, xi)
         worst_plain = max(worst_plain, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         target = int(rng.integers(0, n))
-        lw = loop_identity_state_sum(g, beta, xi, weight_node=target)
+        lw = brute_force_reference(n, loop_identity_tables(g, beta, xi, target)).value
         rw = loop_identity_subset_sum(g, beta, xi, weight_node=target)
         worst_weighted = max(worst_weighted, abs(lw - rw) / max(1.0, abs(lw), abs(rw)))
     ok = worst_plain < 1e-10 and worst_weighted < 1e-10
@@ -307,7 +315,7 @@ def test_criterion_9_loop_count_bound():
 def test_criterion_10_omega_at_one_counting():
     failures = []
     for g in corpus_loop_free():
-        value, count = omega_at_1_count(g)  # raises on mismatch
+        value, count = omega_at_1_count(g)
         if value != count:
             failures.append(f"count mismatch on {g}")
     for n in (3, 4):

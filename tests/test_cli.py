@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,8 @@ _GRAPH_FILES = {
     "short.txt": "2 3\n0 1\n",
     "nodeless.txt": "0 0\n",
     "split.txt": "4 2\n0 1\n2 3\n",
+    "three_fields.txt": "3 1\n0 1 2\n",
+    "negative_m.txt": "3 -1\n",
 }
 _MODEL_FILES = {
     "list.json": [1, 2],
@@ -438,6 +441,8 @@ _MODEL_FILES = {
     (["lbp", "--model", "zero_sum.json", "--damping", "0"],
      "a message update summed to zero or a non-finite value"),
     (["loopseries", "--model", "ok.json", "--format", "csv"], "--format needs --terms"),
+    (["theta", "--graph", "three_fields.txt"], "edge line 1 must be 'a b', got '0 1 2'"),
+    (["matching", "--graph", "negative_m.txt"], "the edge count M must be non-negative, got -1"),
 ])
 def test_refusals_exit_1_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
     # usage errors included: each leaves stdout empty and writes one line
@@ -516,6 +521,25 @@ def test_declared_count_is_checked_before_allocation(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
     assert str(10**12) in err
+
+
+@pytest.mark.parametrize("command", ["theta", "omega", "matching"])
+def test_edge_list_node_count_is_checked_before_allocation(tmp_path, capsys, command):
+    # a header above NODE_CAP exits at once with one line, before a list of
+    # its size is built: a degree list of 10^12 nodes would take 8 TB
+    path = tmp_path / "big.txt"
+    path.write_text(f"{10**12} 0\n")
+    tracemalloc.start()
+    try:
+        assert main([command, "--graph", str(path)]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+    assert str(10**12) in cap.err
+    assert peak < 1 << 20
 
 
 def test_factor_model_via_cli(tmp_path, capsys):

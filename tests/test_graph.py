@@ -15,14 +15,12 @@ from loopcorrect.exceptions import SizeError
 from loopcorrect.graph import (
     Multigraph,
     SubsetWeights,
-    bouquet_graph,
     cycle_graph,
     cycle_rank,
     enumerate_disjoint_cycles,
     enumerate_generalized_loops,
     enumerate_matchings,
     is_connected,
-    parallel_edges_graph,
     parse_edge_list,
     path_graph,
     render_edge_list,
@@ -39,6 +37,7 @@ from oracles import (
     enumerate_generalized_loops_naive,
     frontier_sum_reference,
 )
+from tests.conftest import bouquet_graph, parallel_edges_graph
 
 TRIANGLE = cycle_graph(3)
 
@@ -504,6 +503,10 @@ def test_edge_list_round_trip():
     assert parse_edge_list(render_edge_list(loopy)) == loopy
     with pytest.raises(ValueError):
         parse_edge_list("not a graph")
+    # the header's node count is bounded before anything of its size is built
+    assert parse_edge_list(f"{graph.NODE_CAP} 0").node_count == graph.NODE_CAP
+    with pytest.raises(ValueError, match="exceed the edge-list cap"):
+        parse_edge_list(f"{graph.NODE_CAP + 1} 0")
 
 
 def test_edge_ids_out_of_range_rejected():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopcorrect.exact import brute_force, belief_ratio_state_sum
+from loopcorrect.exact import brute_force
 from loopcorrect.exceptions import LoopcorrectError, NumericError
 from loopcorrect.generate import (
     ising_model,
@@ -39,7 +39,7 @@ from loopcorrect.model import (
     to_factor_model,
     uniform_phi,
 )
-from oracles import lbp_reference
+from oracles import belief_ratio_state_sum, lbp_reference
 
 
 def graph_diameter(g):

@@ -10,12 +10,12 @@ from loopcorrect.poly import (
     UniPoly,
     exact_divide,
     f_poly,
-    f_product_identity_check,
     f_values,
     g_poly,
     g_values,
     unpack,
 )
+from tests.oracles import f_product_identity_check
 
 
 def test_f_seeds_and_recurrence():
