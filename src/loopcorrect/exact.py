@@ -20,10 +20,9 @@ table is allocated.
 Node marginals come from the same forward pass, which carries one extra
 row per variable: a copy of the weight that loses its -1 half when the
 variable is summed out, so that it ends as the weight with the variable at
-+1.  The table holds N + 1 values per frontier state, as
-loop_series_marginals' world vectors do.  Rows that join only as their
-variables are summed out would about halve the work on large grids, but
-joining them costs more than that saves on small models.
++1.  The table holds N + 1 values per frontier state.  Rows that join
+only as their variables are summed out would about halve the work on large
+grids, but joining them costs more than that saves on small models.
 
 Both model kinds are one list of flat tables over scopes: a pairwise model
 is its node potentials as unary tables and its edge tables as arity-2

@@ -14,6 +14,7 @@ import numpy as np
 
 from .exceptions import GenerationError
 from .graph import (
+    NODE_CAP,
     Multigraph,
     cycle_graph,
     grid_graph,
@@ -148,7 +149,8 @@ def _random_factor(scope, rng, strength):
 def make_topology(kind: str, args, rng: np.random.Generator) -> Multigraph:
     """Topology dispatch for the CLI: tree N | cycle N | grid R C |
     example1 | random N M.  Too few, too many or non-integer arguments are
-    a GenerationError naming the expected form."""
+    a GenerationError naming the expected form, and so is a node count (R C
+    for a grid) above graph.NODE_CAP, before anything is built."""
     forms = {
         "tree": ("N", lambda n: random_tree(n, rng)),
         "cycle": ("N", cycle_graph),
@@ -166,4 +168,7 @@ def make_topology(kind: str, args, rng: np.random.Generator) -> Multigraph:
         nums = None
     if nums is None or len(nums) != need:
         raise GenerationError(f"{kind} needs {form}" if form else f"{kind} takes no arguments")
+    nodes = math.prod(nums) if kind == "grid" else nums[0] if nums else 0
+    if nodes > NODE_CAP:
+        raise GenerationError(f"{nodes} nodes exceed the generator cap of {NODE_CAP}")
     return build(*nums)

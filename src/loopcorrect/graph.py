@@ -14,9 +14,8 @@ Everything is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exceptions import SizeError
 
@@ -107,16 +106,18 @@ def enumerate_generalized_loops(g: Multigraph, free_node: int | None = None):
     return _listed(g, _loop_tables(g, free_node), "generalized loops")
 
 
-# Most frontier states held at once; past it frontier_sum raises SizeError
-# rather than grow unbounded.  It bounds states, not values: theta's packed
-# ints grow with the graph (tracemalloc peaks of theta_direct: K9, 80491
-# states, 14 MB; the 8x8 grid, 57529 states of about 4 KB ints, 73 MB).
-# Their width grows with the edge count, so on long, thin graphs they take
-# more memory than coefficient dicts would (the 80x2 ladder: 6.2 MB against
-# 5.4 MB).  With n-world vector values memory grows as states times n floats.
-# The exact oracle's variable elimination (exact.py) holds 2^w states for a
-# frontier of w variables, so STATE_CAP bounds 2^w there, checked from its
-# plan; its table holds N + 1 values per state.
+# Most frontier states held at once; past it frontier_sum and swapped_sums
+# raise SizeError rather than grow unbounded.  It bounds states, not values:
+# theta's packed ints grow with the graph (tracemalloc peaks of theta_direct:
+# K9, 80491 states, 14 MB; the 8x8 grid, 57529 states of about 4 KB ints,
+# 73 MB).  Their width grows with the edge count, so on long, thin graphs
+# they take more memory than coefficient dicts would (the 80x2 ladder: 6.2 MB
+# against 5.4 MB).  swapped_sums stores every step's states at about 16 bytes
+# each, so its stored layers grow as the edge count times the average state
+# count (the 12x12 grid's marginal series: 10240 peak states, a tracemalloc
+# peak of 31 MB).  The exact oracle's variable elimination (exact.py) holds
+# 2^w states for a frontier of w variables, so STATE_CAP bounds 2^w there,
+# checked from its plan; its table holds N + 1 values per state.
 STATE_CAP = 1 << 17
 # Most generalized loops SubsetWeights.terms lists (the 4x4 grid has 16372).
 TERMS_CAP = 1 << 17
@@ -130,9 +131,10 @@ class SubsetWeights:
     or, for a mask node, the bitmask of its incident edges in s, bit q for
     its q-th incident edge in id order.  Values need only + and *: floats
     for the series, ints for counts and for theta's polynomials packed at a
-    power of two (graphpoly.theta_direct), numpy vectors with one value per
-    "world" for several sums at once, and lists of edge bitmasks (_Subsets)
-    to list the subsets themselves.
+    power of two (graphpoly.theta_direct), and lists of edge bitmasks
+    (_Subsets) to list the subsets themselves.  swapped_sums gives, for
+    float values, the sum with each of several node tables swapped, all
+    from one forward and one backward pass.
     """
 
     graph: Multigraph
@@ -152,6 +154,35 @@ class SubsetWeights:
                 seen[v] += 1
         return out
 
+    def _plan(self):
+        """The fold that frontier_sum and swapped_sums run, compiled once per
+        call: (tables, untouched nodes, plan, key bits, field mask).
+
+        One pass over the edges assigns each touched node a fixed-width bit
+        field of the state key and gives each step its packed increment and
+        its retiring nodes as (shift, table, entry increment, node).  Every
+        table entry is tested for zero once (None marks a zero).  A field
+        is freed when its node retires, and key bits is the width of the
+        fields that are ever in use at once."""
+        g = self.graph
+        tables = [[None if w == 0 else w for w in t] for t in self.node_tables]
+        last = [-1] * g.node_count
+        for e, (a, b) in enumerate(g.edges):
+            last[a] = last[b] = e
+        width = max(len(t) - 1 for t in tables).bit_length() or 1
+        slot, free, top, plan = [-1] * g.node_count, [], 0, []
+        for e, steps in enumerate(self._steps()):
+            inc = 0
+            for v, d in steps:
+                if slot[v] < 0:
+                    slot[v], top = (free.pop(), top) if free else (top, top + 1)
+                inc += d << slot[v] * width
+            retire = [(slot[v] * width, tables[v], d, v) for v, d in steps if last[v] == e]
+            free += [shift // width for shift, *_ in retire]
+            plan.append((inc, retire))
+        untouched = [v for v in range(g.node_count) if last[v] < 0]
+        return tables, untouched, plan, top * width, (1 << width) - 1
+
     def frontier_sum(self, by_size: bool = False, one=1.0):
         """(sum, peak state count), folding the edges in id order.
 
@@ -161,45 +192,19 @@ class SubsetWeights:
         node's last edge is done its table weight is applied, states it
         weighs zero are dropped, and its field is freed for a later node.
         With by_size the key also counts |s|, and the sum comes back as
-        {|s|: sum} in size order.  A vector table entry drops a state only
-        when it is zero in every world; a state kept for one world carries
-        zeros in the others.
+        {|s|: sum} in size order.
 
-        The plan is compiled once per call: one pass over the edges assigns
-        the fields and gives each step its packed increment and its retiring
-        nodes, and every table entry is tested for zero once (None marks a
-        zero).  Steps where no node or one node retires run unrolled loops;
-        a step where two retire runs the general one.  Each loop visits the
-        states in order and adds each state's skip branch, then its take
-        branch, so every shape accumulates in the same order.
+        The plan is _plan's.  Steps where no node or one node retires run
+        unrolled loops; a step where two retire runs the general one.  Each
+        loop visits the states in order and adds each state's skip branch,
+        then its take branch, so every shape accumulates in the same order.
         """
-        g = self.graph
-        tables = [
-            [None if (not w.any() if isinstance(w, np.ndarray) else w == 0) else w for w in t]
-            for t in self.node_tables
-        ]
-        last = [-1] * g.node_count
-        for e, (a, b) in enumerate(g.edges):
-            last[a] = last[b] = e
-        width = max(len(t) - 1 for t in tables).bit_length() or 1
-        fmask = (1 << width) - 1
-        slot, free, top, plan = [-1] * g.node_count, [], 0, []
-        for e, steps in enumerate(self._steps()):
-            inc = 0
-            for v, d in steps:
-                if slot[v] < 0:
-                    slot[v], top = (free.pop(), top) if free else (top, top + 1)
-                inc += d << slot[v] * width
-            retire = [(slot[v] * width, tables[v], d) for v, d in steps if last[v] == e]
-            free += [shift // width for shift, _, _ in retire]
-            plan.append((inc, retire))
-        size_shift = top * width
+        tables, untouched, plan, size_shift, fmask = self._plan()
         inc_size = 1 << size_shift if by_size else 0
         states = {0: one}
-        for v in range(g.node_count):
-            if last[v] < 0:  # untouched: entry 0 throughout
-                w = tables[v][0]
-                states = {k: x * w for k, x in states.items() if w is not None}
+        for v in untouched:  # entry 0 throughout
+            w = tables[v][0]
+            states = {k: x * w for k, x in states.items() if w is not None}
         peak = len(states)
         for (inc, retire), w in zip(plan, self.edge_weights or [None] * len(plan)):
             inc += inc_size
@@ -218,7 +223,7 @@ class SubsetWeights:
                 # the retiring node's entry is d when skipped and d + dv when
                 # taken (its table covers every entry it reaches, so the
                 # field cannot carry), so both branches read one field of key
-                ((shift, tab, dv),) = retire
+                ((shift, tab, dv, _),) = retire
                 take, rest = tab[dv:], inc - (dv << shift)
                 for key, x in states.items():
                     d = key >> shift & fmask
@@ -239,7 +244,7 @@ class SubsetWeights:
             else:
                 for key, val in states.items():
                     for k, x in ((key, val), (key + inc, val if w is None else val * w)):
-                        for shift, tab, _ in retire:
+                        for shift, tab, _, _ in retire:
                             d = (k >> shift) & fmask
                             t = tab[d]
                             if t is None:
@@ -256,6 +261,217 @@ class SubsetWeights:
         if by_size:
             return {k >> size_shift: x for k, x in sorted(states.items())}, peak
         return states.get(0, one - one), peak
+
+    def swapped_sums(self, alt_tables: dict):
+        """(sum, {v: the sum with node v's table replaced by alt_tables[v]},
+        peak state count) for float values, by one forward and one backward
+        pass over frontier_sum's plan.  Each alternative table has its
+        node's table's length.
+
+        The sum is multilinear in each node's table, so v's swapped sum is
+        sum_d alt_v[d] * dZ/dt_v[d] (Darwiche 2003, "A differential
+        approach to inference in Bayesian networks").  Node v's table is
+        applied only where v retires, so it is read there: the forward
+        weight of each state before the step, times alt_v at each branch's
+        entry and the other retiring nodes' entries, times the backward
+        weight (the sum over completions) of the state the branch reaches.
+
+        The forward pass folds the states in frontier_sum's order, so the
+        sum is frontier_sum()'s bit for bit.  The backward weights must also
+        cover states that the sum prunes but a swap reaches (f_1 = 0 where
+        g_1 = -2 in the marginal series), so the forward pass also keeps the
+        keys reached through exactly one retiring entry that is zero in its
+        table and nonzero in its alternative, and drops such a key at its
+        next zero entry.  The peak and STATE_CAP count both kinds of state.
+        Each step's states are stored compactly (keys in an array of
+        int64, or a list past 63 key bits; forward weights in an array of
+        doubles), so the stored layers take about 16 bytes times the edge
+        count times the average state count.
+        """
+        tables, untouched, plan, key_bits, fmask = self._plan()
+        # per swapped node: where its entry is zero and its alternative is not
+        hits = {
+            v: [t is None and a != 0 for t, a in zip(tables[v], alt)]
+            for v, alt in alt_tables.items()
+        }
+        edge_weights = self.edge_weights or [None] * len(plan)
+
+        def layer(states, extra):
+            keys = list(states) if key_bits > 63 else array("q", states)
+            keys.extend(extra)
+            return keys, array("d", states.values())
+
+        states, extra = {0: 1.0}, set()
+        for v in untouched:  # entry 0 throughout
+            w = tables[v][0]
+            if w is not None:
+                states = {k: x * w for k, x in states.items()}
+            else:
+                extra = set(states) if v in hits and hits[v][0] else set()
+                states = {}
+        layers = [layer(states, extra)]
+        peak = len(states) + len(extra)
+        for (inc, retire), w in zip(plan, edge_weights):
+            new: dict = {}
+            get = new.get
+            reached = set()
+            add = reached.add
+            if not retire:
+                for key, x in states.items():
+                    old = get(key)
+                    new[key] = x if old is None else old + x
+                    key += inc
+                    if w is not None:
+                        x = x * w
+                    old = get(key)
+                    new[key] = x if old is None else old + x
+                for key in extra:
+                    add(key)
+                    add(key + inc)
+            elif len(retire) == 1:
+                ((shift, tab, dv, v),) = retire
+                take, rest = tab[dv:], inc - (dv << shift)
+                hit = hits.get(v) or [False] * len(tab)
+                hit_take = hit[dv:]
+                for key, x in states.items():
+                    d = key >> shift & fmask
+                    key -= d << shift
+                    t = tab[d]
+                    if t is not None:
+                        y = x * t
+                        old = get(key)
+                        new[key] = y if old is None else old + y
+                    elif hit[d]:
+                        add(key)
+                    t = take[d]
+                    key += rest
+                    if t is not None:
+                        if w is not None:
+                            x = x * w
+                        x = x * t
+                        old = get(key)
+                        new[key] = x if old is None else old + x
+                    elif hit_take[d]:
+                        add(key)
+                for key in extra:
+                    d = key >> shift & fmask
+                    key -= d << shift
+                    if tab[d] is not None:
+                        add(key)
+                    if take[d] is not None:
+                        add(key + rest)
+            else:
+                for key, val in states.items():
+                    for k, x in ((key, val), (key + inc, val if w is None else val * w)):
+                        swapped = False
+                        for shift, tab, _, v in retire:
+                            d = (k >> shift) & fmask
+                            k -= d << shift
+                            t = tab[d]
+                            if t is not None:
+                                x = x * t
+                            elif swapped or not (v in hits and hits[v][d]):
+                                break
+                            else:
+                                swapped = True
+                        else:
+                            if swapped:
+                                add(k)
+                            else:
+                                old = get(k)
+                                new[k] = x if old is None else old + x
+                for key in extra:
+                    for k in (key, key + inc):
+                        for shift, tab, _, _ in retire:
+                            d = (k >> shift) & fmask
+                            if tab[d] is None:
+                                break
+                            k -= d << shift
+                        else:
+                            add(k)
+            states = new
+            extra = {k for k in reached if k not in new}
+            peak = max(peak, len(states) + len(extra))
+            if peak > STATE_CAP:
+                raise SizeError(f"the frontier sum needs more than {STATE_CAP} states")
+            layers.append(layer(states, extra))
+        total = states.get(0, 0.0)
+
+        # Backward: beta maps each stored key of a layer to the sum over its
+        # completions; every final key is 0.  A successor that is not stored
+        # is reached only through a zero entry, so it reads as 0.0, and the
+        # tables are read as given, zeros included.
+        node_tables = self.node_tables
+        sums = dict.fromkeys(alt_tables, 0.0)
+        beta = {0: 1.0}
+        layers.pop()
+        for (inc, retire), w in zip(reversed(plan), reversed(edge_weights)):
+            keys, vals = layers.pop()
+            w = 1.0 if w is None else w
+            get = beta.get
+            out = []
+            append = out.append
+            if not retire:
+                for key in keys:
+                    append(get(key, 0.0) + w * get(key + inc, 0.0))
+            elif len(retire) == 1:
+                ((shift, _, dv, v),) = retire
+                rest = inc - (dv << shift)
+                f = node_tables[v]
+                wf = [w * t for t in f[dv:]]
+                it = iter(keys)
+                if v in alt_tables:
+                    a = alt_tables[v]
+                    wa = [w * t for t in a[dv:]]
+                    acc = 0.0
+                    for x, key in zip(vals, it):
+                        d = key >> shift & fmask
+                        key -= d << shift
+                        bs = get(key, 0.0)
+                        bt = get(key + rest, 0.0)
+                        append(f[d] * bs + wf[d] * bt)
+                        acc += x * (a[d] * bs + wa[d] * bt)
+                    sums[v] += acc
+                for key in it:
+                    d = key >> shift & fmask
+                    key -= d << shift
+                    append(f[d] * get(key, 0.0) + wf[d] * get(key + rest, 0.0))
+            else:
+                # a non-loop edge whose ends both retire: inc is their two
+                # increments, so both branches reach the same key
+                (s1, _, dv1, v1), (s2, _, dv2, v2) = retire
+                f1, f2 = node_tables[v1], node_tables[v2]
+                a1, a2 = alt_tables.get(v1), alt_tables.get(v2)
+                acc1 = acc2 = 0.0
+                it = iter(keys)
+                if a1 is not None or a2 is not None:
+                    for x, key in zip(vals, it):
+                        d1 = key >> s1 & fmask
+                        d2 = key >> s2 & fmask
+                        b = get(key - (d1 << s1) - (d2 << s2), 0.0)
+                        bt = w * b
+                        append(f1[d1] * f2[d2] * b + f1[d1 + dv1] * f2[d2 + dv2] * bt)
+                        if a1 is not None:
+                            acc1 += x * (a1[d1] * f2[d2] * b + a1[d1 + dv1] * f2[d2 + dv2] * bt)
+                        if a2 is not None:
+                            acc2 += x * (f1[d1] * a2[d2] * b + f1[d1 + dv1] * a2[d2 + dv2] * bt)
+                    if a1 is not None:
+                        sums[v1] += acc1
+                    if a2 is not None:
+                        sums[v2] += acc2
+                for key in it:
+                    d1 = key >> s1 & fmask
+                    d2 = key >> s2 & fmask
+                    b = get(key - (d1 << s1) - (d2 << s2), 0.0)
+                    append((f1[d1] * f2[d2] + w * f1[d1 + dv1] * f2[d2 + dv2]) * b)
+            beta = dict(zip(keys, out))
+        # an untouched node's entry 0 multiplies the whole sum
+        beta0 = beta.get(0, 0.0)
+        for v in untouched:
+            if v in alt_tables:
+                others = math.prod(node_tables[u][0] for u in untouched if u != v)
+                sums[v] = alt_tables[v][0] * others * beta0
+        return total, sums, peak
 
     def terms(self, free_node: int | None = None) -> list:
         """[(s, weight of s)] over enumerate_generalized_loops(graph,
@@ -390,10 +606,6 @@ def render_edge_list(g: Multigraph) -> str:
 # Stock graph families.
 # ---------------------------------------------------------------------------
 
-def path_graph(n: int) -> Multigraph:
-    return Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
 def cycle_graph(n: int) -> Multigraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 nodes")
@@ -402,11 +614,6 @@ def cycle_graph(n: int) -> Multigraph:
 
 def complete_graph(n: int) -> Multigraph:
     return Multigraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def star_graph(n: int) -> Multigraph:
-    """Node 0 joined to each of the other n-1 nodes."""
-    return Multigraph(n, tuple((0, i) for i in range(1, n)))
 
 
 def grid_graph(rows: int, cols: int) -> Multigraph:

@@ -10,9 +10,10 @@ A term's node weights depend only on each node's degree in the subset (or,
 for a factor node, on which of its incidences the subset holds), so every
 sum is one frontier subset sum (graph.SubsetWeights) folded edge by edge;
 f_1 = 0 drops a partial subset as soon as a node retires with degree one.
-All the marginals of a model come from one more such sum
-(loop_series_marginals) whose values are numpy vectors over "worlds", one
-per node: world v weighs node v by its g table and the others by f.
+A node's marginal is the Z sum with that node's f table swapped for its g
+table.  All the marginals of a model come from one forward and one
+backward pass over the Z sum's plan (graph.SubsetWeights.swapped_sums),
+which read each node's swapped sum where the node retires.
 The per-subset terms are enumerated only when read, under graph.TERMS_CAP.
 """
 
@@ -205,30 +206,43 @@ def loop_series_z(res: LbpResult) -> SeriesReport:
 
 @dataclass
 class MarginalCorrection:
-    """Series-corrected single-node marginal; terms, the per-subset
-    (frozenset, r) list of the bias series, is enumerated when first read."""
+    """Series-corrected single-node marginal.  weights, the Z series'
+    weights with the target's table swapped, is built when first read, and
+    terms, the per-subset (frozenset, r) list of the bias series, is
+    enumerated when first read."""
 
     target: int
     bias_series: float
     series_total: float
     corrected_marginal: np.ndarray  # [p(-1), p(+1)]
-    weights: SubsetWeights = field(repr=False)
+    z_report: SeriesReport = field(repr=False)
+
+    @cached_property
+    def weights(self) -> SubsetWeights:
+        return _target_weights(self.z_report, self.target)
 
     @cached_property
     def terms(self) -> list:
         return self.weights.terms(free_node=self.target)
 
 
+def _g_table(z_report: SeriesReport, target: int) -> list:
+    """The target's g table, which replaces its f table in the Z series'
+    weights (g_1 = -2, so the target escapes degree-one pruning; every other
+    node still kills subsets through f_1 = 0)."""
+    degree = len(z_report.weights.node_tables[target]) - 1
+    return g_values(float(z_report.coefficients.gamma[target]), degree)
+
+
 def _target_weights(z_report: SeriesReport, target: int) -> SubsetWeights:
     """The Z series' weights with the target's f table swapped for its g
-    table (g_1 = -2, so the target escapes degree-one pruning; every other
-    node still kills subsets through f_1 = 0)."""
+    table."""
     tables = list(z_report.weights.node_tables)
-    tables[target] = g_values(float(z_report.coefficients.gamma[target]), len(tables[target]) - 1)
+    tables[target] = _g_table(z_report, target)
     return replace(z_report.weights, node_tables=tables)
 
 
-def _correction(res, target, z_report, bias, weights) -> MarginalCorrection:
+def _correction(res, target, z_report, bias) -> MarginalCorrection:
     b = res.node_beliefs[target]
     diff = math.sqrt(b[1] * b[0]) * bias / z_report.total
     return MarginalCorrection(
@@ -236,7 +250,7 @@ def _correction(res, target, z_report, bias, weights) -> MarginalCorrection:
         bias_series=bias,
         series_total=z_report.total,
         corrected_marginal=np.array([(1.0 - diff) / 2.0, (1.0 + diff) / 2.0]),
-        weights=weights,
+        z_report=z_report,
     )
 
 
@@ -247,45 +261,29 @@ def loop_series_marginal(res: LbpResult, target: int, z_report: SeriesReport) ->
     coefficients and weights are reused.  On a factor model the factor
     nodes still prune at degree one, because singleton betas vanish.
 
-    A single target stays a scalar sum rather than a one-world
-    loop_series_marginals: a float state costs a fraction of a numpy
-    vector's, so on the 3x4 grid the scalar sum takes about a third of
-    the one-world vector sum's time.
+    A single target is one plain frontier sum over the swapped weights,
+    with no stored layers and no backward pass.
     """
     _require_converged(res)
     if not (0 <= target < len(res.node_beliefs)):
         raise ValueError(f"target node {target} out of range")
-    weights = _target_weights(z_report, target)
-    bias, _ = weights.frontier_sum()
-    return _correction(res, target, z_report, bias, weights)
+    bias, _ = _target_weights(z_report, target).frontier_sum()
+    return _correction(res, target, z_report, bias)
 
 
 def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[MarginalCorrection]:
     """Every node's (every variable's) marginal correction from one
-    frontier sum whose values are vectors over "worlds": in world v node v
-    weighs its g table and every other node its f table, so node v's entry
-    d is the vector of f_v[d] with g_v[d] at position v.  Mask (factor)
-    nodes and edge weights stay scalars.
-
-    A state is dropped only when every world weighs it zero, so states the
-    per-target sums prune (a node other than the target at degree one) are
-    carried with zeros; each correction still holds its own target-swapped
-    weights for terms.  Each state holds an n-float vector, so memory grows
-    as peak states times n (STATE_CAP bounds only the states).  z_report
-    must be the loop_series_z output for the same fixed point.
+    forward and one backward pass over the Z series' plan
+    (SubsetWeights.swapped_sums with each variable's g table), at about
+    three times the cost of the Z sum.  Mask (factor) nodes keep their
+    tables.  Its stored layers hold about the edge count times the average
+    state count in keys and floats.  z_report must be the loop_series_z
+    output for the same fixed point.
     """
     _require_converged(res)
     n = len(res.node_beliefs)
-    node_tables = z_report.weights.node_tables
-    targets = [_target_weights(z_report, v) for v in range(n)]
-    worlds = []
-    for v in range(n):
-        entries = np.repeat(np.array(node_tables[v], dtype=float)[:, None], n, axis=1)
-        entries[:, v] = targets[v].node_tables[v]
-        worlds.append(list(entries))
-    vector_weights = replace(z_report.weights, node_tables=worlds + node_tables[n:])
-    bias, _ = vector_weights.frontier_sum(one=np.ones(n))
-    return [_correction(res, v, z_report, float(bias[v]), targets[v]) for v in range(n)]
+    _, bias, _ = z_report.weights.swapped_sums({v: _g_table(z_report, v) for v in range(n)})
+    return [_correction(res, v, z_report, bias[v]) for v in range(n)]
 
 
 # The per-kind names of the unified functions.  The benchmark tracer

@@ -8,10 +8,17 @@ from loopcorrect.graph import (
     complete_graph,
     cycle_graph,
     grid_graph,
-    path_graph,
-    star_graph,
     two_triangles_graph,
 )
+
+
+def path_graph(n):
+    return Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def star_graph(n):
+    """Node 0 joined to each of the other n-1 nodes."""
+    return Multigraph(n, tuple((0, i) for i in range(1, n)))
 
 
 def bouquet_graph(loops):

@@ -295,11 +295,6 @@ def enumerate_generalized_loops_naive(g: Multigraph, free_node: int | None = Non
     return out
 
 
-def _is_zero(w) -> bool:
-    """Whether a table entry weighs zero (a vector: in every world)."""
-    return not w.any() if isinstance(w, np.ndarray) else w == 0
-
-
 def frontier_sum_reference(weights, by_size=False, one=1.0):
     """graph.SubsetWeights.frontier_sum with one general per-state loop for
     every step: each state's skip and take branches are built as a tuple
@@ -307,7 +302,7 @@ def frontier_sum_reference(weights, by_size=False, one=1.0):
     read from graph.STATE_CAP at call time, so a test can lower it for both
     folds at once."""
     g = weights.graph
-    tables = [[None if _is_zero(w) else w for w in t] for t in weights.node_tables]
+    tables = [[None if w == 0 else w for w in t] for t in weights.node_tables]
     last = [-1] * g.node_count
     for e, (a, b) in enumerate(g.edges):
         last[a] = last[b] = e

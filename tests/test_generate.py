@@ -10,7 +10,7 @@ import pytest
 from loopcorrect import generate
 from loopcorrect.exceptions import GenerationError
 from loopcorrect.generate import random_connected_graph
-from loopcorrect.graph import is_connected
+from loopcorrect.graph import NODE_CAP, is_connected
 from tests.oracles import random_connected_graph_reference
 
 
@@ -93,3 +93,29 @@ def test_impossible_requests_raise():
     for n, m in ((5, 3), (4, 7)):
         with pytest.raises(GenerationError, match="no simple connected graph"):
             random_connected_graph(n, m, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("cycle", ["10000000000"]),
+    ("tree", ["10000000000"]),
+    ("grid", ["100000", "100000"]),
+    ("random", ["10000000000", "20000000000"]),
+])
+def test_node_count_is_checked_before_building(kind, args, monkeypatch):
+    # each of these ran out of memory or without end when it was built, so
+    # a builder that is reached fails at once
+    def built(*_):
+        raise AssertionError("the topology was built")
+
+    for name in ("random_tree", "cycle_graph", "grid_graph", "random_connected_graph"):
+        monkeypatch.setattr(generate, name, built)
+    with pytest.raises(GenerationError, match="10000000000 nodes exceed the generator cap"):
+        generate.make_topology(kind, args, np.random.default_rng(0))
+
+
+def test_node_cap_is_inclusive():
+    rng = np.random.default_rng(0)
+    assert generate.make_topology("cycle", [str(NODE_CAP)], rng).node_count == NODE_CAP
+    assert generate.make_topology("grid", ["256", str(NODE_CAP // 256)], rng).node_count == NODE_CAP
+    with pytest.raises(GenerationError, match=f"{NODE_CAP + 1} nodes exceed"):
+        generate.make_topology("tree", [str(NODE_CAP + 1)], rng)

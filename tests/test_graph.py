@@ -2,10 +2,10 @@
 oracles' contraction and deletion."""
 
 import math
+import random
 from dataclasses import replace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +22,6 @@ from loopcorrect.graph import (
     enumerate_matchings,
     is_connected,
     parse_edge_list,
-    path_graph,
     render_edge_list,
     complete_graph,
     count_generalized_loops,
@@ -37,7 +36,7 @@ from oracles import (
     enumerate_generalized_loops_naive,
     frontier_sum_reference,
 )
-from tests.conftest import bouquet_graph, parallel_edges_graph
+from tests.conftest import bouquet_graph, parallel_edges_graph, path_graph
 
 TRIANGLE = cycle_graph(3)
 
@@ -198,41 +197,85 @@ def test_frontier_sum_matches_loop_enumeration(g, data):
         assert count_generalized_loops(g) == len(terms)
 
 
-def test_frontier_sum_keeps_a_state_live_in_one_world():
-    """Vector values: an entry that is zero in world 0 but not in world 1
-    must not drop the state, and the sum is the per-world sums."""
-    g = Multigraph(2, ((0, 1),))
-    tables = [
-        [np.array([1.0, 1.0]), np.array([0.0, 2.0])],
-        [np.array([1.0, 1.0]), np.array([3.0, 3.0])],
-    ]
-    total, _ = SubsetWeights(g, tables, [0.5]).frontier_sum(one=np.ones(2))
-    assert total.tolist() == [1.0, 4.0]
-    for world, want in enumerate((1.0, 4.0)):
-        scalar = [[float(x[world]) for x in t] for t in tables]
-        assert SubsetWeights(g, scalar, [0.5]).frontier_sum()[0] == want
+def test_swapped_sums_keep_a_state_live_for_one_swap():
+    """A state that node 0's table drops (its entry 1 weighs zero) but its
+    alternative keeps must reach the steps after node 0 retires, whether
+    node 0 retires with the other end (one edge) or alone (a path)."""
+    for g, want in ((Multigraph(2, ((0, 1),)), 4.0), (Multigraph(3, ((0, 1), (1, 2))), 13.0)):
+        tables = [[1.0, 0.0]] + [[1.0] + [3.0] * d for d in g.degrees()[1:]]
+        w = SubsetWeights(g, tables, [0.5] * len(g.edges))
+        total, sums, _ = w.swapped_sums({0: [1.0, 2.0]})
+        assert total == w.frontier_sum()[0]
+        assert sums == {0: want}
+        assert replace(w, node_tables=[[1.0, 2.0]] + tables[1:]).frontier_sum()[0] == want
 
 
-@given(weighted_multigraphs())
-@settings(max_examples=60, deadline=None)
-def test_vector_frontier_sum_is_per_world_sums(w):
-    """Stack the drawn tables (world 1) with copies whose entries 1 are zero
-    (world 0): the vector sum equals the two scalar sums."""
-    zeroed = [[0.0 if d == 1 else x for d, x in enumerate(t)] for t in w.node_tables]
-    worlds = [[np.array(pair) for pair in zip(a, b)] for a, b in zip(zeroed, w.node_tables)]
-    total, peak = replace(w, node_tables=worlds).frontier_sum(one=np.ones(2))
-    for world, tables in enumerate((zeroed, w.node_tables)):
+def test_swapped_sums_on_keys_wider_than_63_bits():
+    """A mask hub of degree 10 makes every field 10 bits wide, and the hub
+    and its 10 leaves hold fields at once, so the stored keys are lists of
+    ints.  Leaf tables are zero at degree one, their swaps are not."""
+    star = tuple((0, v) for v in range(1, 11))
+    g = Multigraph(11, star + tuple((v, v + 1) for v in range(1, 10)))
+    rng = random.Random(1)
+    hub = [0.0 if rng.random() < 0.2 else rng.uniform(-1, 1) for _ in range(1 << 10)]
+    leaves = [[1.0, 0.0] + [rng.uniform(-1, 1) for _ in range(d - 1)] for d in g.degrees()[1:]]
+    w = SubsetWeights(g, [hub] + leaves, [rng.uniform(-1, 1) for _ in g.edges], frozenset({0}))
+    assert w._plan()[3] > 63
+    alt = {v: [rng.uniform(-1, 1) for _ in w.node_tables[v]] for v in (0, 1, 5, 10)}
+    total, sums, _ = w.swapped_sums(alt)
+    assert same(total, w.frontier_sum()[0])
+    for v, table in alt.items():
+        tables = [table if u == v else t for u, t in enumerate(w.node_tables)]
+        expect = replace(w, node_tables=tables).frontier_sum()[0]
+        scale = SubsetWeights(
+            g, [[abs(x) for x in t] for t in tables], [abs(x) for x in w.edge_weights], w.mask_nodes
+        ).frontier_sum()[0]
+        assert close(sums[v], expect, scale)
+
+
+@st.composite
+def swap_inputs(draw):
+    """(SubsetWeights, alternative tables): weighted_multigraphs with table
+    entries and edge weights often zero, and for a drawn set of nodes an
+    alternative table, also often zero, of the same length."""
+    w = draw(weighted_multigraphs())
+    weight = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    entry = st.just(0.0) | weight
+    tables = [[draw(entry) if draw(st.booleans()) else x for x in t] for t in w.node_tables]
+    m = len(w.graph.edges)
+    edge_weights = draw(st.none() | st.lists(entry, min_size=m, max_size=m))
+    nodes = sorted(draw(st.sets(st.sampled_from(range(w.graph.node_count)))))
+    alt = {}
+    for v in nodes:
+        alt[v] = draw(st.lists(entry, min_size=len(tables[v]), max_size=len(tables[v])))
+    return replace(w, node_tables=tables, edge_weights=edge_weights), alt
+
+
+@given(swap_inputs())
+@settings(max_examples=200, deadline=None)
+def test_swapped_sums_are_per_node_sums(drawn):
+    """Each swapped sum is the plain sum with that node's table replaced, to
+    rounding; the total is frontier_sum's bit for bit; the peak covers every
+    swapped sum's own."""
+    w, alt = drawn
+    total, sums, peak = w.swapped_sums(alt)
+    expect, expect_peak = w.frontier_sum()
+    assert same(total, expect) and peak >= expect_peak
+    assert set(sums) == set(alt)
+    for v, table in alt.items():
+        tables = [table if u == v else t for u, t in enumerate(w.node_tables)]
         alone = replace(w, node_tables=tables)
         expect, alone_peak = alone.frontier_sum()
-        assert close(total[world], expect, naive_subset_sum(alone, by_size=False)[0][1])
+        ones = [1.0] * len(w.graph.edges)
+        scale = naive_subset_sum(replace(alone, edge_weights=w.edge_weights or ones), False)[0][1]
+        assert close(sums[v], expect, scale)
         assert peak >= alone_peak
 
 
 @st.composite
 def fold_inputs(draw):
     """(SubsetWeights, one) of one value kind: floats, small ints, packed
-    big ints, vectors over 1-3 worlds (mask nodes keep scalar tables, as
-    the factor marginals have them) or _Subsets listings.  Multigraphs with
+    big ints or _Subsets listings.  Multigraphs with
     self-loops, parallel edges and isolated nodes; mask nodes of degree at
     most 5; zero table entries; edge weights None or given."""
     n = draw(st.integers(min_value=1, max_value=7))
@@ -241,25 +284,19 @@ def fold_inputs(draw):
     deg = g.degrees()
     small = [v for v in range(n) if deg[v] <= 5]
     mask = frozenset(draw(st.sets(st.sampled_from(small)))) if small else frozenset()
-    kind = draw(st.sampled_from(["float", "int", "packed", "vector", "subsets"]))
+    kind = draw(st.sampled_from(["float", "int", "packed", "subsets"]))
     zeros = st.sampled_from([0, 0.0, -0.0])
     # full 53-bit mantissas, so that products round and their order shows
     rough = st.integers(-(1 << 53), 1 << 53).map(lambda k: k * 2.0**-52)
     floats = zeros | st.sampled_from([1.0, -1.0]) | st.floats(-2.0, 2.0, allow_nan=False) | rough
     scalar = {
         "float": floats,
-        "vector": floats,
         "int": st.integers(-3, 3),
         "packed": st.just(0) | st.integers(-(1 << 200), 1 << 200),
         "subsets": st.integers(0, 1),
     }[kind]
-    worlds = draw(st.integers(min_value=1, max_value=3))
-    entry = scalar
-    if kind == "vector":
-        vector = st.lists(floats, min_size=worlds, max_size=worlds).map(np.array)
-        entry = st.just(np.zeros(worlds)) | vector
     tables = [
-        draw(st.lists(scalar if v in mask else entry, min_size=size, max_size=size))
+        draw(st.lists(scalar, min_size=size, max_size=size))
         for v, size in enumerate((1 << d) if v in mask else d + 1 for v, d in enumerate(deg))
     ]
     m = len(g.edges)
@@ -269,7 +306,7 @@ def fold_inputs(draw):
         if draw(st.booleans()):
             edge_weights = [_Subsets([1 << (m - 1 - e)]) for e in range(m)]
     else:
-        one = {"vector": np.ones(worlds), "float": 1.0}.get(kind, 1)
+        one = 1.0 if kind == "float" else 1
         if draw(st.booleans()):
             edge_weights = draw(st.lists(scalar, min_size=m, max_size=m))
     return SubsetWeights(g, tables, edge_weights, mask), one
@@ -277,15 +314,9 @@ def fold_inputs(draw):
 
 def same(a, b) -> bool:
     """Bit for bit: equal types, float signs included, dict keys in order,
-    arrays element by element, _Subsets lists in order."""
+    _Subsets lists in order."""
     if isinstance(a, dict):
         return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):
-        return (
-            a.dtype == b.dtype
-            and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b))
-        )
     if isinstance(a, float):
         return type(b) is float and a == b and math.copysign(1, a) == math.copysign(1, b)
     return type(a) is type(b) and a == b

@@ -11,7 +11,6 @@ from loopcorrect.graph import (
     complete_graph,
     cycle_graph,
     grid_graph,
-    path_graph,
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import (
@@ -37,6 +36,7 @@ from tests.conftest import (
     corpus_simple_connected,
     corpus_trees,
     parallel_edges_graph,
+    path_graph,
     subdivided,
 )
 from tests.oracles import (

@@ -20,8 +20,6 @@ from loopcorrect.generate import (
 from loopcorrect.graph import (
     cycle_graph,
     grid_graph,
-    path_graph,
-    star_graph,
     two_triangles_graph,
 )
 from loopcorrect.lbp import (
@@ -40,6 +38,7 @@ from loopcorrect.model import (
     uniform_phi,
 )
 from oracles import belief_ratio_state_sum, lbp_reference
+from tests.conftest import path_graph, star_graph
 
 
 def graph_diameter(g):

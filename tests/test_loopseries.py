@@ -1,6 +1,7 @@
 """The series itself: coefficients, exactness against the oracle, structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from loopcorrect.generate import (
     random_tree,
     single_cycle_graph,
 )
-from loopcorrect.graph import Multigraph, cycle_graph, grid_graph, two_triangles_graph
+from loopcorrect.graph import (
+    Multigraph,
+    SubsetWeights,
+    cycle_graph,
+    grid_graph,
+    two_triangles_graph,
+)
 from loopcorrect.lbp import LbpOptions, LbpResult, run_lbp, run_lbp_factor
 from loopcorrect.loopseries import (
     _factor_betas,
@@ -35,7 +42,7 @@ from loopcorrect.model import (
     to_factor_model,
     uniform_phi,
 )
-from loopcorrect.poly import f_values
+from loopcorrect.poly import f_values, g_values
 from oracles import belief_ratio_state_sum, factor_betas_reference, single_cycle_sign_check
 from tests.test_lbp import HYPERTREE
 
@@ -458,3 +465,52 @@ def test_all_marginals_match_per_target_sums(model):
         assert abs(corr.corrected_marginal - want.corrected_marginal).max() <= 1e-14
         assert abs(corr.bias_series - want.bias_series) <= 1e-12 * max(1.0, abs(want.bias_series))
         assert corr.weights == want.weights
+
+
+def test_all_marginals_of_the_one_node_edgeless_model():
+    """No edges: the node is untouched, so its swapped sum is its g_0 times
+    the rest of the sum; at gamma = 0 that is 0 and the belief stands."""
+    res = run_lbp(PairwiseModel(Multigraph(1, ()), (), uniform_phi(1)))
+    z = loop_series_z(res)
+    (corr,) = loop_series_marginals(res, z)
+    assert (z.total, z.peak_states) == (1.0, 1)
+    assert corr.bias_series == 0.0 and corr.corrected_marginal.tolist() == [0.5, 0.5]
+    # node 1's zero entry drops the sum's one state, but node 1's swap keeps it
+    w = SubsetWeights(Multigraph(2, ()), [[2.0], [0.0]])
+    assert w.swapped_sums({0: [7.0], 1: [5.0]}) == (0.0, {0: 0.0, 1: 10.0}, 1)
+
+
+def test_all_marginals_of_a_zero_field_grid():
+    """At zero field gamma = 0, so f is zero at odd degrees and g at even
+    ones: every swapped sum runs through states that the Z sum prunes (the
+    peak doubles), and each is zero by parity, as every marginal is 1/2 by
+    symmetry."""
+    m = ising_model(grid_graph(4, 4), np.random.default_rng(0), coupling=0.5, field=0.0)
+    res = run_lbp(m)
+    z = loop_series_z(res)
+    assert not z.coefficients.gamma.any()
+    g = {v: g_values(0.0, len(t) - 1) for v, t in enumerate(z.weights.node_tables)}
+    total, _, peak = z.weights.swapped_sums(g)
+    assert total == z.total and (z.peak_states, peak) == (20, 40)
+    exact = brute_force(m)
+    for corr in loop_series_marginals(res, z):
+        assert corr.bias_series == 0.0 == loop_series_marginal(res, corr.target, z).bias_series
+        assert corr.corrected_marginal.tolist() == [0.5, 0.5]
+        assert abs(exact.marginals[corr.target] - 0.5).max() < 1e-12
+
+
+def test_all_marginals_memory_on_the_10x10_grid():
+    """The forward pass stores each step's states as arrays of keys and
+    floats: the 10x10 grid's marginals peak at about 5.4 MiB under
+    tracemalloc, where dicts of its 300000 stored states would take several
+    times 10 MiB."""
+    m = ising_model(grid_graph(10, 10), np.random.default_rng(0), 0.5, 0.3)
+    res = run_lbp(m)
+    z = loop_series_z(res)
+    tracemalloc.start()
+    try:
+        loop_series_marginals(res, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
