@@ -147,13 +147,13 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.check_tol) and args.check_tol >= 0.0):
         raise ValueError(f"--check-tol must be finite and non-negative, got {args.check_tol}")
     model = _load_model(args.model)
-    # a model too wide for the oracle is refused before LBP runs, and an
-    # unconverged run by the series before the oracle starts
+    # a model too wide for the oracle is refused before LBP runs, and any
+    # refusal of the series (an unconverged run, too many states) before
+    # the oracle starts
     check_oracle_size(model)
     res = _run_model_lbp(model, _lbp_opts(args))
-    report = loop_series_z(res)
+    report, corrections = loop_series_marginals(res)
     exact = brute_force(model)
-    corrections = loop_series_marginals(res, report)
     corrected_log_z = report.log_z_b + math.log(report.total)
     rel_err = abs(math.expm1(corrected_log_z - exact.log_z))
     rows = [

@@ -26,6 +26,10 @@ from .model import FactorModel, PairwiseModel
 # Uniform draws random_connected_graph makes before it builds a connected
 # graph directly.
 CONNECTED_DRAWS = 200
+# The most edges random_connected_graph draws: four per node at NODE_CAP
+# nodes, about twice a grid's.  Its draws hold memory in proportion to the
+# edge count, so without a cap gen random 65536 2000000000 asks for 16 GiB.
+EDGE_CAP = 4 * NODE_CAP
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Multigraph:
@@ -56,7 +60,9 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Multigra
     and keeps the first connected draw.  If none is connected (likely when
     m is near n - 1), it builds one directly: a random spanning tree plus
     m - n + 1 distinct pairs drawn from the rest.  No list of all pairs is
-    built."""
+    built, and an m above EDGE_CAP is a GenerationError before any draw."""
+    if m > EDGE_CAP:
+        raise GenerationError(f"{m} edges exceed the generator cap of {EDGE_CAP}")
     pair_count = n * (n - 1) // 2
     if m < n - 1 or m > pair_count:
         raise GenerationError(f"no simple connected graph with n={n}, m={m}")
@@ -150,7 +156,8 @@ def make_topology(kind: str, args, rng: np.random.Generator) -> Multigraph:
     """Topology dispatch for the CLI: tree N | cycle N | grid R C |
     example1 | random N M.  Too few, too many or non-integer arguments are
     a GenerationError naming the expected form, and so is a node count (R C
-    for a grid) above graph.NODE_CAP, before anything is built."""
+    for a grid) above graph.NODE_CAP, before anything is built; an M above
+    EDGE_CAP is refused before random_connected_graph draws."""
     forms = {
         "tree": ("N", lambda n: random_tree(n, rng)),
         "cycle": ("N", cycle_graph),

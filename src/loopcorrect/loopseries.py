@@ -11,9 +11,11 @@ for a factor node, on which of its incidences the subset holds), so every
 sum is one frontier subset sum (graph.SubsetWeights) folded edge by edge;
 f_1 = 0 drops a partial subset as soon as a node retires with degree one.
 A node's marginal is the Z sum with that node's f table swapped for its g
-table.  All the marginals of a model come from one forward and one
-backward pass over the Z sum's plan (graph.SubsetWeights.swapped_sums),
-which read each node's swapped sum where the node retires.
+table.  Z and all the marginals of a model come from one forward and one
+backward pass over the Z sum's plan (graph.SubsetWeights.swapped_sums):
+the forward pass is the Z sum, and the backward pass reads each node's
+swapped sum where the node retires.  One quantity alone (Z, or one
+marginal) is one plain frontier sum.
 The per-subset terms are enumerated only when read, under graph.TERMS_CAP.
 """
 
@@ -53,7 +55,9 @@ class SeriesReport:
     """Evaluated series: the total, the coefficients and weights it was
     summed from, and the frontier's peak state count.  per_size (the total
     split by subset size) and terms (the per-subset (frozenset, r) list) are
-    computed when first read, and z_estimate = Z_B * total whenever read."""
+    computed when first read, and z_estimate = Z_B * total whenever read.
+    From loop_series_marginals, peak_states is the one pass's peak, which
+    also counts the states that only a swapped g table reaches."""
 
     total: float
     log_z_b: float
@@ -226,20 +230,21 @@ class MarginalCorrection:
         return self.weights.terms(free_node=self.target)
 
 
-def _g_table(z_report: SeriesReport, target: int) -> list:
+def _g_table(coeff: SeriesCoefficients, weights: SubsetWeights, target: int) -> list:
     """The target's g table, which replaces its f table in the Z series'
     weights (g_1 = -2, so the target escapes degree-one pruning; every other
     node still kills subsets through f_1 = 0)."""
-    degree = len(z_report.weights.node_tables[target]) - 1
-    return g_values(float(z_report.coefficients.gamma[target]), degree)
+    degree = len(weights.node_tables[target]) - 1
+    return g_values(float(coeff.gamma[target]), degree)
 
 
 def _target_weights(z_report: SeriesReport, target: int) -> SubsetWeights:
     """The Z series' weights with the target's f table swapped for its g
     table."""
-    tables = list(z_report.weights.node_tables)
-    tables[target] = _g_table(z_report, target)
-    return replace(z_report.weights, node_tables=tables)
+    weights = z_report.weights
+    tables = list(weights.node_tables)
+    tables[target] = _g_table(z_report.coefficients, weights, target)
+    return replace(weights, node_tables=tables)
 
 
 def _correction(res, target, z_report, bias) -> MarginalCorrection:
@@ -271,19 +276,27 @@ def loop_series_marginal(res: LbpResult, target: int, z_report: SeriesReport) ->
     return _correction(res, target, z_report, bias)
 
 
-def loop_series_marginals(res: LbpResult, z_report: SeriesReport) -> list[MarginalCorrection]:
-    """Every node's (every variable's) marginal correction from one
-    forward and one backward pass over the Z series' plan
-    (SubsetWeights.swapped_sums with each variable's g table), at about
-    three times the cost of the Z sum.  Mask (factor) nodes keep their
-    tables.  Its stored layers hold about the edge count times the average
-    state count in keys and floats.  z_report must be the loop_series_z
-    output for the same fixed point.
+def loop_series_marginals(res: LbpResult) -> tuple[SeriesReport, list[MarginalCorrection]]:
+    """The Z series and every node's (every variable's) marginal
+    correction, from one forward and one backward pass over the Z series'
+    plan (SubsetWeights.swapped_sums with each variable's g table).  The
+    forward pass is the Z sum, so the report's total is loop_series_z's bit
+    for bit; its peak_states also counts the states only a swap reaches.
+    Mask (factor) nodes keep their tables.  The stored layers hold about
+    the edge count times the average state count in keys and floats.
     """
-    _require_converged(res)
+    coeff = coefficients_from_beliefs(res)
+    weights = _subset_weights(res.model, coeff)
     n = len(res.node_beliefs)
-    _, bias, _ = z_report.weights.swapped_sums({v: _g_table(z_report, v) for v in range(n)})
-    return [_correction(res, v, z_report, bias[v]) for v in range(n)]
+    total, bias, peak = weights.swapped_sums({v: _g_table(coeff, weights, v) for v in range(n)})
+    report = SeriesReport(
+        total=total,
+        log_z_b=res.log_z_b,
+        coefficients=coeff,
+        peak_states=peak,
+        weights=weights,
+    )
+    return report, [_correction(res, v, report, bias[v]) for v in range(n)]
 
 
 # The per-kind names of the unified functions.  The benchmark tracer

@@ -223,8 +223,12 @@ def _field(name: str, build):
 
 def model_from_json(text: str):
     """Parse either model flavour; returns PairwiseModel or FactorModel.
-    A malformed document raises ValueError naming the field."""
-    doc = json.loads(text)
+    A malformed document raises ValueError naming the field, and so does
+    one nested past the parser's recursion limit."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("model JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("model JSON must be an object")
     if "nodes" in doc:

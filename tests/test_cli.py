@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import loopcorrect
+from loopcorrect import graph
 from loopcorrect.cli import main
 from loopcorrect.exact import brute_force
 from loopcorrect.generate import ising_model, random_factor_model
 from loopcorrect.graph import (
+    SubsetWeights,
     complete_graph,
     cycle_graph,
     enumerate_generalized_loops,
@@ -25,8 +27,8 @@ from loopcorrect.graph import (
     two_triangles_graph,
 )
 from loopcorrect.graphpoly import theta_direct
-from loopcorrect.lbp import run_lbp
-from loopcorrect.loopseries import loop_series_z
+from loopcorrect.lbp import run_lbp, run_lbp_factor
+from loopcorrect.loopseries import loop_series_marginals, loop_series_z
 from loopcorrect.model import (
     PairwiseModel,
     factor_to_json,
@@ -35,6 +37,7 @@ from loopcorrect.model import (
     to_factor_model,
 )
 from tests.conftest import circular_ladder
+from tests.test_generate import NoDraws
 
 
 @pytest.fixture
@@ -266,6 +269,51 @@ def test_compare_checks_the_oracle_size_before_lbp(kind, max_iters, tmp_path, mo
     assert cap.out == ""
     assert cap.err.startswith("error: variable elimination holds ")
     assert cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["pairwise", "factor"])
+def test_compare_sums_the_series_once(kind, model_file, tmp_path, monkeypatch, capsys):
+    # Z and every marginal come from one swapped_sums pass, whose forward
+    # pass is the Z sum bit for bit
+    model = model_from_json(model_file.read_text())
+    path = model_file
+    if kind == "factor":
+        model = to_factor_model(model)
+        path = tmp_path / "factor.json"
+        path.write_text(factor_to_json(model))
+    res = run_lbp(model) if kind == "pairwise" else run_lbp_factor(model)
+    assert loop_series_marginals(res)[0].total == loop_series_z(res).total
+
+    def no_plain_sum(*args, **kwargs):
+        raise AssertionError("compare ran a plain frontier sum")
+
+    passes = []
+    swapped_sums = SubsetWeights.swapped_sums
+    monkeypatch.setattr(SubsetWeights, "frontier_sum", no_plain_sum)
+    monkeypatch.setattr(SubsetWeights, "swapped_sums",
+                        lambda self, alt: passes.append(alt) or swapped_sums(self, alt))
+    assert main(["compare", "--model", str(path)]) == 0
+    assert "corrected_error" in capsys.readouterr().out
+    assert len(passes) == 1
+
+
+def test_compare_refuses_the_series_before_the_oracle(tmp_path, monkeypatch, capsys):
+    # the zero-field 4x4 grid's one pass peaks at 40 states (the Z sum
+    # alone at 20): past a cap of 30 compare refuses before the oracle runs
+    import loopcorrect.cli as cli
+
+    def no_oracle(model):
+        raise AssertionError("the oracle ran before the series was refused")
+
+    monkeypatch.setattr(cli, "brute_force", no_oracle)
+    monkeypatch.setattr(graph, "STATE_CAP", 30)
+    path = tmp_path / "grid.json"
+    path.write_text(pairwise_to_json(
+        ising_model(grid_graph(4, 4), np.random.default_rng(0), coupling=0.5, field=0.0)))
+    assert main(["compare", "--model", str(path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: the frontier sum needs more than 30 states\n"
 
 
 def test_compare_past_25_variables(tmp_path, capsys):
@@ -521,6 +569,29 @@ def test_declared_count_is_checked_before_allocation(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
     assert str(10**12) in err
+
+
+@pytest.mark.parametrize("command", ["compare", "lbp"])
+def test_deeply_nested_model_json(tmp_path, capsys, command):
+    # json.loads recurses once per level; past its limit the document is
+    # refused with one line, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert main([command, "--model", str(path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: model JSON nests too deeply\n"
+
+
+def test_gen_random_edge_count_is_checked_before_any_draw(tmp_path, monkeypatch, capsys):
+    import loopcorrect.cli as cli
+
+    monkeypatch.setattr(cli.np.random, "default_rng", lambda seed: NoDraws())
+    path = tmp_path / "m.json"
+    assert main(["gen", "random", "65536", "2000000000", "-o", str(path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == "" and not path.exists()
+    assert cap.err == "error: 2000000000 edges exceed the generator cap of 262144\n"
 
 
 @pytest.mark.parametrize("command", ["theta", "omega", "matching"])

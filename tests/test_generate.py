@@ -9,7 +9,7 @@ import pytest
 
 from loopcorrect import generate
 from loopcorrect.exceptions import GenerationError
-from loopcorrect.generate import random_connected_graph
+from loopcorrect.generate import EDGE_CAP, random_connected_graph
 from loopcorrect.graph import NODE_CAP, is_connected
 from tests.oracles import random_connected_graph_reference
 
@@ -119,3 +119,24 @@ def test_node_cap_is_inclusive():
     assert generate.make_topology("grid", ["256", str(NODE_CAP // 256)], rng).node_count == NODE_CAP
     with pytest.raises(GenerationError, match=f"{NODE_CAP + 1} nodes exceed"):
         generate.make_topology("tree", [str(NODE_CAP + 1)], rng)
+
+
+class NoDraws:
+    """An rng that fails on its first draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was called")
+
+
+def test_edge_count_is_checked_before_any_draw():
+    # 2e9 of the 2.1e9 pairs on NODE_CAP nodes: the draw would ask for 16 GiB
+    with pytest.raises(GenerationError, match="2000000000 edges exceed the generator cap"):
+        generate.make_topology("random", [str(NODE_CAP), "2000000000"], NoDraws())
+
+
+def test_edge_cap_is_inclusive():
+    n = str(NODE_CAP)
+    with pytest.raises(AssertionError, match="rng.choice was called"):
+        generate.make_topology("random", [n, str(EDGE_CAP)], NoDraws())
+    with pytest.raises(GenerationError, match=f"{EDGE_CAP + 1} edges exceed"):
+        generate.make_topology("random", [n, str(EDGE_CAP + 1)], NoDraws())

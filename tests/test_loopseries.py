@@ -172,7 +172,8 @@ def test_series_exact_on_4x5_grid(rng):
     for i in range(20):
         corr = loop_series_marginal(res, i, rep)
         assert abs(corr.corrected_marginal - exact.marginals[i]).max() < 1e-8
-    corrections = loop_series_marginals(res, rep)
+    report, corrections = loop_series_marginals(res)
+    assert report.total == rep.total and report.peak_states == 80
     assert [c.target for c in corrections] == list(range(20))
     for corr, p in zip(corrections, exact.marginals):
         assert abs(corr.corrected_marginal - p).max() < 1e-8
@@ -457,7 +458,9 @@ def test_all_marginals_match_per_target_sums(model):
     res = run_lbp(model) if isinstance(model, PairwiseModel) else run_lbp_factor(model)
     assume(res.converged)
     z = loop_series_z(res)
-    corrections = loop_series_marginals(res, z)
+    report, corrections = loop_series_marginals(res)
+    assert report.total == z.total and report.peak_states >= z.peak_states
+    assert report.weights == z.weights
     assert len(corrections) == len(res.node_beliefs)
     for v, corr in enumerate(corrections):
         want = loop_series_marginal(res, v, z)
@@ -471,8 +474,7 @@ def test_all_marginals_of_the_one_node_edgeless_model():
     """No edges: the node is untouched, so its swapped sum is its g_0 times
     the rest of the sum; at gamma = 0 that is 0 and the belief stands."""
     res = run_lbp(PairwiseModel(Multigraph(1, ()), (), uniform_phi(1)))
-    z = loop_series_z(res)
-    (corr,) = loop_series_marginals(res, z)
+    z, (corr,) = loop_series_marginals(res)
     assert (z.total, z.peak_states) == (1.0, 1)
     assert corr.bias_series == 0.0 and corr.corrected_marginal.tolist() == [0.5, 0.5]
     # node 1's zero entry drops the sum's one state, but node 1's swap keeps it
@@ -493,7 +495,9 @@ def test_all_marginals_of_a_zero_field_grid():
     total, _, peak = z.weights.swapped_sums(g)
     assert total == z.total and (z.peak_states, peak) == (20, 40)
     exact = brute_force(m)
-    for corr in loop_series_marginals(res, z):
+    report, corrections = loop_series_marginals(res)
+    assert (report.total, report.peak_states) == (z.total, 40)
+    for corr in corrections:
         assert corr.bias_series == 0.0 == loop_series_marginal(res, corr.target, z).bias_series
         assert corr.corrected_marginal.tolist() == [0.5, 0.5]
         assert abs(exact.marginals[corr.target] - 0.5).max() < 1e-12
@@ -506,10 +510,9 @@ def test_all_marginals_memory_on_the_10x10_grid():
     times 10 MiB."""
     m = ising_model(grid_graph(10, 10), np.random.default_rng(0), 0.5, 0.3)
     res = run_lbp(m)
-    z = loop_series_z(res)
     tracemalloc.start()
     try:
-        loop_series_marginals(res, z)
+        loop_series_marginals(res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
