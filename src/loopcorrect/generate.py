@@ -26,6 +26,11 @@ from .model import FactorModel, PairwiseModel
 # Uniform draws random_connected_graph makes before it builds a connected
 # graph directly.
 CONNECTED_DRAWS = 200
+# random_connected_graph makes no uniform draw when a draw's expected count
+# of isolated nodes, n e^(-2m/n), is above this.  Nodes are isolated nearly
+# independently, so a draw has none with probability about e^-8 = 3e-4
+# there, and all CONNECTED_DRAWS draws fail with probability above 0.9.
+ISOLATED_LIMIT = 8
 # The most edges random_connected_graph draws: four per node at NODE_CAP
 # nodes, about twice a grid's.  Its draws hold memory in proportion to the
 # edge count, so without a cap gen random 65536 2000000000 asks for 16 GiB.
@@ -59,14 +64,17 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Multigra
     Up to CONNECTED_DRAWS times it draws m of the n(n-1)/2 pairs uniformly
     and keeps the first connected draw.  If none is connected (likely when
     m is near n - 1), it builds one directly: a random spanning tree plus
-    m - n + 1 distinct pairs drawn from the rest.  No list of all pairs is
-    built, and an m above EDGE_CAP is a GenerationError before any draw."""
+    m - n + 1 distinct pairs drawn from the rest.  It goes straight to that
+    construction when a uniform draw is hopeless, expecting more than
+    ISOLATED_LIMIT isolated nodes.  No list of all pairs is built, and an m
+    above EDGE_CAP is a GenerationError before any draw."""
     if m > EDGE_CAP:
         raise GenerationError(f"{m} edges exceed the generator cap of {EDGE_CAP}")
     pair_count = n * (n - 1) // 2
     if m < n - 1 or m > pair_count:
         raise GenerationError(f"no simple connected graph with n={n}, m={m}")
-    for _ in range(CONNECTED_DRAWS):
+    hopeless = n * math.exp(-2 * m / n) > ISOLATED_LIMIT
+    for _ in range(0 if hopeless else CONNECTED_DRAWS):
         pick = rng.choice(pair_count, size=m, replace=False)
         g = Multigraph(n, _edges(n, pick.tolist()))
         if is_connected(g)[0]:

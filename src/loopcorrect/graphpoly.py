@@ -14,12 +14,14 @@ theta is stored in (b, g) coordinates, where g stands for xi - 1/xi: every
 term is a product of f polynomials in that variable, so the coefficients
 are plain integers and identity checks are exact equalities.
 
-theta_direct and both omega routes run on packed ints: a polynomial is
-its value at 2^B (poly.unpack), with B above the bit length of a
+Both theta routes and both omega routes run on packed ints: a polynomial
+is its value at 2^B (poly.unpack), with B above the bit length of a
 coefficient bound each function proves for its own values, so every sum
 and product is one big-int operation and equal packed values are equal
-polynomials.  Contraction-deletion stays on coefficient dicts, so the
-check that compares it with theta_direct does not share the packing.
+polynomials.  The two theta routes still check each other: they build
+different integers, each under its own bound, per-size values packed in
+g alone from the frontier sum and one value packed in b and g from the
+recurrence, and only their coefficients, read by one unpack, meet.
 
 Contraction-deletion runs on plain (node count, edges) tuples whose edges
 (a, b, k) carry a power k of b.  Every step reduces its graph to the
@@ -85,15 +87,11 @@ def theta_direct(g: Multigraph) -> ThetaPoly:
     on ints.  The f ladder has nonnegative coefficients, so each
     coefficient of a loop's product is at most the product at g = 1, and
     every coefficient of theta is below 2^|E| * prod_v max_{d <= deg v}
-    f_d(1); B exceeds that bound's bit length, which makes the unpacking
-    exact."""
+    f_d(1); B = _theta_bits exceeds that bound's bit length, which makes
+    the unpacking exact."""
     deg = g.degrees()
-    at_one = [f_poly(d).eval(1) for d in range(max(deg) + 1)]
-    bound = 1 << len(g.edges)
-    for top in deg:
-        bound *= max(at_one[: top + 1])
-    bits = bound.bit_length() + 1
-    packed = [f_poly(d).eval(1 << bits) for d in range(len(at_one))]
+    bits = _theta_bits(len(g.edges), deg)
+    packed = [f_poly(d).eval(1 << bits) for d in range(max(deg) + 1)]
     per_size, _ = SubsetWeights(g, [packed[: top + 1] for top in deg]).frontier_sum(
         by_size=True, one=1
     )
@@ -102,6 +100,17 @@ def theta_direct(g: Multigraph) -> ThetaPoly:
         for size, value in per_size.items()
         for ge, c in unpack(value, bits).items()
     }))
+
+
+def _theta_bits(edge_count: int, degrees) -> int:
+    """One more than the bit length of 2^edge_count prod_v max_{d <= d_v}
+    f_d(1) over the node degrees d_v, the bound on theta's coefficients
+    that theta_direct proves."""
+    at_one = [f_poly(d).eval(1) for d in range(max(degrees, default=0) + 1)]
+    bound = 1 << edge_count
+    for top in degrees:
+        bound *= max(at_one[: top + 1])
+    return bound.bit_length() + 1
 
 
 def _series_core(n: int, edges) -> tuple[int, list]:
@@ -161,12 +170,13 @@ def _series_core(n: int, edges) -> tuple[int, list]:
     ]
 
 
-def _theta_cd_rec(n: int, edges: list, memo: dict) -> dict:
-    """theta of the weighted multigraph (n, edges) (see _series_core) as
-    {(b power, g power): coefficient}, computed on its series-reduced
-    2-core.  memo is keyed by the core's sorted edge tuple (the core has no
-    isolated node, so its edges fix it) and its dicts are never mutated;
-    past STATE_CAP entries SizeError is raised."""
+def _theta_cd_rec(n: int, edges: list, memo: dict, at: list, shift: int) -> int:
+    """theta of the weighted multigraph (n, edges) (see _series_core) at
+    b = 2^shift and a value of g, computed on its series-reduced 2-core.
+    at is the f ladder there, [f_0(g), f_1(g), ...], at least up to
+    f_3(g) = g, and is extended here as needed.  memo is keyed by the
+    core's sorted edge tuple (the core has no isolated node, so its edges
+    fix it); past STATE_CAP entries SizeError is raised."""
     n, edges = _series_core(n, edges)
     key = tuple(sorted(edges))
     hit = memo.get(key)
@@ -180,25 +190,20 @@ def _theta_cd_rec(n: int, edges: list, memo: dict) -> dict:
         loops: list[list[int]] = [[] for _ in range(n)]
         for a, _, k in edges:
             loops[a].append(k)
-        out = {(0, 0): 1}
+        out = 1
         for powers in loops:
-            subsets = {(0, 0): 1}  # (b power, loops taken) -> count
+            by_count = [1]  # loops taken -> sum of b^(sum_T k)
             for k in powers:
-                nxt = dict(subsets)
-                for (p, t), c in subsets.items():
-                    nxt[p + k, t + 1] = nxt.get((p + k, t + 1), 0) + c
-                subsets = nxt
-            prod: dict = {}
-            for (b1, g1), c1 in out.items():
-                for (p, t), c in subsets.items():
-                    for ge, cf in f_poly(2 * t).coeffs.items():
-                        at = (b1 + p, g1 + ge)
-                        prod[at] = prod.get(at, 0) + c1 * c * cf
-            out = prod
+                by_count = [
+                    x + (y << k * shift)
+                    for x, y in zip(by_count + [0], [0] + by_count)
+                ]
+            while len(at) <= 2 * len(powers):
+                at.append(at[3] * at[-1] + at[-2])
+            out *= sum(s * at[2 * t] for t, s in enumerate(by_count))
     else:
-        # (1 - b^k) theta(G\e) + b^k theta(G/e): the b^k factors shift b
-        # powers by k.  Contraction merges end b into end a < b, and the
-        # ids above b shift down by one.
+        # (1 - b^k) theta(G\e) + b^k theta(G/e).  Contraction merges end b
+        # into end a < b, and the ids above b shift down by one.
         a, b, k = edges[pivot]
         rest = edges[:pivot] + edges[pivot + 1:]
         relabel = [*range(b), a, *range(b, n - 1)]
@@ -206,14 +211,9 @@ def _theta_cd_rec(n: int, edges: list, memo: dict) -> dict:
         for x, y, kk in rest:
             x, y = relabel[x], relabel[y]
             merged.append((x, y, kk) if x <= y else (y, x, kk))
-        deleted = _theta_cd_rec(n, rest, memo)
-        out = dict(deleted)
-        get = out.get
-        for (be, ge), c in deleted.items():
-            out[be + k, ge] = get((be + k, ge), 0) - c
-        for (be, ge), c in _theta_cd_rec(n - 1, merged, memo).items():
-            out[be + k, ge] = get((be + k, ge), 0) + c
-        out = {at: c for at, c in out.items() if c}
+        deleted = _theta_cd_rec(n, rest, memo, at, shift)
+        contracted = _theta_cd_rec(n - 1, merged, memo, at, shift)
+        out = deleted + ((contracted - deleted) << k * shift)
     if len(memo) >= STATE_CAP:
         raise SizeError(f"contraction-deletion needs more than {STATE_CAP} memo entries")
     memo[key] = out
@@ -251,6 +251,24 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     f_{d_u + d_w} - f_{d_u} f_{d_w}, so they sum to
     b^k (theta(G/e) - theta(G\\e)).
 
+    The recurrence runs on ints: theta at g = 2^B and b = 2^(B W), with B
+    and W taken from the input's core, which has the input's theta.
+    Evaluation is a ring homomorphism, so every step is one big-int
+    expression and the result is theta's value there, whatever the size
+    of the values in between.  That value reads back exactly: the
+    coefficient of b^i g^j is its digit i W + j in base 2^B.  A generalized
+    loop of the core gives a node of core degree d a factor f_d' with
+    d' <= d, of degree at most max(0, d - 2) in g, so j < W = 1 +
+    sum_v max(0, d_v - 2) and divmod(digit, W) recovers (i, j).  The f
+    ladder has nonnegative coefficients, so each coefficient is at most the
+    sum of the loops' products at g = 1, below 2^|E| prod_v max_{d <= d_v}
+    f_d(1) over the core's edges E and degrees d_v, as in theta_direct; B =
+    _theta_bits exceeds that bound's bit length, so poly.unpack reads
+    every digit.  B and W come from the core, not from g: a chain of k
+    edges is one core edge of power k, shifting by k B W bits, so a B or W
+    that grew with the chain would make the values' size quadratic in its
+    length.
+
     Each level of the recursion removes an edge, so a core above
     CD_EDGE_CAP edges raises SizeError, as does a run whose memo would
     hold more than STATE_CAP cores.  Agrees with theta_direct exactly;
@@ -264,7 +282,16 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
             f"{len(edges)} edges in the 2-core exceed the contraction-deletion "
             f"cap {CD_EDGE_CAP}"
         )
-    return ThetaPoly(BiPoly(_theta_cd_rec(n, edges, {})))
+    deg = [0] * n
+    for a, b, _ in edges:
+        deg[a] += 1
+        deg[b] += 1
+    bits = _theta_bits(len(edges), deg)
+    width = 1 + sum(max(0, d - 2) for d in deg)
+    value = _theta_cd_rec(n, edges, {}, [1, 0, 1, 1 << bits], bits * width)
+    return ThetaPoly(BiPoly({
+        divmod(e, width): c for e, c in unpack(value, bits).items()
+    }))
 
 
 def theta_at_beta1(g: Multigraph, theta: ThetaPoly | None = None) -> tuple[UniPoly, UniPoly]:

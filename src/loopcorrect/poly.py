@@ -281,8 +281,14 @@ def unpack(value: int, bits: int) -> dict:
         c = ((value + half) & mask) - half
         if c:
             out[e] = c
-        value = (value - c) >> bits
-        e += 1
+            value = (value - c) >> bits
+            e += 1
+        else:
+            # a zero digit leaves value's low bits zero: skip the whole run
+            # of zero digits in one shift, so a sparse value costs its terms
+            skip = ((value & -value).bit_length() - 1) // bits
+            value >>= skip * bits
+            e += skip
     return out
 
 

@@ -71,9 +71,39 @@ def test_direct_construction_at_every_density(monkeypatch):
             assert is_connected(g)[0]
 
 
+class Recorder:
+    """An rng that lists the name and first argument of every draw."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            self.draws.append((name, args[:1]))
+            return getattr(self.rng, name)(*args, **kwargs)
+        return draw
+
+
+@pytest.mark.parametrize("n, m, hopeless", [(2000, 2100, True), (30, 29, False), (200, 600, False)])
+def test_hopeless_uniform_draws_are_skipped(n, m, hopeless, monkeypatch):
+    # n e^(-2m/n) isolated nodes expected: 245 at (2000, 2100), past
+    # ISOLATED_LIMIT, so the direct construction runs at once and gives
+    # what it gives without uniform draws; 4.4 at (30, 29) and 0.5 at
+    # (200, 600) keep the uniform draws
+    rng = Recorder(np.random.default_rng(0))
+    g = random_connected_graph(n, m, rng)
+    uniform = rng.draws.count(("choice", (n * (n - 1) // 2,)))
+    assert is_connected(g)[0]
+    if hopeless:
+        assert uniform == 0
+        monkeypatch.setattr(generate, "CONNECTED_DRAWS", 0)
+        assert g == random_connected_graph(n, m, np.random.default_rng(0))
+    else:
+        assert uniform >= 1
+
+
 def test_large_sparse_request_is_fast_and_small():
-    # timed untraced: tracemalloc's per-allocation hook would dominate the
-    # time of the 200 failed draws
+    # timed untraced, as tracemalloc's per-allocation hook would slow it
     start = time.perf_counter()
     g = random_connected_graph(2000, 2100, np.random.default_rng(0))
     seconds = time.perf_counter() - start
@@ -136,7 +166,9 @@ def test_edge_count_is_checked_before_any_draw():
 
 def test_edge_cap_is_inclusive():
     n = str(NODE_CAP)
-    with pytest.raises(AssertionError, match="rng.choice was called"):
+    # four edges per node leave 22 isolated nodes expected in a uniform
+    # draw, so the first draw is the direct construction's
+    with pytest.raises(AssertionError, match="rng.permutation was called"):
         generate.make_topology("random", [n, str(EDGE_CAP)], NoDraws())
     with pytest.raises(GenerationError, match=f"{EDGE_CAP + 1} edges exceed"):
         generate.make_topology("random", [n, str(EDGE_CAP + 1)], NoDraws())

@@ -1,5 +1,7 @@
 """theta, omega, matching polynomial, bound and determinant identities."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,6 @@ from loopcorrect.graphpoly import (
     CD_EDGE_CAP,
     OmegaPoly,
     _omega_by_theta,
-    _theta_cd_rec,
     golden_ratio_value,
     loop_count_bound,
     matching_polynomial,
@@ -67,10 +68,20 @@ def test_theta_direct_cap():
         theta_direct(complete_graph(12))
 
 
-def _weighted(g):
-    # the (node count, edges) form contraction-deletion runs on, every edge
-    # of power one
-    return g.node_count, [(min(a, b), max(a, b), 1) for a, b in g.edges]
+def _cd_memo(g, monkeypatch):
+    # theta_contraction_deletion(g) and the memo its recursion filled
+    memos = []
+    real = graphpoly._theta_cd_rec
+
+    def spy(n, edges, memo, *rest):
+        memos.append(memo)
+        return real(n, edges, memo, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphpoly, "_theta_cd_rec", spy)
+        theta = theta_contraction_deletion(g)
+    assert all(memo is memos[0] for memo in memos)
+    return theta, memos[0]
 
 
 def test_theta_contraction_deletion_matches_direct():
@@ -97,17 +108,50 @@ def test_theta_contraction_deletion_matches_direct():
         assert theta_contraction_deletion(g) == theta_direct(g)
 
 
-def test_contraction_deletion_memo_holds_reduced_cores():
+def test_contraction_deletion_memo_holds_reduced_cores(monkeypatch):
     # keyed on the series-reduced 2-core, the 3x4 grid needs 104 memo
     # entries; on the 2-core alone it needed 171, and keyed on the labelled
     # graph with its pendant paths 4542
-    memo = {}
-    _theta_cd_rec(*_weighted(grid_graph(3, 4)), memo)
+    _, memo = _cd_memo(grid_graph(3, 4), monkeypatch)
     assert len(memo) <= 120
     # a cycle of any length reduces to one self-loop in one pass
-    memo = {}
-    assert _theta_cd_rec(*_weighted(cycle_graph(1500)), memo) == {(0, 0): 1, (1500, 0): 1}
+    theta, memo = _cd_memo(cycle_graph(1500), monkeypatch)
+    assert theta.poly == BiPoly({(0, 0): 1, (1500, 0): 1})
     assert len(memo) == 1
+
+
+@st.composite
+def multigraphs(draw, max_nodes, max_edges):
+    """Any multigraph: it may be disconnected and have self-loops and
+    parallel edges."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    return Multigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=max_edges))))
+
+
+@given(multigraphs(max_nodes=7, max_edges=10), st.integers(min_value=1, max_value=50))
+@settings(max_examples=60, deadline=None)
+def test_contraction_deletion_packing_on_subdivided_multigraphs(g, k):
+    # contraction-deletion packs theta by the core's coefficient bound and g
+    # degrees; a chain of k edges is one core edge of power k, so the b
+    # powers reach 50 times the core's edge count
+    h = subdivided(g, k)
+    assert theta_contraction_deletion(h) == theta_direct(h)
+
+
+def test_contraction_deletion_width_ignores_chain_length():
+    # three 2000-edge chains joining two nodes: a core of two nodes and
+    # three edges of power 2000.  Packed by the input's 5999 nodes and 6000
+    # edges, each value would take megabytes; by the core's, a few kB
+    g = subdivided(parallel_edges_graph(3), 2000)
+    tracemalloc.start()
+    try:
+        theta = theta_contraction_deletion(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert theta.poly == BiPoly({(0, 0): 1, (4000, 0): 3, (6000, 2): 1})
+    assert peak < 3 << 20
 
 
 def test_contraction_deletion_edge_cap():
