@@ -106,7 +106,9 @@ def _theta_bits(edge_count: int, degrees) -> int:
     """One more than the bit length of 2^edge_count prod_v max_{d <= d_v}
     f_d(1) over the node degrees d_v, the bound on theta's coefficients
     that theta_direct proves."""
-    at_one = [f_poly(d).eval(1) for d in range(max(degrees, default=0) + 1)]
+    at_one = [1, 0]  # f_d(1): f_{d+1}(1) = f_d(1) + f_{d-1}(1)
+    while len(at_one) <= max(degrees, default=0):
+        at_one.append(at_one[-1] + at_one[-2])
     bound = 1 << edge_count
     for top in degrees:
         bound *= max(at_one[: top + 1])
@@ -255,19 +257,20 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     and W taken from the input's core, which has the input's theta.
     Evaluation is a ring homomorphism, so every step is one big-int
     expression and the result is theta's value there, whatever the size
-    of the values in between.  That value reads back exactly: the
-    coefficient of b^i g^j is its digit i W + j in base 2^B.  A generalized
-    loop of the core gives a node of core degree d a factor f_d' with
-    d' <= d, of degree at most max(0, d - 2) in g, so j < W = 1 +
-    sum_v max(0, d_v - 2) and divmod(digit, W) recovers (i, j).  The f
-    ladder has nonnegative coefficients, so each coefficient is at most the
-    sum of the loops' products at g = 1, below 2^|E| prod_v max_{d <= d_v}
-    f_d(1) over the core's edges E and degrees d_v, as in theta_direct; B =
-    _theta_bits exceeds that bound's bit length, so poly.unpack reads
-    every digit.  B and W come from the core, not from g: a chain of k
-    edges is one core edge of power k, shifting by k B W bits, so a B or W
-    that grew with the chain would make the values' size quadratic in its
-    length.
+    of the values in between.  That value reads back exactly.  A
+    generalized loop of the core gives a node of core degree d a factor
+    f_d' with d' <= d, of degree at most max(0, d - 2) in g, so every g
+    power is below W = 1 + sum_v max(0, d_v - 2).  The f ladder has
+    nonnegative coefficients, so each coefficient is at most the sum of
+    the loops' products at g = 1, below 2^|E| prod_v max_{d <= d_v} f_d(1)
+    over the core's edges E and degrees d_v, as in theta_direct, and B =
+    _theta_bits exceeds that bound's bit length.  So the coefficient of
+    b^i, a polynomial in g packed at 2^B, lies in [0, 2^(B W - 1)): it is
+    the value's digit i in base 2^(B W), and its own base-2^B digits are
+    its coefficients; poly.unpack reads both.  B and W come from the core,
+    not from g: a chain of k edges is one core edge of power k, shifting
+    by k B W bits, so a B or W that grew with the chain would make the
+    values' size quadratic in its length.
 
     Each level of the recursion removes an edge, so a core above
     CD_EDGE_CAP edges raises SizeError, as does a run whose memo would
@@ -290,7 +293,9 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     width = 1 + sum(max(0, d - 2) for d in deg)
     value = _theta_cd_rec(n, edges, {}, [1, 0, 1, 1 << bits], bits * width)
     return ThetaPoly(BiPoly({
-        divmod(e, width): c for e, c in unpack(value, bits).items()
+        (be, ge): c
+        for be, packed in unpack(value, bits * width).items()
+        for ge, c in unpack(packed, bits).items()
     }))
 
 

@@ -120,25 +120,6 @@ def test_contraction_deletion_memo_holds_reduced_cores(monkeypatch):
     assert len(memo) == 1
 
 
-@st.composite
-def multigraphs(draw, max_nodes, max_edges):
-    """Any multigraph: it may be disconnected and have self-loops and
-    parallel edges."""
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    ends = st.integers(min_value=0, max_value=n - 1)
-    return Multigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=max_edges))))
-
-
-@given(multigraphs(max_nodes=7, max_edges=10), st.integers(min_value=1, max_value=50))
-@settings(max_examples=60, deadline=None)
-def test_contraction_deletion_packing_on_subdivided_multigraphs(g, k):
-    # contraction-deletion packs theta by the core's coefficient bound and g
-    # degrees; a chain of k edges is one core edge of power k, so the b
-    # powers reach 50 times the core's edge count
-    h = subdivided(g, k)
-    assert theta_contraction_deletion(h) == theta_direct(h)
-
-
 def test_contraction_deletion_width_ignores_chain_length():
     # three 2000-edge chains joining two nodes: a core of two nodes and
     # three edges of power 2000.  Packed by the input's 5999 nodes and 6000
@@ -384,12 +365,22 @@ def test_matching_form_equals_theta_route_on_multigraphs(g):
     assert w == exact_omega_by_division(g)
 
 
-@given(connected_graphs(max_nodes=6, max_edges=9, simple=False),
-       st.sampled_from([1, 2, 3, 5]))
+@st.composite
+def multigraphs(draw, max_nodes, max_edges):
+    """Any multigraph: it may be disconnected and have self-loops and
+    parallel edges."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    return Multigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=max_edges))))
+
+
+@given(multigraphs(max_nodes=7, max_edges=10), st.integers(min_value=1, max_value=50))
 @settings(max_examples=60, deadline=None)
 def test_subdivision_raises_b_to_the_chain_length(g, k):
     # a chain of k edges acts as one edge of weight b^k: subdividing every
-    # edge maps theta(b, g) to theta(b^k, g), by both routes
+    # edge maps theta(b, g) to theta(b^k, g), by both routes.  A chain is
+    # one core edge of power k, so contraction-deletion's packing, bounded
+    # on the core, must hold b powers up to 50 times its edge count
     expected = BiPoly({(be * k, ge): c for (be, ge), c in theta_direct(g).poly.coeffs.items()})
     h = subdivided(g, k)
     assert theta_direct(h).poly == expected
