@@ -24,17 +24,21 @@ g alone from the frontier sum and one value packed in b and g from the
 recurrence, and only their coefficients, read by one unpack, meet.
 
 Contraction-deletion runs on plain (node count, edges) tuples whose edges
-(a, b, k) carry a power k of b.  Every step reduces its graph to the
+(a, b, k) carry a power k of b.  It reduces its input once to the
 series-reduced 2-core: pendant edges and isolated nodes leave theta
 unchanged, and a degree-two node has degree 0 or 2 in every generalized
 loop (f_1 = 0, f_2 = 1), so a chain of k edges acts as one edge of weight
 b^k.  The recurrence is then theta = (1 - b^k) theta(G\\e) + b^k theta(G/e)
-on the core's lowest-id non-loop edge, memoized on the core's sorted edge
-tuple, so copies of one core that deletion and contraction leave padded,
-shifted or subdivided share one entry.  Its depth is the core's edge
-count, capped at CD_EDGE_CAP; a cycle of any length is one self-loop.  Its
-time grows with the memo, which grows exponentially in the core's width,
-so the memo is capped at STATE_CAP cores.
+on the core's lowest-id non-loop edge, and both children are cores again
+without a second reduction: in a core both ends of that edge have degree
+three or more, so contracting it leaves a core, and deleting it can only
+leave one or both of its ends to suppress (_cd_children).  The recurrence
+is memoized on the core's sorted edge tuple, so copies of one core that
+deletion and contraction leave padded, shifted or subdivided share one
+entry.  Its depth is the core's edge count, capped at CD_EDGE_CAP; a cycle
+of any length is one self-loop.  Its time grows with the memo, which grows
+exponentially in the core's width, so the memo is capped at STATE_CAP
+cores.
 """
 
 from __future__ import annotations
@@ -172,14 +176,71 @@ def _series_core(n: int, edges) -> tuple[int, list]:
     ]
 
 
+def _cd_children(n: int, edges: list, pivot: int) -> tuple[tuple[int, list], list]:
+    """The children of the series-reduced 2-core (n, edges) (see
+    _series_core) at its non-loop edge pivot = (a, b, k), a < b: the
+    deletion child (node count, edges) and the contraction child's edges
+    on n - 1 nodes.  Each is the core _series_core would return for
+    (n, edges without the pivot), and for those edges with b merged into a
+    and the ids above b shifted down by one: the same node count and the
+    same edges in the same order.
+
+    A core node with a non-loop edge has degree three or more, so a and b
+    do.  Contracting leaves the merged node degree d_a + d_b - 2 >= 4 and
+    every other degree as it was, with edges parallel to the pivot turned
+    into self-loops there, so the contracted edges are already a core.
+    Deleting takes one incidence from a and one from b and none from any
+    other node, so only an end left with two incidences on two distinct
+    non-loop edges reduces: it is suppressed as _series_core does it, b
+    first, then a, the merged edge at the lower of the two positions with
+    the powers added, and the ids above it shifted down by one.  A
+    suppression changes no other node's degree, so nothing else reduces.
+    """
+    a, b, _ = edges[pivot]
+    rest = edges[:pivot] + edges[pivot + 1:]
+    relabel = [*range(b), a, *range(b, n - 1)]
+    merged = []
+    at_a: list[int] = []  # positions in rest of the incidences at a and b,
+    at_b: list[int] = []  # a self-loop listed twice
+    for i, (x, y, k) in enumerate(rest):
+        if x == a:
+            at_a.append(i)
+        elif x == b:
+            at_b.append(i)
+        if y == a:
+            at_a.append(i)
+        elif y == b:
+            at_b.append(i)
+        x, y = relabel[x], relabel[y]
+        merged.append((x, y, k) if x <= y else (y, x, k))
+    gone = []
+    for v in (b, a):
+        at = at_b if v == b else sorted(at_a)
+        if len(at) != 2 or at[0] == at[1]:
+            continue
+        e, f = at
+        (x1, y1, k1), (x2, y2, k2) = rest[e], rest[f]
+        x, y = x1 + y1 - v, x2 + y2 - v
+        rest = [*rest[:e], (x, y, k1 + k2) if x <= y else (y, x, k1 + k2),
+                *rest[e + 1:f], *rest[f + 1:]]
+        at_a = [e if p == f else p - (p > f) for p in at_a]
+        gone.append(v)
+    if gone:
+        new_id = list(range(n))
+        for v in reversed(gone):  # a before b: the ids above v step down
+            new_id[v + 1:] = new_id[v:-1]
+        rest = [(new_id[x], new_id[y], k) for x, y, k in rest]
+    return (n - len(gone), rest), merged
+
+
 def _theta_cd_rec(n: int, edges: list, memo: dict, at: list, shift: int) -> int:
-    """theta of the weighted multigraph (n, edges) (see _series_core) at
-    b = 2^shift and a value of g, computed on its series-reduced 2-core.
-    at is the f ladder there, [f_0(g), f_1(g), ...], at least up to
-    f_3(g) = g, and is extended here as needed.  memo is keyed by the
-    core's sorted edge tuple (the core has no isolated node, so its edges
-    fix it); past STATE_CAP entries SizeError is raised."""
-    n, edges = _series_core(n, edges)
+    """theta of the series-reduced 2-core (n, edges) (see _series_core) at
+    b = 2^shift and a value of g.  The children it recurses on are cores
+    too (_cd_children), so no step reduces again.  at is the f ladder
+    there, [f_0(g), f_1(g), ...], at least up to f_3(g) = g, and is
+    extended here as needed.  memo is keyed by the core's sorted edge
+    tuple (the core has no isolated node, so its edges fix it); past
+    STATE_CAP entries SizeError is raised."""
     key = tuple(sorted(edges))
     hit = memo.get(key)
     if hit is not None:
@@ -204,18 +265,11 @@ def _theta_cd_rec(n: int, edges: list, memo: dict, at: list, shift: int) -> int:
                 at.append(at[3] * at[-1] + at[-2])
             out *= sum(s * at[2 * t] for t, s in enumerate(by_count))
     else:
-        # (1 - b^k) theta(G\e) + b^k theta(G/e).  Contraction merges end b
-        # into end a < b, and the ids above b shift down by one.
-        a, b, k = edges[pivot]
-        rest = edges[:pivot] + edges[pivot + 1:]
-        relabel = [*range(b), a, *range(b, n - 1)]
-        merged = []
-        for x, y, kk in rest:
-            x, y = relabel[x], relabel[y]
-            merged.append((x, y, kk) if x <= y else (y, x, kk))
-        deleted = _theta_cd_rec(n, rest, memo, at, shift)
+        # (1 - b^k) theta(G\e) + b^k theta(G/e)
+        (n_del, rest), merged = _cd_children(n, edges, pivot)
+        deleted = _theta_cd_rec(n_del, rest, memo, at, shift)
         contracted = _theta_cd_rec(n - 1, merged, memo, at, shift)
-        out = deleted + ((contracted - deleted) << k * shift)
+        out = deleted + ((contracted - deleted) << edges[pivot][2] * shift)
     if len(memo) >= STATE_CAP:
         raise SizeError(f"contraction-deletion needs more than {STATE_CAP} memo entries")
     memo[key] = out
@@ -227,9 +281,9 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
 
     An edge of power k weighs b^k, so theta(G) = sum over generalized
     loops s of b^(sum_{e in s} k_e) prod_v f_{d_v(s)}(g), and g is the
-    weighted graph whose edges all have power 1.  Every step reduces its
-    graph to the series-reduced 2-core (_series_core), which leaves theta
-    unchanged:
+    weighted graph whose edges all have power 1.  The input is reduced
+    once, here, to its series-reduced 2-core (_series_core), which leaves
+    theta unchanged:
 
     - a pendant edge lies in no generalized loop (its end would have
       degree one, and f_1 = 0), and an isolated node weighs f_0 = 1;
@@ -252,6 +306,13 @@ def theta_contraction_deletion(g: Multigraph) -> ThetaPoly:
     n, m >= 1) at n = d_u + 1, m = d_w + 1 gives f_{d_u + 1} f_{d_w + 1} =
     f_{d_u + d_w} - f_{d_u} f_{d_w}, so they sum to
     b^k (theta(G/e) - theta(G\\e)).
+
+    Both children of a core are cores, so no step reduces again
+    (_cd_children builds them).  u and w have a non-loop edge, so in the
+    core they have degree three or more.  G/e gives the merged node degree
+    d_u + d_w - 2 >= 4 and leaves every other degree as it was, so it is a
+    core as it stands.  G\\e lowers d_u and d_w by one each, to two or
+    more, and no other degree, so at most u and w are left to suppress.
 
     The recurrence runs on ints: theta at g = 2^B and b = 2^(B W), with B
     and W taken from the input's core, which has the input's theta.

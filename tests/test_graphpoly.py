@@ -112,12 +112,30 @@ def test_contraction_deletion_memo_holds_reduced_cores(monkeypatch):
     # keyed on the series-reduced 2-core, the 3x4 grid needs 104 memo
     # entries; on the 2-core alone it needed 171, and keyed on the labelled
     # graph with its pendant paths 4542
-    _, memo = _cd_memo(grid_graph(3, 4), monkeypatch)
-    assert len(memo) <= 120
+    for g, entries in ((grid_graph(3, 4), 104), (complete_graph(6), 88),
+                       (complete_graph(7), 248), (grid_graph(4, 4), 631)):
+        _, memo = _cd_memo(g, monkeypatch)
+        assert len(memo) == entries
     # a cycle of any length reduces to one self-loop in one pass
     theta, memo = _cd_memo(cycle_graph(1500), monkeypatch)
     assert theta.poly == BiPoly({(0, 0): 1, (1500, 0): 1})
     assert len(memo) == 1
+
+
+def test_contraction_deletion_reduces_its_input_once(monkeypatch):
+    # the children of a core are cores, so only the entry calls _series_core
+    calls = []
+    real = graphpoly._series_core
+
+    def spy(n, edges):
+        calls.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(graphpoly, "_series_core", spy)
+    for g in [grid_graph(3, 4), complete_graph(5)] + corpus_graphs():
+        calls.clear()
+        assert theta_contraction_deletion(g) == theta_direct(g)
+        assert calls == [g.node_count]
 
 
 def test_contraction_deletion_width_ignores_chain_length():
@@ -372,6 +390,38 @@ def multigraphs(draw, max_nodes, max_edges):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     ends = st.integers(min_value=0, max_value=n - 1)
     return Multigraph(n, tuple(draw(st.lists(st.tuples(ends, ends), max_size=max_edges))))
+
+
+@st.composite
+def series_cores(draw):
+    """The series-reduced 2-core of a multigraph of 1-8 nodes and 0-14
+    edges of powers 1-3, which may be disconnected and have self-loops and
+    parallel edges."""
+    g = draw(multigraphs(max_nodes=8, max_edges=14))
+    powers = draw(st.lists(st.integers(min_value=1, max_value=3),
+                           min_size=len(g.edges), max_size=len(g.edges)))
+    return graphpoly._series_core(
+        g.node_count, [(min(a, b), max(a, b), k) for (a, b), k in zip(g.edges, powers)]
+    )
+
+
+@given(series_cores())
+@settings(max_examples=300, deadline=None)
+def test_contraction_deletion_children_are_series_cores(core):
+    # the recursion builds each child as the core _series_core would make
+    # of it, the same edges in the same order, so pivots and memo keys are
+    # those of reducing every child from scratch; checked at every pivot
+    # the recursion could take, not only the lowest-id non-loop edge
+    n, edges = core
+    for pivot, (a, b, _) in enumerate(edges):
+        if a == b:
+            continue
+        rest = edges[:pivot] + edges[pivot + 1:]
+        relabel = [*range(b), a, *range(b, n - 1)]
+        merged = [(*sorted((relabel[x], relabel[y])), k) for x, y, k in rest]
+        deleted, contracted = graphpoly._cd_children(n, edges, pivot)
+        assert deleted == graphpoly._series_core(n, rest)
+        assert (n - 1, contracted) == graphpoly._series_core(n - 1, merged)
 
 
 @given(multigraphs(max_nodes=7, max_edges=10), st.integers(min_value=1, max_value=50))
