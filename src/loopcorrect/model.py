@@ -9,8 +9,9 @@ significant bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .graph import Multigraph, is_connected
 
@@ -20,8 +21,18 @@ POSITIVITY_FLOOR = 1e-300
 
 
 def _check_positive(values, what: str) -> None:
+    """Raise ValueError naming the first of the float values outside
+    [POSITIVITY_FLOOR, inf).  min, max and sum run in C: a NaN can slip
+    past min and max, but it makes the sum NaN, and only then is each value
+    looked at."""
+    values = list(values)
+    total = sum(values)
+    if not values or (
+        min(values) >= POSITIVITY_FLOOR and max(values) < math.inf and total == total
+    ):
+        return
     for v in values:
-        if not (v > 0.0) or v < POSITIVITY_FLOOR or v != v or v == float("inf"):
+        if not POSITIVITY_FLOOR <= v < math.inf:
             raise ValueError(f"{what} must be strictly positive and finite, got {v!r}")
 
 
@@ -48,19 +59,24 @@ class PairwiseModel:
             raise ValueError("one edge potential table per edge required")
         if len(self.node_potentials) != g.node_count:
             raise ValueError("one node potential table per node required")
-        psi = tuple(
-            tuple(tuple(float(v) for v in row) for row in tab)
-            for tab in self.edge_potentials
-        )
-        phi = tuple(tuple(float(v) for v in tab) for tab in self.node_potentials)
-        for tab in psi:
-            if len(tab) != 2 or any(len(row) != 2 for row in tab):
-                raise ValueError("edge potentials must be 2x2")
-            _check_positive((v for row in tab for v in row), "edge potential")
-        for tab in phi:
-            if len(tab) != 2:
-                raise ValueError("node potentials must have 2 entries")
-            _check_positive(tab, "node potential")
+        # One pass converts and shape-checks every table; when it fails,
+        # the entry-by-entry conversion and the shape checks name the fault.
+        try:
+            psi = tuple(((float(a), float(b)), (float(c), float(d)))
+                        for (a, b), (c, d) in self.edge_potentials)
+            phi = tuple((float(a), float(b)) for a, b in self.node_potentials)
+        except (TypeError, ValueError):
+            psi = tuple(
+                tuple(tuple(float(v) for v in row) for row in tab)
+                for tab in self.edge_potentials
+            )
+            phi = tuple(tuple(float(v) for v in tab) for tab in self.node_potentials)
+            if any(len(tab) != 2 or any(len(row) != 2 for row in tab) for tab in psi):
+                raise ValueError("edge potentials must be 2x2") from None
+            if any(len(tab) != 2 for tab in phi):
+                raise ValueError("node potentials must have 2 entries") from None
+        _check_positive(chain.from_iterable(chain.from_iterable(psi)), "edge potential")
+        _check_positive(chain.from_iterable(phi), "node potential")
         object.__setattr__(self, "edge_potentials", psi)
         object.__setattr__(self, "node_potentials", phi)
 
@@ -127,23 +143,23 @@ class FactorModel:
     def __post_init__(self):
         if self.variable_count <= 0:
             raise ValueError("variable_count must be positive")
-        covered = set()
         norm = []
         for scope, table in self.factors:
-            scope = tuple(int(i) for i in scope)
+            scope = tuple(map(int, scope))
             if len(set(scope)) != len(scope):
                 raise ValueError(f"factor scope {scope} has duplicates")
-            for i in scope:
-                if not (0 <= i < self.variable_count):
-                    raise ValueError(f"variable id {i} out of range")
-            table = tuple(float(v) for v in table)
+            table = tuple(map(float, table))
             if len(table) != 1 << len(scope):
                 raise ValueError(
                     f"factor on {scope} needs {1 << len(scope)} entries, got {len(table)}"
                 )
-            _check_positive(table, "factor table")
-            covered.update(scope)
             norm.append((scope, table))
+        covered = set(chain.from_iterable(scope for scope, _ in norm))
+        if covered and (min(covered) < 0 or max(covered) >= self.variable_count):
+            bad = next(i for i in chain.from_iterable(scope for scope, _ in norm)
+                       if not 0 <= i < self.variable_count)
+            raise ValueError(f"variable id {bad} out of range")
+        _check_positive(chain.from_iterable(table for _, table in norm), "factor table")
         if len(covered) < self.variable_count:
             # covered holds valid ids only, so the count needs no set of all
             # variable_count ids, and the message names the first few

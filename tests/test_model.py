@@ -43,6 +43,55 @@ def test_validation_rejects_bad_inputs():
         PairwiseModel(Multigraph(3, ((0, 1),)), PSI_1, uniform_phi(3))
 
 
+PATH = Multigraph(3, ((0, 1), (1, 2)))
+TAB = ((1.0, 2.0), (3.0, 4.0))
+PHI_1 = (1.0, 1.0)
+
+
+@pytest.mark.parametrize("psi, phi, kind, message", [
+    ((TAB, ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0))), None, ValueError, "edge potentials must be 2x2"),
+    ((TAB, ((1.0,), (3.0, 4.0))), None, ValueError, "edge potentials must be 2x2"),
+    ((TAB, ((None, 2.0), (3.0, 4.0))), None, TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    ((TAB, (("abc", 2.0), (3.0, 4.0))), None, ValueError, "could not convert string to float: 'abc'"),
+    ((TAB, (1.0, (3.0, 4.0))), None, TypeError, "'float' object is not iterable"),
+    ((TAB, ((1.0, 1e-310), (3.0, 4.0))), None, ValueError,
+     "edge potential must be strictly positive and finite, got 1e-310"),
+    ((TAB, ((1.0, math.nan), (3.0, 4.0))), None, ValueError,
+     "edge potential must be strictly positive and finite, got nan"),
+    ((TAB, ((1.0, -math.inf), (3.0, 4.0))), None, ValueError,
+     "edge potential must be strictly positive and finite, got -inf"),
+    ((TAB, TAB), (PHI_1, (1.0, 2.0, 3.0), PHI_1), ValueError, "node potentials must have 2 entries"),
+    ((TAB, TAB), (PHI_1, ("x", 1.0), PHI_1), ValueError, "could not convert string to float: 'x'"),
+    ((TAB, TAB), (PHI_1, (math.nan, 1.0), PHI_1), ValueError,
+     "node potential must be strictly positive and finite, got nan"),
+    ((TAB, TAB), (PHI_1, (1.0, math.inf), PHI_1), ValueError,
+     "node potential must be strictly positive and finite, got inf"),
+])
+def test_pairwise_validation_names_the_one_fault(psi, phi, kind, message):
+    # every table is checked in one pass; a table with one fault, after a
+    # valid one, is still named as the table-by-table checks named it
+    with pytest.raises(kind) as info:
+        PairwiseModel(PATH, psi, phi or (PHI_1,) * 3)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("count, factors, kind, message", [
+    (2, (((0, 1), (1.0,) * 4), ((1, -1), (1.0,) * 4)), ValueError, "variable id -1 out of range"),
+    (2, (((0, 1), (1.0,) * 4), ((2,), (1.0,) * 2)), ValueError, "variable id 2 out of range"),
+    (2, (((0, "a"), (1.0,) * 4),), ValueError, "invalid literal for int() with base 10: 'a'"),
+    (2, (((0, 1), (1.0, 1.0, "q", 1.0)),), ValueError, "could not convert string to float: 'q'"),
+    (2, (((0, 1), (1.0,) * 4), ((1,), (math.nan, 1.0))), ValueError,
+     "factor table must be strictly positive and finite, got nan"),
+    (2, (((0, 1), (1.0,) * 4), ((1,), (1.0, math.inf))), ValueError,
+     "factor table must be strictly positive and finite, got inf"),
+])
+def test_factor_validation_names_the_one_fault(count, factors, kind, message):
+    with pytest.raises(kind) as info:
+        FactorModel(count, factors)
+    assert str(info.value) == message
+
+
 def test_absorb_identity_when_phi_uniform():
     m = simple_model(psi=(((2.0, 0.5), (0.5, 2.0)),))
     assert absorb_node_potentials(m).edge_potentials == m.edge_potentials
