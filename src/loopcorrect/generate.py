@@ -90,19 +90,6 @@ def random_connected_graph(n: int, m: int, rng: np.random.Generator) -> Multigra
     return Multigraph(n, _edges(n, tree + extra.tolist()))
 
 
-def single_cycle_graph(
-    cycle_len: int, extra_nodes: int, rng: np.random.Generator
-) -> Multigraph:
-    """A cycle through nodes 0..cycle_len-1 with a random pendant tree."""
-    g = cycle_graph(cycle_len)
-    n = cycle_len
-    edges = list(g.edges)
-    for _ in range(extra_nodes):
-        edges.append((int(rng.integers(0, n)), n))
-        n += 1
-    return Multigraph(n, tuple(edges))
-
-
 def ising_model(
     g: Multigraph,
     rng: np.random.Generator,

@@ -21,6 +21,15 @@ def star_graph(n):
     return Multigraph(n, tuple((0, i) for i in range(1, n)))
 
 
+def single_cycle_graph(cycle_len, extra_nodes, rng):
+    """A cycle through nodes 0..cycle_len-1 with a random pendant tree."""
+    n, edges = cycle_len, list(cycle_graph(cycle_len).edges)
+    for _ in range(extra_nodes):
+        edges.append((int(rng.integers(0, n)), n))
+        n += 1
+    return Multigraph(n, tuple(edges))
+
+
 def bouquet_graph(loops):
     """A single node with the given number of self-loops."""
     return Multigraph(1, ((0, 0),) * loops)

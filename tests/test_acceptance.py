@@ -16,7 +16,6 @@ from loopcorrect.generate import (
     random_connected_graph,
     random_factor_model,
     random_tree,
-    single_cycle_graph,
 )
 from loopcorrect.graph import cycle_graph, is_connected, two_triangles_graph
 from loopcorrect.graphpoly import (
@@ -41,6 +40,7 @@ from tests.conftest import (
     corpus_graphs,
     corpus_loop_free,
     corpus_simple_connected,
+    single_cycle_graph,
 )
 from tests.oracles import (
     brute_force_reference,

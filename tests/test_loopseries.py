@@ -15,7 +15,6 @@ from loopcorrect.generate import (
     random_connected_graph,
     random_factor_model,
     random_tree,
-    single_cycle_graph,
 )
 from loopcorrect.graph import (
     Multigraph,
@@ -44,6 +43,7 @@ from loopcorrect.model import (
 )
 from loopcorrect.poly import f_values, g_values
 from oracles import belief_ratio_state_sum, factor_betas_reference, single_cycle_sign_check
+from tests.conftest import single_cycle_graph
 from tests.test_lbp import HYPERTREE
 
 
